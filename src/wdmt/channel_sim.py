@@ -7,6 +7,13 @@ Conventions
 * Channel entries are CN(0,1): real and imaginary parts independent
   N(0, 1/2), so |entry|^2 ~ Exp(1) and a squared row norm over m entries
   is Gamma(m, 1).
+* Monte Carlo outage draws come from the equivalent parallel model, not
+  from channel matrices: parallel and DPC gains are independent
+  Gamma(shape_i, 1) draws with the shapes of ``Scenario.gain_shapes()``,
+  and ZF gains come from the Bartlett factor of the Wishart Gram matrix
+  HH* (Goodman 1963). The re-orthogonalized Gram-Schmidt projections of
+  drawn K x M matrices remain as the independent oracle behind
+  ``zf_gains``, ``dpc_gains`` and ``validate_gain_distribution``.
 * Capacities are in nats; SNR ``rho`` is linear here (the CLI converts
   from dB exactly once).
 * The finite-SNR capacity keeps the weights inside the logarithm,
@@ -21,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +64,6 @@ _RANK_EPS = 1e-24
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _MIN_NORMAL_EVENTS = 20  # below this the normal CI is replaced by Clopper-Pearson
 _Z_95 = float(stats.norm.ppf(0.975))
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,7 @@ def sample_channel(m: int, k: int, rng) -> ChannelMatrix:
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    g = _as_rng(rng)
-    h = (g.standard_normal((k, m)) + 1j * g.standard_normal((k, m))) * _SQRT_HALF
-    return ChannelMatrix(h)
+    return ChannelMatrix(_sample_rows(np.random.default_rng(rng), 1, k, m)[0])
 
 
 def _sample_rows(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
@@ -275,6 +275,21 @@ def dpc_gains(channel: ChannelMatrix, encode_order) -> EffectiveGains:
     return EffectiveGains(tuple(gamma))
 
 
+def _check_rho(rho) -> None:
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise OutOfRangeError(f"rho must be finite and > 0, got {rho}")
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise OutOfRangeError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _capacity(mu: np.ndarray, rho: float, gains: np.ndarray) -> np.ndarray:
+    """K * sum_i mu_i log(1 + mu_i rho gamma_i) along the last axis of gains."""
+    return mu.size * (np.log1p(mu * rho * gains) @ mu)
+
+
 def weighted_capacity(gains: EffectiveGains, weights: Weights, rho: float) -> float:
     """Weighted sum rate K * sum_i mu_i log(1 + mu_i rho gamma_i), in nats.
 
@@ -284,12 +299,8 @@ def weighted_capacity(gains: EffectiveGains, weights: Weights, rho: float) -> fl
     """
     if len(gains) != len(weights):
         raise DimensionMismatchError(f"{len(gains)} gains vs {len(weights)} weights")
-    if rho <= 0.0:
-        raise OutOfRangeError(f"rho must be > 0, got {rho}")
-    k = len(weights)
-    return k * math.fsum(
-        m * math.log1p(m * rho * g) for m, g in zip(weights.mu, gains.gamma)
-    )
+    _check_rho(rho)
+    return float(_capacity(np.asarray(weights.mu), rho, np.asarray(gains.gamma)))
 
 
 def _mu_columns(scenario: Scenario) -> np.ndarray:
@@ -298,24 +309,50 @@ def _mu_columns(scenario: Scenario) -> np.ndarray:
     return np.asarray([mu[i] for i in scenario.encode_order()])
 
 
-def _chunk_gains(
-    scenario: Scenario, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n realizations and return (gains (n, k), valid mask (n,)).
+def _chunk_gains(scenario: Scenario, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n effective-gain vectors (n, k) from the equivalent parallel
+    model, columns in ``scenario.encode_order()``.
 
-    Gain columns follow ``scenario.encode_order()`` and pair with
-    ``_mu_columns``.
+    Parallel and DPC gains are independent Gamma(shape_i, 1). ZF gains are
+    gamma_i = 1 / [G^-1]_ii for the Gram matrix G = HH*, whose Bartlett
+    factor L (G = LL*) has independent entries: |L_ii|^2 ~ Gamma(m - i, 1)
+    and CN(0,1) below the diagonal. [G^-1]_ii is the squared norm of
+    column i of L^-1, built row by row by forward substitution.
     """
     k = scenario.k
-    if scenario.kind == "parallel-identical":
-        rows = _sample_rows(rng, n, k, scenario.n_t)
-        gains = np.einsum("nkm,nkm->nk", rows.conj(), rows).real
-        return gains, np.ones(n, dtype=bool)
-    if scenario.kind == "parallel-different":
+    if scenario.kind != "bc-zf":
+        shapes = np.asarray(scenario.gain_shapes(), dtype=float)
+        # Drawn as (k, n) and returned transposed: the capacity kernel runs
+        # fastest on column-major gains.
+        return rng.standard_gamma(shapes[:, None], size=(k, n)).T
+    shapes = scenario.m - np.arange(k, dtype=float)
+    inv_diag = 1.0 / np.sqrt(rng.standard_gamma(shapes[:, None], size=(k, n)))
+    z = rng.standard_normal((2, k * (k - 1) // 2, n))
+    below = (z[0] + 1j * z[1]) * _SQRT_HALF  # rows of the strict lower triangle
+    inv = np.zeros((k, k, n), dtype=complex)
+    start = 0
+    for i in range(k):
+        l_row = below[start : start + i]
+        start += i
+        inv[i, :i] = -np.einsum("jn,jcn->cn", l_row, inv[:i, :i]) * inv_diag[i]
+        inv[i, i] = inv_diag[i]
+    return 1.0 / (inv.real**2 + inv.imag**2).sum(axis=0).T
+
+
+def _matrix_gains(
+    scenario: Scenario, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle path: draw n channel matrices and project them by Gram-Schmidt.
+
+    Returns (gains (n, k), valid mask (n,)) with columns as in
+    ``_chunk_gains``.
+    """
+    k = scenario.k
+    if scenario.kind.startswith("parallel"):
+        counts = scenario.profile.n if scenario.kind == "parallel-different" else (scenario.n_t,) * k
         gains = np.empty((n, k))
-        for i, n_i in enumerate(scenario.profile.n):
-            rows = _sample_rows(rng, n, 1, n_i)
-            gains[:, i] = _sq_norm(rows[:, 0, :])
+        for i, n_i in enumerate(counts):
+            gains[:, i] = _sq_norm(_sample_rows(rng, n, 1, n_i)[:, 0, :])
         return gains, np.ones(n, dtype=bool)
     rows = _sample_rows(rng, n, k, scenario.m)
     if scenario.kind == "bc-zf":
@@ -358,28 +395,27 @@ def outage_probability(
 ) -> OutageEstimate:
     """Monte Carlo estimate of P{weighted sum capacity <= r log rho}.
 
-    The sample budget is split across ``shards`` deterministic substreams
-    derived from ``seed``; outage counts are summed, so the estimate is a
-    pure function of (scenario, r, rho, n_samples, seed, shards).
-    Rank-deficient draws (probability zero) are discarded and counted in
-    ``n_discarded``.
+    Gains are drawn from the equivalent parallel model (Gamma draws, and
+    the Bartlett factor of the Gram matrix for bc-zf), so no draw is ever
+    rank deficient and ``n_discarded`` is always 0. The sample budget is
+    split across ``shards`` deterministic substreams derived from
+    ``seed``; outage counts are summed, so the estimate is a pure function
+    of (scenario, r, rho, n_samples, seed, shards).
     """
     k = scenario.k
-    if not 0.0 <= r <= k:
+    if not (math.isfinite(r) and 0.0 <= r <= k):
         raise OutOfRangeError(f"r = {r} outside [0, {k}]")
-    if rho <= 0.0:
-        raise OutOfRangeError(f"rho must be > 0, got {rho}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+    _check_rho(rho)
+    _check_count("n_samples", n_samples, 1)
+    _check_count("shards", shards, 1)
+    n_samples, shards = int(n_samples), int(shards)
 
     threshold = r * math.log(rho)
     mu = _mu_columns(scenario)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     quota, extra = divmod(n_samples, shards)
 
-    outages = used = discarded = 0
+    outages = 0
     for shard_index, child in enumerate(root.spawn(shards)):
         remaining = quota + (1 if shard_index < extra else 0)
         if remaining == 0:
@@ -388,23 +424,17 @@ def outage_probability(
         while remaining > 0:
             n = min(_CHUNK, remaining)
             remaining -= n
-            gains, ok = _chunk_gains(scenario, rng, n)
-            capacity = k * (mu * np.log1p(mu * rho * gains)).sum(axis=1)
-            outages += int((capacity[ok] <= threshold).sum())
-            used += int(ok.sum())
-            discarded += n - int(ok.sum())
+            capacity = _capacity(mu, rho, _chunk_gains(scenario, rng, n))
+            outages += int((capacity <= threshold).sum())
 
-    if used == 0:
-        raise RankDeficientError("all samples were rank deficient")
-    ci_low, ci_high = confidence_interval(outages, used)
+    ci_low, ci_high = confidence_interval(outages, n_samples)
     return OutageEstimate(
         rho=float(rho),
         r=float(r),
-        n_samples=used,
+        n_samples=n_samples,
         n_outages=outages,
         ci_low=ci_low,
         ci_high=ci_high,
-        n_discarded=discarded,
     )
 
 
@@ -414,23 +444,23 @@ def validate_gain_distribution(
     """Compare one empirical gain against its Gamma(shape, 1) law.
 
     ``index`` selects the gain column in encode order (for bc-dpc, position
-    0 is the first-encoded, largest-weight user). Reports relative errors
-    of mean and variance plus the Kolmogorov-Smirnov distance.
+    0 is the first-encoded, largest-weight user). Gains come from drawn
+    channel matrices through the Gram-Schmidt projections, so this checks
+    the Gamma reduction that ``outage_probability`` samples from. Reports
+    relative errors of mean and variance plus the Kolmogorov-Smirnov
+    distance.
     """
     if not 0 <= index < scenario.k:
         raise OutOfRangeError(f"index {index} outside 0..{scenario.k - 1}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    _check_count("n_samples", n_samples, 2)
     shape = scenario.gain_shapes()[index]
-    rng = np.random.default_rng(
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    )
+    rng = np.random.default_rng(seed)
     parts = []
     remaining = n_samples
     while remaining > 0:
         n = min(_CHUNK, remaining)
         remaining -= n
-        gains, ok = _chunk_gains(scenario, rng, n)
+        gains, ok = _matrix_gains(scenario, rng, n)
         parts.append(gains[ok, index])
     sample = np.concatenate(parts)
     mean = float(sample.mean())

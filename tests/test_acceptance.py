@@ -203,8 +203,8 @@ def test_criterion_8b_parallel_pair_slope():
         "over an even 15-30 dB grid at about 1.41, and at about 1.59 even for "
         "a 20-35 dB window; the asymptotic value 2 is approached only tens of "
         "dB higher. No sample budget can close a curvature gap, so this "
-        "criterion is not attainable as stated. See the repository notes for "
-        "the full analysis."
+        "criterion is not attainable as stated. README.md ('Install and test') "
+        "reproduces the 1.41 from the exact outage curve."
     )
 
 

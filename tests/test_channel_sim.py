@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from wdmt import (
+    AntennaProfile,
     ChannelMatrix,
     DimensionMismatchError,
     EffectiveGains,
@@ -21,6 +23,7 @@ from wdmt import (
     weighted_capacity,
     zf_gains,
 )
+from wdmt.channel_sim import _chunk_gains, _matrix_gains
 
 
 def k1_outage_oracle(rho, r):
@@ -36,6 +39,18 @@ def projection_residual_sq(target, onto):
     coef, *_ = np.linalg.lstsq(onto.T, target, rcond=None)
     resid = target - onto.T @ coef
     return float(np.vdot(resid, resid).real)
+
+
+def gamma_scenario(kind, m, k):
+    """A scenario with M = m antennas and K = k channels; the parallel kinds
+    take the broadcast kinds' equivalent gains (ZF: m - k + 1 each; DPC:
+    m, m - 1, ...)."""
+    w = validate_weights(tuple(np.arange(k, 0, -1) / (k * (k + 1) / 2)))
+    if kind == "parallel-identical":
+        return Scenario(kind=kind, weights=w, n_t=m - k + 1)
+    if kind == "parallel-different":
+        return Scenario(kind=kind, weights=w, profile=AntennaProfile(tuple(range(m, m - k, -1))))
+    return Scenario(kind=kind, weights=w, m=m)
 
 
 class TestSampleChannel:
@@ -184,6 +199,10 @@ class TestWeightedCapacity:
         with pytest.raises(OutOfRangeError):
             weighted_capacity(EffectiveGains((1.0,)), validate_weights((1.0,)), 0.0)
 
+    def test_nan_snr(self):
+        with pytest.raises(OutOfRangeError):
+            weighted_capacity(EffectiveGains((1.0,)), validate_weights((1.0,)), math.nan)
+
 
 class TestOutageProbability:
     scalar = Scenario(kind="parallel-identical", weights=validate_weights((1.0,)), n_t=1)
@@ -245,6 +264,71 @@ class TestOutageProbability:
         )
         est = outage_probability(s, r=1.0, rho=100.0, n_samples=50_000, seed=67)
         assert 0.0 < est.p_hat < 1.0
+
+    def test_nan_snr_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            outage_probability(self.scalar, r=0.5, rho=math.nan, n_samples=10, seed=1)
+
+    def test_infinite_snr_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            outage_probability(self.scalar, r=0.5, rho=math.inf, n_samples=10, seed=1)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, r):
+        with pytest.raises(OutOfRangeError):
+            outage_probability(self.scalar, r=r, rho=10.0, n_samples=10, seed=1)
+
+    def test_non_integer_sample_count_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            outage_probability(self.scalar, r=0.5, rho=10.0, n_samples=1e3, seed=1)
+
+    def test_non_integer_shard_count_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            outage_probability(self.scalar, r=0.5, rho=10.0, n_samples=10, seed=1, shards=2.0)
+
+    @pytest.mark.parametrize("kind", ["parallel-identical", "parallel-different", "bc-zf", "bc-dpc"])
+    def test_uses_every_requested_sample(self, kind):
+        est = outage_probability(
+            gamma_scenario(kind, 3, 2), r=1.0, rho=100.0, n_samples=10_007, seed=73, shards=3
+        )
+        assert est.n_samples == 10_007
+        assert est.n_discarded == 0
+
+
+class TestGammaSampler:
+    """The Monte Carlo sampler (Gamma draws, Bartlett factor for ZF) against
+    the Gram-Schmidt matrix path, by two-sample KS tests on independent
+    seeds. ZF gains are dependent, so the joint statistics min_i gamma_i
+    and prod_i gamma_i are tested as well as each column."""
+
+    N = 50_000
+    P_FLOOR = 1e-4  # about 30 comparisons in all
+
+    @pytest.mark.parametrize(
+        "kind, m, k",
+        [
+            ("parallel-identical", 3, 2),
+            ("parallel-different", 3, 2),
+            ("bc-dpc", 3, 2),
+            ("bc-zf", 3, 2),
+            ("bc-zf", 2, 1),
+            ("bc-zf", 4, 3),
+            ("bc-zf", 4, 4),
+        ],
+    )
+    def test_matches_matrix_path(self, kind, m, k):
+        s = gamma_scenario(kind, m, k)
+        fast = _chunk_gains(s, np.random.default_rng(83), self.N)
+        oracle, ok = _matrix_gains(s, np.random.default_rng(89), self.N)
+        assert fast.shape == (self.N, k) and ok.all()
+        columns = [(f"gamma_{i}", fast[:, i], oracle[:, i]) for i in range(k)]
+        joint = [
+            ("min", fast.min(axis=1), oracle.min(axis=1)),
+            ("prod", fast.prod(axis=1), oracle.prod(axis=1)),
+        ]
+        for name, a, b in columns + joint:
+            p = stats.ks_2samp(a, b).pvalue
+            assert p >= self.P_FLOOR, f"{kind} M={m} K={k} {name}: KS p = {p:.2e}"
 
 
 class TestConfidenceInterval:
