@@ -366,8 +366,11 @@ def confidence_interval(
     """Binomial CI for the outage probability.
 
     Normal approximation on the count; exact Clopper-Pearson whenever
-    fewer than 20 outages were observed.
+    fewer than 20 outages were observed. ``level`` must lie strictly
+    between 0 and 1.
     """
+    if not 0.0 < level < 1.0:  # NaN fails too
+        raise OutOfRangeError(f"confidence level {level} outside (0, 1)")
     p = n_outages / n_samples
     if n_outages >= _MIN_NORMAL_EVENTS:
         z = _Z_95 if level == 0.95 else float(stats.norm.ppf(0.5 + level / 2))

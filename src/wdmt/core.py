@@ -83,10 +83,13 @@ class Weights:
         object.__setattr__(self, "mu", tuple(float(x) for x in self.mu))
         if len(self.mu) < 1:
             raise BadSumError("weight vector must have at least one entry")
-        if any(x <= 0.0 for x in self.mu):
+        if not all(x > 0.0 for x in self.mu):  # NaN fails too
             raise NonPositiveWeightError(f"all weights must be > 0, got {self.mu}")
-        total = math.fsum(self.mu)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        try:
+            total = math.fsum(self.mu)
+        except OverflowError:  # finite entries whose sum overflows
+            total = math.inf
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise BadSumError(
                 f"weights sum to {total!r}; expected 1 within {WEIGHT_SUM_TOL}"
             )
@@ -113,20 +116,13 @@ def validate_weights(raw) -> Weights:
     Raises
     ------
     NonPositiveWeightError
-        If any entry is <= 0.
+        If any entry is <= 0 or NaN.
     BadSumError
-        If the vector is empty or its sum deviates from 1 beyond tolerance.
+        If the vector is empty or its sum deviates from 1 beyond tolerance
+        (an infinite entry included).
     """
-    mu = tuple(float(x) for x in raw)
-    if len(mu) < 1:
-        raise BadSumError("weight vector must have at least one entry")
-    if any(x <= 0.0 for x in mu):
-        raise NonPositiveWeightError(f"all weights must be > 0, got {mu}")
+    mu = Weights(raw).mu  # the checks live in Weights
     total = math.fsum(mu)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise BadSumError(
-            f"weights sum to {total!r}; expected 1 within {WEIGHT_SUM_TOL}"
-        )
     if total != 1.0:
         mu = tuple(x / total for x in mu)
         if math.fsum(mu) != 1.0 and len(mu) > 1:
@@ -142,6 +138,16 @@ def validate_weights(raw) -> Weights:
     return Weights(mu)
 
 
+def _as_count(x) -> int | None:
+    """``x`` as an int if it is an integer >= 1 (2.0 counts, 2.5 does not),
+    else None."""
+    try:
+        count = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return count if count >= 1 and count == x else None
+
+
 @dataclass(frozen=True)
 class AntennaProfile:
     """Transmit antenna count per parallel channel (all counts >= 1)."""
@@ -149,10 +155,10 @@ class AntennaProfile:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(x) for x in self.n)
+        counts = tuple(_as_count(x) for x in self.n)
         if len(counts) < 1:
             raise ValueError("antenna profile must have at least one channel")
-        if any(c < 1 for c in counts) or any(x != c for x, c in zip(self.n, counts)):
+        if None in counts:
             raise ValueError(f"antenna counts must be integers >= 1, got {self.n}")
         object.__setattr__(self, "n", counts)
 
@@ -297,7 +303,7 @@ class DmtCurve:
         [0, max_rate].
         """
         r = float(r)
-        if r < 0.0 or r > self.max_rate:
+        if not 0.0 <= r <= self.max_rate:  # NaN fails too
             raise OutOfRangeError(f"r = {r} outside [0, {self.max_rate}]")
         rates = [c[0] for c in self.corners]
         i = bisect_right(rates, r) - 1
@@ -336,9 +342,12 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         k = len(self.weights)
         if self.kind == "parallel-identical":
-            if self.n_t is None or int(self.n_t) < 1:
-                raise ValueError("parallel-identical requires n_t >= 1")
-            object.__setattr__(self, "n_t", int(self.n_t))
+            n_t = _as_count(self.n_t)
+            if n_t is None:
+                raise ValueError(
+                    f"parallel-identical requires an integer n_t >= 1, got {self.n_t}"
+                )
+            object.__setattr__(self, "n_t", n_t)
         elif self.kind == "parallel-different":
             if self.profile is None:
                 raise ValueError("parallel-different requires an antenna profile")
@@ -347,9 +356,12 @@ class Scenario:
                     f"{k} weights vs {len(self.profile)} antenna counts"
                 )
         else:
-            if self.m is None or int(self.m) < 1:
-                raise ValueError(f"{self.kind} requires m >= 1")
-            object.__setattr__(self, "m", int(self.m))
+            m = _as_count(self.m)
+            if m is None:
+                raise ValueError(
+                    f"{self.kind} requires an integer m >= 1, got {self.m}"
+                )
+            object.__setattr__(self, "m", m)
             if k > self.m:
                 raise TooManyUsersError(
                     f"{k} single-antenna users exceed {self.m} transmit antennas"

@@ -170,7 +170,7 @@ def lp_greedy(profile: AntennaProfile, weights: Weights, r: float) -> ExponentSo
             f"{len(weights)} weights vs {len(profile)} antenna counts"
         )
     k = len(profile)
-    if r < 0.0 or r > k:
+    if not 0.0 <= r <= k:  # NaN fails too
         raise OutOfRangeError(f"r = {r} outside [0, {k}]")
     if r == 0.0:
         return ExponentSolution((1.0,) * k, float(profile.total_diversity()))

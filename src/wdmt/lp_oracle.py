@@ -13,6 +13,7 @@ indexing bug.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,10 +52,10 @@ class LpInstance:
         upper = tuple(float(x) for x in self.upper)
         if not (len(costs) == len(weights) == len(upper)) or len(costs) < 1:
             raise ValueError("costs, weights, upper must share a length >= 1")
-        if any(x <= 0.0 for x in costs + weights + upper):
-            raise ValueError("all coefficients must be strictly positive")
+        if not all(0.0 < x < math.inf for x in costs + weights + upper):
+            raise ValueError("all coefficients must be finite and strictly positive")
         b = float(self.bound)
-        if b < -_FEAS_EPS or b > 1.0 + _FEAS_EPS:
+        if not -_FEAS_EPS <= b <= 1.0 + _FEAS_EPS:  # NaN fails too
             raise ValueError(f"bound must lie in [0, 1], got {b}")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "weights", weights)
@@ -71,7 +72,7 @@ class LpInstance:
     ) -> "LpInstance":
         """Exponent variables alpha_i in [0, 1]: costs n_i, weights mu_i."""
         k = len(profile)
-        if r < 0.0 or r > k:
+        if not 0.0 <= r <= k:  # NaN fails too
             raise OutOfRangeError(f"r = {r} outside [0, {k}]")
         return cls(
             costs=tuple(float(n) for n in profile.n),
@@ -87,7 +88,7 @@ class LpInstance:
         """Substituted variables x_i = n_i alpha_i in [0, n_i]: unit costs,
         weights mu_i / n_i."""
         k = len(profile)
-        if r < 0.0 or r > k:
+        if not 0.0 <= r <= k:  # NaN fails too
             raise OutOfRangeError(f"r = {r} outside [0, {k}]")
         return cls(
             costs=(1.0,) * k,
@@ -161,8 +162,11 @@ def lp_grid(instance: LpInstance, resolution: int) -> float:
     true optimum; rounding the true minimizer outward (up) stays feasible
     and costs at most sum_i c_i u_i / res <= K max_i(c_i u_i) / res, which
     bounds the gap. The lattice is split into two halves searched
-    meet-in-the-middle; the minimum is identical to full enumeration and
-    independent of the split.
+    meet-in-the-middle over each half's Pareto staircase (see
+    :func:`_grid_tables`): for every half-A point, the first half-B point
+    heavy enough to meet the bound is the cheapest one that does. The
+    minimum is identical to full enumeration, bit for bit, and independent
+    of the split.
 
     K <= 4 and resolution >= 50 enforced.
     """
@@ -173,22 +177,28 @@ def lp_grid(instance: LpInstance, resolution: int) -> float:
     if resolution < _GRID_MIN_RES:
         raise ValueError(f"resolution must be >= {_GRID_MIN_RES}, got {resolution}")
 
-    w_a, c_a, w_b_sorted, best_tail = _grid_tables(
+    (w_a, c_a), (w_b, c_b) = _grid_tables(
         instance.costs, instance.weights, instance.upper, resolution
     )
-    needed = instance.bound - w_a - _FEAS_EPS
-    pos = np.searchsorted(w_b_sorted, needed, side="left")
-    ok = pos < w_b_sorted.size
+    pos = np.searchsorted(w_b, instance.bound - w_a - _FEAS_EPS, side="left")
+    ok = pos < w_b.size
     if not ok.any():
         raise DmtError("no feasible lattice point; bound exceeds the box capacity")
-    return float(np.min(c_a[ok] + best_tail[pos[ok]]))
+    return float(np.min(c_a[ok] + c_b[pos[ok]]))
 
 
 @lru_cache(maxsize=128)
 def _grid_tables(costs, weights, upper, resolution):
-    """Bound-independent half-lattice tables, cached so sweeps over the
-    rate (which only moves the bound) pay the sort once per instance.
-    Returned arrays are never mutated."""
+    """Pareto staircases of the two half-lattices, bound-independent and
+    cached so sweeps over the rate (which only moves the bound) pay the
+    build once per instance. Returned arrays are never mutated.
+
+    Dropping a point that another point of its half dominates leaves the
+    lattice minimum unchanged bit for bit. Float subtraction and addition
+    are monotone, so a dominating half-A point needs no heavier half-B
+    partner and its sum is no larger; and the first half-B staircase point
+    heavy enough costs exactly the least of all half-B points heavy enough.
+    """
     k = len(costs)
     levels = np.arange(resolution + 1) / resolution
 
@@ -199,13 +209,21 @@ def _grid_tables(costs, weights, upper, resolution):
             z_i = upper[i] * levels
             wsum = (wsum[:, None] + (weights[i] * z_i)[None, :]).ravel()
             csum = (csum[:, None] + (costs[i] * z_i)[None, :]).ravel()
-        return wsum, csum
+        return _staircase(wsum, csum)
 
     half = (k + 1) // 2
-    w_a, c_a = table(range(half))
-    w_b, c_b = table(range(half, k))
-    order = np.argsort(w_b, kind="stable")
-    w_b_sorted = w_b[order]
-    # best_tail[j] = min cost among lattice points with weight >= w_b_sorted[j]
-    best_tail = np.minimum.accumulate(c_b[order][::-1])[::-1]
-    return w_a, c_a, w_b_sorted, best_tail
+    return table(range(half)), table(range(half, k))
+
+
+def _staircase(wsum, csum):
+    """The points of a half-lattice table that no other point dominates
+    (weight at least as large and cost at most as large), by strictly
+    ascending weight and so strictly ascending cost."""
+    order = np.argsort(wsum)[::-1]  # heaviest first
+    cmin = np.minimum.accumulate(csum[order])
+    # the points that lower the running minimum, lightest first; within a
+    # tie in weight the cheapest comes first, and the others are dominated
+    idx = order[np.r_[True, cmin[1:] < cmin[:-1]]][::-1]
+    w = wsum[idx]
+    first = np.r_[True, w[1:] > w[:-1]]
+    return w[first], csum[idx][first]

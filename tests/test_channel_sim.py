@@ -346,6 +346,12 @@ class TestConfidenceInterval:
         lo, hi = confidence_interval(5, 1000)
         assert 0.0 < lo < 5 / 1000 < hi < 1.0
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan, math.inf])
+    def test_level_outside_unit_interval_rejected(self, level):
+        for n_outages, n_samples in ((5, 10), (50, 100)):
+            with pytest.raises(OutOfRangeError):
+                confidence_interval(n_outages, n_samples, level=level)
+
     def test_estimate_invariants(self):
         with pytest.raises(ValueError):
             OutageEstimate(rho=10.0, r=0.5, n_samples=100, n_outages=200,

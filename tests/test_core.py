@@ -38,6 +38,20 @@ class TestValidateWeights:
         with pytest.raises(NonPositiveWeightError):
             validate_weights((1.2, -0.2))
 
+    def test_non_finite_rejected(self):
+        # NaN passes neither the positivity nor the sum check; an infinite
+        # entry, or finite entries whose sum overflows, fails the sum check
+        with pytest.raises(NonPositiveWeightError):
+            validate_weights((math.nan, 1.0))
+        with pytest.raises(NonPositiveWeightError):
+            Weights((math.nan,))
+        with pytest.raises(NonPositiveWeightError):
+            validate_weights((-math.inf, 1.0))
+        with pytest.raises(BadSumError):
+            validate_weights((math.inf, 1.0))
+        with pytest.raises(BadSumError):
+            validate_weights((1e308, 1e308))
+
     def test_empty_rejected(self):
         with pytest.raises(BadSumError):
             validate_weights(())
@@ -88,6 +102,8 @@ class TestAntennaProfile:
             AntennaProfile(())
         with pytest.raises(ValueError):
             AntennaProfile((1.5, 2))
+        with pytest.raises(ValueError):
+            AntennaProfile((math.inf, 2))
 
     def test_uniform(self):
         assert AntennaProfile.uniform(3, 2).n == (2, 2, 2)
@@ -177,6 +193,10 @@ class TestDmtCurve:
         with pytest.raises(OutOfRangeError):
             curve.evaluate(2.01)
 
+    def test_evaluate_nan_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            DmtCurve(((0.0, 4.0), (2.0, 0.0))).evaluate(math.nan)
+
     def test_max_properties(self):
         curve = DmtCurve(((0.0, 4.0), (1.0, 2.0), (2.0, 0.0)))
         assert curve.max_rate == 2.0
@@ -194,6 +214,23 @@ class TestScenario:
     def test_parallel_identical_needs_nt(self):
         with pytest.raises(ValueError):
             Scenario(kind="parallel-identical", weights=validate_weights((1.0,)))
+
+    @pytest.mark.parametrize("n_t", [2.7, 0.5, 0, math.nan, math.inf, "2"])
+    def test_parallel_identical_rejects_non_integer_nt(self, n_t):
+        w = validate_weights((1.0,))
+        with pytest.raises(ValueError):
+            Scenario(kind="parallel-identical", weights=w, n_t=n_t)
+
+    @pytest.mark.parametrize("kind", ["bc-zf", "bc-dpc"])
+    @pytest.mark.parametrize("m", [3.9, 0, math.nan, math.inf])
+    def test_broadcast_rejects_non_integer_m(self, kind, m):
+        with pytest.raises(ValueError):
+            Scenario(kind=kind, weights=validate_weights((1.0,)), m=m)
+
+    def test_integral_float_counts_accepted(self):
+        w = validate_weights((1.0,))
+        assert Scenario(kind="parallel-identical", weights=w, n_t=2.0).n_t == 2
+        assert Scenario(kind="bc-zf", weights=w, m=np.int64(3)).m == 3
 
     def test_parallel_different_needs_matching_profile(self):
         w = validate_weights((0.5, 0.5))

@@ -200,6 +200,10 @@ class TestLpGreedy:
         with pytest.raises(OutOfRangeError):
             lp_greedy(p, w, 2.5)
 
+    def test_nan_rate_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            lp_greedy(AntennaProfile((2, 1)), validate_weights((0.5, 0.5)), math.nan)
+
     def test_objective_matches_curve_everywhere(self):
         rng = np.random.default_rng(52)
         for _ in range(100):

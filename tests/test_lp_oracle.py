@@ -5,13 +5,16 @@ import pytest
 
 from wdmt import (
     AntennaProfile,
+    DmtError,
     LpInstance,
+    OutOfRangeError,
     TooLargeError,
     lp_greedy,
     lp_grid,
     lp_vertex,
     validate_weights,
 )
+from wdmt.lp_oracle import _FEAS_EPS
 
 
 def random_instance(rng, k_max=4, n_max=4):
@@ -47,6 +50,20 @@ class TestLpInstance:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             LpInstance(costs=(1.0,), weights=(1.0,), bound=1.5, upper=(1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficients_and_bound(self, bad):
+        ok = dict(costs=(1.0, 1.0), weights=(0.5, 0.5), bound=0.5, upper=(1.0, 1.0))
+        for field in ("costs", "weights", "upper"):
+            with pytest.raises(ValueError):
+                LpInstance(**{**ok, field: (1.0, bad)})
+        with pytest.raises(ValueError):
+            LpInstance(**{**ok, "bound": bad})
+
+    @pytest.mark.parametrize("form", [LpInstance.alpha_form, LpInstance.x_form])
+    def test_nan_rate_rejected(self, form):
+        with pytest.raises(OutOfRangeError):
+            form(AntennaProfile((2, 1)), validate_weights((0.5, 0.5)), math.nan)
 
 
 class TestLpVertex:
@@ -180,3 +197,81 @@ class TestLpGrid:
                 upper=inst.upper[::-1],
             )
             assert lp_grid(inst, 80) == pytest.approx(lp_grid(flipped, 80), abs=1e-12)
+
+
+def full_lattice_minimum(inst, resolution):
+    """lp_grid by brute force: every lattice point, no pruning.
+
+    Each half-sum is accumulated in the coordinate order and with the same
+    split and feasibility test as lp_grid, so the two agree with ``==``
+    exactly when the pruning drops no optimum."""
+    k = inst.k
+    levels = np.arange(resolution + 1) / resolution
+    axes = np.meshgrid(*([levels] * k), indexing="ij")
+
+    def half_sum(coefs, indices):
+        total = 0.0
+        for i in indices:
+            total = total + coefs[i] * (inst.upper[i] * axes[i])
+        return total
+
+    half = (k + 1) // 2
+    w_a = half_sum(inst.weights, range(half))
+    w_b = half_sum(inst.weights, range(half, k))
+    cost = half_sum(inst.costs, range(half)) + half_sum(inst.costs, range(half, k))
+    feasible = w_b >= inst.bound - w_a - _FEAS_EPS
+    if not feasible.any():
+        raise DmtError("no feasible lattice point; bound exceeds the box capacity")
+    return float(np.min(cost[feasible]))
+
+
+class TestLpGridMatchesFullLattice:
+    """The Pareto-staircase search returns the full-lattice minimum exactly."""
+
+    RES = 50
+
+    def assert_same(self, inst):
+        assert lp_grid(inst, self.RES) == full_lattice_minimum(inst, self.RES)
+
+    @pytest.mark.parametrize("form", [LpInstance.alpha_form, LpInstance.x_form])
+    def test_random_instances(self, form):
+        rng = np.random.default_rng(93)
+        for _ in range(25):
+            profile, weights = random_instance(rng, k_max=3)
+            k = len(profile)
+            for r in (0.0, float(k), *rng.uniform(0, k, 3)):
+                self.assert_same(form(profile, weights, float(r)))
+
+    def test_integer_costs_with_tied_weights(self):
+        # many lattice points share a weight and a cost, so the staircase
+        # must keep exactly one of each tie
+        for costs in ((1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (3.0, 3.0)):
+            k = len(costs)
+            for bound in np.linspace(0.0, 1.0, 9):
+                self.assert_same(
+                    LpInstance(costs, (1.0 / k,) * k, float(bound), (1.0,) * k)
+                )
+
+    def test_non_unit_upper(self):
+        rng = np.random.default_rng(94)
+        for _ in range(25):
+            k = int(rng.integers(1, 4))
+            upper = tuple(rng.uniform(0.3, 4.0, k))
+            weights = tuple(rng.uniform(0.05, 1.0, k) / (k * max(upper)))
+            costs = tuple(rng.uniform(0.1, 3.0, k))
+            for bound in rng.uniform(0.0, 1.0, 3):
+                inst = LpInstance(costs, weights, float(bound), upper)
+                try:
+                    expected = full_lattice_minimum(inst, self.RES)
+                except DmtError:
+                    with pytest.raises(DmtError, match="no feasible lattice point"):
+                        lp_grid(inst, self.RES)
+                else:
+                    assert lp_grid(inst, self.RES) == expected
+
+    def test_infeasible_bound(self):
+        inst = LpInstance((1.0, 2.0, 1.0), (0.2, 0.3, 0.1), 0.9, (1.0, 1.0, 1.0))
+        with pytest.raises(DmtError, match="no feasible lattice point"):
+            full_lattice_minimum(inst, self.RES)
+        with pytest.raises(DmtError, match="no feasible lattice point"):
+            lp_grid(inst, self.RES)
