@@ -349,9 +349,8 @@ def _matrix_gains(
     """
     k = scenario.k
     if scenario.kind.startswith("parallel"):
-        counts = scenario.profile.n if scenario.kind == "parallel-different" else (scenario.n_t,) * k
         gains = np.empty((n, k))
-        for i, n_i in enumerate(counts):
+        for i, n_i in enumerate(scenario.gain_shapes()):
             gains[:, i] = _sq_norm(_sample_rows(rng, n, 1, n_i)[:, 0, :])
         return gains, np.ones(n, dtype=bool)
     rows = _sample_rows(rng, n, k, scenario.m)
@@ -366,9 +365,14 @@ def confidence_interval(
     """Binomial CI for the outage probability.
 
     Normal approximation on the count; exact Clopper-Pearson whenever
-    fewer than 20 outages were observed. ``level`` must lie strictly
-    between 0 and 1.
+    fewer than 20 outages were observed. ``n_samples`` must be an integer
+    >= 1, ``n_outages`` an integer in [0, n_samples], and ``level`` must
+    lie strictly between 0 and 1.
     """
+    _check_count("n_samples", n_samples, 1)
+    _check_count("n_outages", n_outages, 0)
+    if n_outages > n_samples:
+        raise OutOfRangeError(f"{n_outages} outages exceed {n_samples} samples")
     if not 0.0 < level < 1.0:  # NaN fails too
         raise OutOfRangeError(f"confidence level {level} outside (0, 1)")
     p = n_outages / n_samples

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    SCENARIO_KINDS,
     AntennaProfile,
     DmtError,
     Scenario,
@@ -44,8 +45,6 @@ CSV_COLUMNS = (
 )
 
 CURVE_RESOLUTION = 0.01
-DEFAULT_MEAN_TOL = 0.01
-DEFAULT_VAR_TOL = 0.03
 
 
 class CliError(DmtError):
@@ -55,6 +54,12 @@ class CliError(DmtError):
 def _fmt(x: float) -> str:
     """Serialize a float with 17 significant digits (lossless round trip)."""
     return format(float(x), ".17g")
+
+
+def _csv_cell(value) -> str:
+    """One simulate-table field as CSV text: floats through :func:`_fmt`,
+    everything else (strings, integer counts) as ``str``."""
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def _parse_fraction(token: str) -> Fraction:
@@ -97,10 +102,7 @@ def parse_profile(text: str) -> AntennaProfile:
 
 
 def parse_r_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(_parse_fraction(tok)) for tok in text.split(",") if tok.strip())
-    except CliError:
-        raise
+    values = tuple(float(_parse_fraction(tok)) for tok in text.split(",") if tok.strip())
     if not values:
         raise CliError("empty multiplexing-gain list")
     return values
@@ -294,6 +296,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("missing --r")
     if not cfg.snr_db:
         raise CliError("missing --snr-db")
+    m_col = _scenario_m_column(cfg)
+    w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
     rows = []
     for i_r, r in enumerate(cfg.r_list):
         for i_db, db in enumerate(cfg.snr_db):
@@ -305,52 +309,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 seed=np.random.SeedSequence((cfg.seed, i_r, i_db)),
                 shards=cfg.shards,
             )
-            rows.append((r, db, est))
-
-    m_col = _scenario_m_column(cfg)
-    w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
-    if cfg.format == "json":
-        payload = [
-            {
-                "scenario": scenario.kind,
-                "K": scenario.k,
-                "M": m_col,
-                "weights": w_col,
-                "r": r,
-                "rho_db": db,
-                "n_samples": est.n_samples,
-                "n_outages": est.n_outages,
-                "p_hat": est.p_hat,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "seed": cfg.seed,
-                "shards": cfg.shards,
-            }
-            for r, db, est in rows
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
-    elif cfg.format == "csv":
-        lines = [CSV_COLUMNS]
-        for r, db, est in rows:
-            lines.append(
-                ",".join(
-                    (
-                        scenario.kind,
-                        str(scenario.k),
-                        m_col,
-                        w_col,
-                        _fmt(r),
-                        _fmt(db),
-                        str(est.n_samples),
-                        str(est.n_outages),
-                        _fmt(est.p_hat),
-                        _fmt(est.ci_low),
-                        _fmt(est.ci_high),
-                        str(cfg.seed),
-                        str(cfg.shards),
-                    )
-                )
+            rows.append(
+                {
+                    "scenario": scenario.kind,
+                    "K": scenario.k,
+                    "M": m_col,
+                    "weights": w_col,
+                    "r": r,
+                    "rho_db": db,
+                    "n_samples": est.n_samples,
+                    "n_outages": est.n_outages,
+                    "p_hat": est.p_hat,
+                    "ci_low": est.ci_low,
+                    "ci_high": est.ci_high,
+                    "seed": cfg.seed,
+                    "shards": cfg.shards,
+                }
             )
+
+    if cfg.format == "json":
+        text = json.dumps(rows, indent=2) + "\n"
+    elif cfg.format == "csv":
+        lines = [CSV_COLUMNS] + [",".join(map(_csv_cell, row.values())) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         raise CliError(f"unknown format {cfg.format!r}")
@@ -461,7 +441,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", choices=list(("parallel-identical", "parallel-different", "bc-zf", "bc-dpc")))
+    parser.add_argument("--scenario", choices=SCENARIO_KINDS)
     parser.add_argument("--k", help="number of channels / users")
     parser.add_argument("--m", help="transmit antennas (broadcast kinds)")
     parser.add_argument("--nt", help="antennas per channel (parallel-identical)")

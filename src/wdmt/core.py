@@ -335,7 +335,6 @@ class Scenario:
     n_t: int | None = None
     profile: AntennaProfile | None = None
     m: int | None = None
-    notes: str = ""
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:

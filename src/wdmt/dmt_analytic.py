@@ -6,10 +6,16 @@ The diversity exponent at multiplexing gain r solves the linear program
     minimize    sum_k n_k * alpha_k
     subject to  sum_k mu_k * alpha_k >= 1 - r/K,   0 <= alpha_k <= 1.
 
-Its value as a function of r is piecewise linear; the functions below emit
-the corner points directly and :func:`lp_greedy` returns the minimizing
-exponent vector via the sequential clipping rule. Both are certified
-against the independent solvers in :mod:`wdmt.lp_oracle`.
+Its value as a function of r is piecewise linear; :func:`dmt_different`
+emits the corner points directly and :func:`lp_greedy` returns the
+minimizing exponent vector via the sequential clipping rule. Both are
+certified against the independent solvers in :mod:`wdmt.lp_oracle`.
+
+Every scenario kind is read off the same parallel-channel curve: at high
+SNR the ZF and DPC weighted sum rates behave as K parallel single-user
+channels whose antenna counts are the Gamma shapes of
+``Scenario.gain_shapes()``, so :func:`curve_for_scenario` is the one
+constructor for all four kinds.
 """
 
 from __future__ import annotations
@@ -23,20 +29,14 @@ from .core import (
     DmtCurve,
     OutOfRangeError,
     Scenario,
-    TooManyUsersError,
     Weights,
     ordering,
-    stable_desc_order,
     validate_weights,
 )
 
 __all__ = [
     "ExponentSolution",
-    "dmt_identical",
     "dmt_different",
-    "dmt_bc_zf",
-    "dmt_bc_dpc",
-    "eval_dmt",
     "lp_greedy",
     "optimal_weights",
     "curve_for_scenario",
@@ -73,85 +73,24 @@ def _corner_rates(k: int, mu_desc) -> list[float]:
     return rates
 
 
-def dmt_identical(k: int, n_t: int, weights: Weights) -> DmtCurve:
-    """DMT of K parallel n_t x 1 MISO channels with the given weights.
-
-    Corners: r(i) = K(1 - sum of the K-i largest weights), d(i) = n_t(K-i),
-    for i = 0..K, with r(K) = K. Weights may be passed unordered; they are
-    sorted descending internally.
-    """
-    if len(weights) != k:
-        raise DimensionMismatchError(f"k = {k} but {len(weights)} weights given")
-    if int(n_t) < 1:
-        raise ValueError(f"n_t must be >= 1, got {n_t}")
-    n_t = int(n_t)
-    mu_desc = sorted(weights.mu, reverse=True)
-    rates = _corner_rates(k, mu_desc)
-    corners = tuple((rates[i], float(n_t * (k - i))) for i in range(k + 1))
-    return DmtCurve(corners)
-
-
 def dmt_different(profile: AntennaProfile, weights: Weights) -> DmtCurve:
     """DMT of K parallel MISO channels with per-channel antenna counts.
 
     Channels are first sorted by weight-per-antenna (descending, stable);
     with ordered weights mu_hat and counts n_hat the corners are
     r(i) = K(1 - sum_{j<=K-i} mu_hat_j) and d(i) = sum_{j<=K-i} n_hat_j,
-    with r(K) = K and d(K) = 0. A uniform profile reduces to
-    :func:`dmt_identical`.
+    with r(K) = K and d(K) = 0. A uniform profile n_t gives the identical
+    channels' corners r(i) = K(sum of the i smallest weights),
+    d(i) = n_t(K-i). Raises ``DimensionMismatchError`` (from
+    :func:`~wdmt.core.ordering`) if the lengths differ.
     """
-    if len(weights) != len(profile):
-        raise DimensionMismatchError(
-            f"{len(weights)} weights vs {len(profile)} antenna counts"
-        )
-    k = len(profile)
     t = ordering(weights, profile)
+    k = len(profile)
     mu_hat = t.apply(weights.mu)
     n_hat = t.apply(profile.n)
     rates = _corner_rates(k, mu_hat)
     corners = tuple((rates[i], float(sum(n_hat[: k - i]))) for i in range(k + 1))
     return DmtCurve(corners)
-
-
-def dmt_bc_zf(m: int, k: int, weights: Weights) -> DmtCurve:
-    """DMT of an m-antenna broadcast channel with K single-antenna users
-    under zero-forcing precoding.
-
-    Nulling the other K-1 users leaves each user an effective
-    (m - K + 1) x 1 channel, so the curve equals
-    ``dmt_identical(k, m - k + 1, weights)``.
-    """
-    m = int(m)
-    if len(weights) != k:
-        raise DimensionMismatchError(f"k = {k} but {len(weights)} weights given")
-    if k > m:
-        raise TooManyUsersError(f"{k} users exceed {m} transmit antennas")
-    return dmt_identical(k, m - k + 1, weights)
-
-
-def dmt_bc_dpc(m: int, k: int, weights: Weights) -> DmtCurve:
-    """DMT of an m-antenna broadcast channel with K single-antenna users
-    under dirty-paper (successive) precoding.
-
-    Users are indexed in decreasing-weight order (ties by ascending index);
-    the user encoded j-th (1-based) sees an effective (m - j + 1) x 1
-    channel, and the curve is ``dmt_different`` over that profile.
-    """
-    m = int(m)
-    if len(weights) != k:
-        raise DimensionMismatchError(f"k = {k} but {len(weights)} weights given")
-    if k > m:
-        raise TooManyUsersError(f"{k} users exceed {m} transmit antennas")
-    order = stable_desc_order(weights.mu)
-    profile = AntennaProfile(tuple(m - j for j in range(k)))
-    mu_sorted = Weights(tuple(weights.mu[i] for i in order))
-    return dmt_different(profile, mu_sorted)
-
-
-def eval_dmt(curve: DmtCurve, r: float) -> float:
-    """Diversity gain at multiplexing gain ``r`` (linear interpolation,
-    exact at corners). Raises ``OutOfRangeError`` outside [0, K]."""
-    return curve.evaluate(r)
 
 
 def lp_greedy(profile: AntennaProfile, weights: Weights, r: float) -> ExponentSolution:
@@ -163,7 +102,7 @@ def lp_greedy(profile: AntennaProfile, weights: Weights, r: float) -> ExponentSo
         x_hat_i = min[ (1 - r/K - sum_{j<i} mu_hat_j)^+ / mubar_hat_i , n_hat_i ]
 
     with alpha = x / n returned in the original channel indexing. The
-    objective equals the curve value: ``eval_dmt(dmt_different(...), r)``.
+    objective equals the curve value: ``dmt_different(...).evaluate(r)``.
     """
     if len(weights) != len(profile):
         raise DimensionMismatchError(
@@ -201,12 +140,16 @@ def optimal_weights(profile: AntennaProfile) -> Weights:
 
 
 def curve_for_scenario(scenario: Scenario) -> DmtCurve:
-    """Analytic DMT curve for any scenario kind."""
-    k = scenario.k
-    if scenario.kind == "parallel-identical":
-        return dmt_identical(k, scenario.n_t, scenario.weights)
-    if scenario.kind == "parallel-different":
-        return dmt_different(scenario.profile, scenario.weights)
-    if scenario.kind == "bc-zf":
-        return dmt_bc_zf(scenario.m, k, scenario.weights)
-    return dmt_bc_dpc(scenario.m, k, scenario.weights)
+    """Analytic DMT curve for any scenario kind.
+
+    The scenario's equivalent parallel model: one channel per gain, with
+    ``scenario.gain_shapes()`` as antenna counts and the weights permuted
+    into ``scenario.encode_order()``. For bc-zf that is K channels of
+    m - K + 1 antennas; for bc-dpc the user encoded j-th (0-based) gets
+    m - j antennas.
+    """
+    mu = scenario.weights.mu
+    return dmt_different(
+        AntennaProfile(scenario.gain_shapes()),
+        Weights(tuple(mu[i] for i in scenario.encode_order())),
+    )

@@ -25,6 +25,7 @@ from .core import (
     OutOfRangeError,
     TooLargeError,
     Weights,
+    _as_count,
 )
 from .dmt_analytic import ExponentSolution
 
@@ -168,17 +169,20 @@ def lp_grid(instance: LpInstance, resolution: int) -> float:
     minimum is identical to full enumeration, bit for bit, and independent
     of the split.
 
-    K <= 4 and resolution >= 50 enforced.
+    K <= 4 and an integer resolution >= 50 enforced (50.0 counts, 50.7
+    does not).
     """
     k = instance.k
     if k > _GRID_MAX_K:
         raise TooLargeError(f"grid search limited to K <= {_GRID_MAX_K}")
-    resolution = int(resolution)
-    if resolution < _GRID_MIN_RES:
-        raise ValueError(f"resolution must be >= {_GRID_MIN_RES}, got {resolution}")
+    res = _as_count(resolution)
+    if res is None or res < _GRID_MIN_RES:
+        raise ValueError(
+            f"resolution must be an integer >= {_GRID_MIN_RES}, got {resolution!r}"
+        )
 
     (w_a, c_a), (w_b, c_b) = _grid_tables(
-        instance.costs, instance.weights, instance.upper, resolution
+        instance.costs, instance.weights, instance.upper, res
     )
     pos = np.searchsorted(w_b, instance.bound - w_a - _FEAS_EPS, side="left")
     ok = pos < w_b.size

@@ -15,10 +15,8 @@ from wdmt import (
     AntennaProfile,
     LpInstance,
     Scenario,
-    dmt_bc_dpc,
-    dmt_bc_zf,
+    curve_for_scenario,
     dmt_different,
-    dmt_identical,
     fit_slope,
     lp_greedy,
     lp_grid,
@@ -37,8 +35,12 @@ def report(criterion, ok, detail):
 
 
 def test_criterion_1_identical_pair_corners_and_dominance():
-    uniform = dmt_identical(2, 2, validate_weights((0.5, 0.5)))
-    unbalanced = dmt_identical(2, 2, validate_weights((0.75, 0.25)))
+    def pair(weights):
+        w = validate_weights(weights)
+        return curve_for_scenario(Scenario(kind="parallel-identical", weights=w, n_t=2))
+
+    uniform = pair((0.5, 0.5))
+    unbalanced = pair((0.75, 0.25))
     ok = uniform.corners == ((0.0, 4.0), (1.0, 2.0), (2.0, 0.0))
     ok &= unbalanced.corners == ((0.0, 4.0), (0.5, 2.0), (2.0, 0.0))
     dominated = all(
@@ -65,8 +67,11 @@ def test_criterion_2_matched_weights_straight_line():
 
 
 def test_criterion_3_broadcast_endpoints():
-    dpc = dmt_bc_dpc(3, 2, validate_weights((0.6, 0.4)))
-    zf = dmt_bc_zf(3, 2, validate_weights((0.5, 0.5)))
+    def broadcast(kind, weights):
+        return curve_for_scenario(Scenario(kind=kind, weights=validate_weights(weights), m=3))
+
+    dpc = broadcast("bc-dpc", (0.6, 0.4))
+    zf = broadcast("bc-zf", (0.5, 0.5))
     ok = dpc.max_diversity == 5.0 and zf.max_diversity == 4.0
     ok &= dpc.evaluate(2.0) == 0.0 and zf.evaluate(2.0) == 0.0
     ok &= dpc.max_rate == zf.max_rate == 2.0

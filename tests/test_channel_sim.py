@@ -352,6 +352,11 @@ class TestConfidenceInterval:
             with pytest.raises(OutOfRangeError):
                 confidence_interval(n_outages, n_samples, level=level)
 
+    @pytest.mark.parametrize("n_outages, n_samples", [(5, 0), (-3, 10), (12, 10), (2.5, 10)])
+    def test_bad_counts_rejected(self, n_outages, n_samples):
+        with pytest.raises(OutOfRangeError):
+            confidence_interval(n_outages, n_samples)
+
     def test_estimate_invariants(self):
         with pytest.raises(ValueError):
             OutageEstimate(rho=10.0, r=0.5, n_samples=100, n_outages=200,

@@ -3,7 +3,15 @@ import math
 
 import pytest
 
-from wdmt.cli import EXIT_OK, EXIT_STAT_FAIL, EXIT_USAGE, main, parse_snr_grid, parse_weights
+from wdmt.cli import (
+    EXIT_OK,
+    EXIT_STAT_FAIL,
+    EXIT_USAGE,
+    _fmt,
+    main,
+    parse_snr_grid,
+    parse_weights,
+)
 
 
 def read_corners(path):
@@ -121,6 +129,26 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(a)]) == EXIT_OK
         assert main(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_json_rows_match_csv_rows(self, tmp_path):
+        args = [
+            "simulate", "--scenario", "parallel-different", "--profile", "2,1",
+            "--weights", "2/3,1/3", "--r", "0.5,1.0", "--snr-db", "5:10:5",
+            "--samples", "5000", "--seed", "4", "--shards", "2",
+        ]
+        csv_out, json_out = tmp_path / "sim.csv", tmp_path / "sim.json"
+        assert main(args + ["--out", str(csv_out)]) == EXIT_OK
+        assert main(args + ["--format", "json", "--out", str(json_out)]) == EXIT_OK
+        csv_rows = read_rows(csv_out)
+        json_rows = json.loads(json_out.read_text())
+        assert len(json_rows) == len(csv_rows) == 4
+        for json_row, csv_row in zip(json_rows, csv_rows):
+            fields = {
+                key: _fmt(value) if isinstance(value, float) else str(value)
+                for key, value in json_row.items()
+            }
+            assert fields == csv_row
+            assert list(json_row) == list(csv_row)
 
     def test_missing_r_is_usage_error(self):
         code = main([

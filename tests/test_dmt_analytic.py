@@ -7,16 +7,14 @@ from wdmt import (
     AntennaProfile,
     DimensionMismatchError,
     OutOfRangeError,
-    TooManyUsersError,
     curve_for_scenario,
-    dmt_bc_dpc,
-    dmt_bc_zf,
     dmt_different,
-    dmt_identical,
-    eval_dmt,
     lp_greedy,
+    lp_vertex,
+    LpInstance,
     optimal_weights,
     Scenario,
+    Weights,
     validate_weights,
 )
 
@@ -30,31 +28,68 @@ def random_profile(rng, k, n_max=4):
     return AntennaProfile(tuple(int(x) for x in rng.integers(1, n_max + 1, k)))
 
 
+def paper_corners(counts, mu):
+    """The paper's closed-form corners, written out independently of the
+    package: channels sorted by weight-per-antenna (exactly, larger weight
+    first on a tie), r(i) = K * fsum(weights of the i last channels) and
+    d(i) = sum of the K - i first counts. With one count n for every
+    channel this is r(i) = K * fsum(the i smallest weights), d(i) = n(K - i).
+    """
+    k = len(mu)
+    order = sorted(range(k), key=lambda i: (mu[i] / counts[i], mu[i]), reverse=True)
+    mu_hat = [mu[i] for i in order]
+    n_hat = [counts[i] for i in order]
+    rates = [0.0] + [k * math.fsum(mu_hat[k - i :]) for i in range(1, k)] + [float(k)]
+    return tuple((rates[i], float(sum(n_hat[: k - i]))) for i in range(k + 1))
+
+
+def identical(n_t, weights):
+    return curve_for_scenario(
+        Scenario(kind="parallel-identical", weights=validate_weights(weights), n_t=n_t)
+    )
+
+
+def broadcast(kind, m, weights):
+    return curve_for_scenario(Scenario(kind=kind, weights=validate_weights(weights), m=m))
+
+
 class TestIdentical:
     def test_two_uniform_channels(self):
-        curve = dmt_identical(2, 2, validate_weights((0.5, 0.5)))
+        curve = identical(2, (0.5, 0.5))
         assert curve.corners == ((0.0, 4.0), (1.0, 2.0), (2.0, 0.0))
 
     def test_two_unbalanced_channels(self):
-        curve = dmt_identical(2, 2, validate_weights((0.75, 0.25)))
+        curve = identical(2, (0.75, 0.25))
         assert curve.corners == ((0.0, 4.0), (0.5, 2.0), (2.0, 0.0))
 
     def test_single_channel(self):
-        curve = dmt_identical(1, 3, validate_weights((1.0,)))
+        curve = identical(3, (1.0,))
         assert curve.corners == ((0.0, 3.0), (1.0, 0.0))
 
     def test_weight_order_is_irrelevant(self):
-        up = dmt_identical(3, 2, validate_weights((0.2, 0.3, 0.5)))
-        down = dmt_identical(3, 2, validate_weights((0.5, 0.3, 0.2)))
+        up = identical(2, (0.2, 0.3, 0.5))
+        down = identical(2, (0.5, 0.3, 0.2))
         assert up.corners == down.corners
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            dmt_identical(3, 2, validate_weights((0.5, 0.5)))
-
-    def test_bad_nt(self):
-        with pytest.raises(ValueError):
-            dmt_identical(2, 0, validate_weights((0.5, 0.5)))
+    def test_near_tie_follows_the_shared_tie_rule(self):
+        # two weights unequal but within the ordering's relative tie
+        # tolerance keep index order, as in lp_greedy and the bc-dpc encode
+        # order: r(1) is K times the second weight, not the smaller one.
+        # The corner moves by less than K^2 * 1e-12 from the value-sorted
+        # one, and the curve follows lp_greedy to the last ulps, where the
+        # value-sorted corner is 1.5e-13 off it; lp_vertex sits on the
+        # value-sorted corner
+        w = Weights((0.49999999999992467, 0.5000000000000753))
+        curve = curve_for_scenario(Scenario(kind="parallel-identical", weights=w, n_t=1))
+        assert curve.corners == ((0.0, 2.0), (2 * w.mu[1], 1.0), (2.0, 0.0))
+        assert abs(curve.corners[1][0] - paper_corners((1, 1), w.mu)[1][0]) <= 4e-12
+        profile = AntennaProfile((1, 1))
+        for r in (0.5, 1.0, 1.5):
+            d = curve.evaluate(r)
+            assert lp_greedy(profile, w, r).d == pytest.approx(d, rel=0, abs=1e-15)
+            assert lp_vertex(LpInstance.alpha_form(profile, w, r)).d == pytest.approx(
+                d, rel=0, abs=1e-12
+            )
 
 
 class TestDifferent:
@@ -75,11 +110,8 @@ class TestDifferent:
             k = int(rng.integers(1, 6))
             n_t = int(rng.integers(1, 5))
             w = random_weights(rng, k)
-            a = dmt_identical(k, n_t, w)
-            b = dmt_different(AntennaProfile.uniform(k, n_t), w)
-            flat_a = [x for corner in a.corners for x in corner]
-            flat_b = [x for corner in b.corners for x in corner]
-            assert flat_a == pytest.approx(flat_b, abs=1e-12)
+            curve = dmt_different(AntennaProfile.uniform(k, n_t), w)
+            assert curve.corners == paper_corners((n_t,) * k, w.mu)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -88,38 +120,31 @@ class TestDifferent:
 
 class TestBroadcast:
     def test_zf_three_antennas_two_users(self):
-        curve = dmt_bc_zf(3, 2, validate_weights((0.5, 0.5)))
+        curve = broadcast("bc-zf", 3, (0.5, 0.5))
         assert curve.corners == ((0.0, 4.0), (1.0, 2.0), (2.0, 0.0))
 
     def test_zf_square_system_skewed_weights(self):
-        curve = dmt_bc_zf(2, 2, validate_weights((0.9, 0.1)))
+        curve = broadcast("bc-zf", 2, (0.9, 0.1))
         assert curve.corners == ((0.0, 2.0), (0.2, 1.0), (2.0, 0.0))
 
     def test_zf_single_user_full_array_gain(self):
-        curve = dmt_bc_zf(4, 1, validate_weights((1.0,)))
+        curve = broadcast("bc-zf", 4, (1.0,))
         assert curve.corners == ((0.0, 4.0), (1.0, 0.0))
 
     def test_dpc_matched_weights_straight_line(self):
-        curve = dmt_bc_dpc(3, 2, validate_weights((0.6, 0.4)))
+        curve = broadcast("bc-dpc", 3, (0.6, 0.4))
         assert curve.corners == ((0.0, 5.0), (0.8, 3.0), (2.0, 0.0))
         for j in range(201):
             r = j / 100
             assert curve.evaluate(r) == pytest.approx(5 * (1 - r / 2), abs=1e-12)
 
     def test_dpc_uniform_weights(self):
-        curve = dmt_bc_dpc(3, 2, validate_weights((0.5, 0.5)))
+        curve = broadcast("bc-dpc", 3, (0.5, 0.5))
         assert curve.corners == ((0.0, 5.0), (1.0, 2.0), (2.0, 0.0))
 
     def test_dpc_scalar_channel(self):
-        curve = dmt_bc_dpc(1, 1, validate_weights((1.0,)))
+        curve = broadcast("bc-dpc", 1, (1.0,))
         assert curve.corners == ((0.0, 1.0), (1.0, 0.0))
-
-    def test_too_many_users(self):
-        w = validate_weights((0.4, 0.3, 0.3))
-        with pytest.raises(TooManyUsersError):
-            dmt_bc_zf(2, 3, w)
-        with pytest.raises(TooManyUsersError):
-            dmt_bc_dpc(2, 3, w)
 
     def test_zf_reduction_holds_corner_for_corner(self):
         rng = np.random.default_rng(31)
@@ -127,26 +152,26 @@ class TestBroadcast:
             k = int(rng.integers(1, 5))
             m = int(rng.integers(k, k + 4))
             w = random_weights(rng, k)
-            assert dmt_bc_zf(m, k, w).corners == dmt_identical(k, m - k + 1, w).corners
+            curve = curve_for_scenario(Scenario(kind="bc-zf", weights=w, m=m))
+            assert curve.corners == paper_corners((m - k + 1,) * k, w.mu)
 
     def test_dpc_reduction_to_staircase_profile(self):
+        # the user encoded j-th (0-based, by decreasing weight) sees m - j
+        # antennas
         rng = np.random.default_rng(32)
         for _ in range(100):
             k = int(rng.integers(1, 5))
             m = int(rng.integers(k, k + 4))
             w = random_weights(rng, k)
-            mu_sorted = tuple(sorted(w.mu, reverse=True))
-            expected = dmt_different(
-                AntennaProfile(tuple(m - j for j in range(k))),
-                validate_weights(mu_sorted),
-            )
-            assert dmt_bc_dpc(m, k, w).corners == expected.corners
+            curve = curve_for_scenario(Scenario(kind="bc-dpc", weights=w, m=m))
+            mu_desc = sorted(w.mu, reverse=True)
+            assert curve.corners == paper_corners(tuple(m - j for j in range(k)), mu_desc)
 
 
 class TestEvalDmt:
     def test_midpoint_of_uniform_curve(self):
-        curve = dmt_identical(2, 2, validate_weights((0.5, 0.5)))
-        assert eval_dmt(curve, 0.5) == pytest.approx(3.0, abs=1e-15)
+        curve = identical(2, (0.5, 0.5))
+        assert curve.evaluate(0.5) == pytest.approx(3.0, abs=1e-15)
 
     def test_endpoints(self):
         rng = np.random.default_rng(41)
@@ -154,15 +179,15 @@ class TestEvalDmt:
             k = int(rng.integers(1, 6))
             p = random_profile(rng, k)
             curve = dmt_different(p, random_weights(rng, k))
-            assert eval_dmt(curve, 0.0) == float(p.total_diversity())
-            assert eval_dmt(curve, float(k)) == 0.0
+            assert curve.evaluate(0.0) == float(p.total_diversity())
+            assert curve.evaluate(float(k)) == 0.0
 
     def test_out_of_range(self):
-        curve = dmt_identical(2, 2, validate_weights((0.5, 0.5)))
+        curve = identical(2, (0.5, 0.5))
         with pytest.raises(OutOfRangeError):
-            eval_dmt(curve, -0.1)
+            curve.evaluate(-0.1)
         with pytest.raises(OutOfRangeError):
-            eval_dmt(curve, 2.0000001)
+            curve.evaluate(2.0000001)
 
     def test_exact_at_every_corner(self):
         rng = np.random.default_rng(42)
@@ -170,7 +195,7 @@ class TestEvalDmt:
             k = int(rng.integers(1, 6))
             curve = dmt_different(random_profile(rng, k), random_weights(rng, k))
             for r, d in curve.corners:
-                assert eval_dmt(curve, r) == d
+                assert curve.evaluate(r) == d
 
 
 class TestLpGreedy:
@@ -262,8 +287,8 @@ class TestCurveProperties:
         for _ in range(200):
             hi = float(rng.uniform(0.5, 0.999))
             lo = float(rng.uniform(0.5, hi))
-            more = dmt_identical(2, 2, validate_weights((hi, 1 - hi)))
-            less = dmt_identical(2, 2, validate_weights((lo, 1 - lo)))
+            more = identical(2, (hi, 1 - hi))
+            less = identical(2, (lo, 1 - lo))
             for r in np.linspace(0, 2, 21):
                 assert more.evaluate(float(r)) <= less.evaluate(float(r)) + 1e-12
 
@@ -283,15 +308,19 @@ class TestCurveProperties:
             assert all(b <= a for a, b in zip(divs, divs[1:]))
 
     def test_curve_for_scenario_dispatch(self):
-        w = validate_weights((0.5, 0.5))
-        cases = [
-            (Scenario(kind="parallel-identical", weights=w, n_t=2), dmt_identical(2, 2, w)),
-            (
-                Scenario(kind="parallel-different", weights=w, profile=AntennaProfile((2, 1))),
-                dmt_different(AntennaProfile((2, 1)), w),
-            ),
-            (Scenario(kind="bc-zf", weights=w, m=3), dmt_bc_zf(3, 2, w)),
-            (Scenario(kind="bc-dpc", weights=w, m=3), dmt_bc_dpc(3, 2, w)),
-        ]
-        for scenario, expected in cases:
-            assert curve_for_scenario(scenario).corners == expected.corners
+        # every kind is the closed form over its gain shapes, with the
+        # weights in encode order (bc-dpc encodes the larger weight first)
+        for mu in ((0.5, 0.5), (0.3, 0.7)):
+            w = validate_weights(mu)
+            cases = [
+                (Scenario(kind="parallel-identical", weights=w, n_t=2), (2, 2), mu),
+                (
+                    Scenario(kind="parallel-different", weights=w, profile=AntennaProfile((2, 1))),
+                    (2, 1),
+                    mu,
+                ),
+                (Scenario(kind="bc-zf", weights=w, m=3), (2, 2), mu),
+                (Scenario(kind="bc-dpc", weights=w, m=3), (3, 2), sorted(mu, reverse=True)),
+            ]
+            for scenario, counts, mu_encoded in cases:
+                assert curve_for_scenario(scenario).corners == paper_corners(counts, mu_encoded)

@@ -10,7 +10,7 @@ from wdmt import (
     SlopeFit,
     compare,
     confidence_interval,
-    dmt_identical,
+    curve_for_scenario,
     fit_slope,
     outage_probability,
     validate_weights,
@@ -122,7 +122,9 @@ class TestFitSlope:
 
 
 class TestCompare:
-    curve = dmt_identical(2, 2, validate_weights((0.5, 0.5)))
+    curve = curve_for_scenario(
+        Scenario(kind="parallel-identical", weights=validate_weights((0.5, 0.5)), n_t=2)
+    )
 
     def test_close_fit_passes(self):
         fit = SlopeFit(d_hat=1.9, stderr=0.05, window=(10.0, 30.0), points_used=3)

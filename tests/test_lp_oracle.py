@@ -174,6 +174,15 @@ class TestLpGrid:
         with pytest.raises(ValueError):
             lp_grid(inst, 49)
 
+    @pytest.mark.parametrize("resolution", [50.7, math.nan, "50"])
+    def test_non_integer_resolution_rejected(self, resolution):
+        inst = LpInstance.alpha_form(
+            AntennaProfile((2, 1)), validate_weights((0.5, 0.5)), 1.0
+        )
+        with pytest.raises(ValueError):
+            lp_grid(inst, resolution)
+        assert lp_grid(inst, 50.0) == lp_grid(inst, 50)
+
     def test_never_below_vertex_optimum(self):
         rng = np.random.default_rng(91)
         for _ in range(100):
