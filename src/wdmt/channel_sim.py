@@ -1,5 +1,5 @@
-"""Rayleigh channel sampling, precoder effective gains via null-space
-projections, finite-SNR weighted sum capacity, and sharded Monte Carlo
+"""Rayleigh channel sampling, precoder effective gains from a QR
+factorization, finite-SNR weighted sum capacity, and sharded Monte Carlo
 outage estimation.
 
 Conventions
@@ -11,8 +11,8 @@ Conventions
   from channel matrices: parallel and DPC gains are independent
   Gamma(shape_i, 1) draws with the shapes of ``Scenario.gain_shapes()``,
   and ZF gains come from the Bartlett factor of the Wishart Gram matrix
-  HH* (Goodman 1963). The re-orthogonalized Gram-Schmidt projections of
-  drawn K x M matrices remain as the independent oracle behind
+  HH* (Goodman 1963). The R factor of H* = QR for drawn K x M matrices
+  (one stacked LAPACK call) remains as the independent oracle behind
   ``zf_gains``, ``dpc_gains`` and ``validate_gain_distribution``.
 * Capacities are in nats; SNR ``rho`` is linear here (the CLI converts
   from dB exactly once).
@@ -58,8 +58,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18
-# Squared-norm ratio below which a projected row counts as linearly
-# dependent on its projection set (a measure-zero event for CN(0,1) rows).
+# Ratio |R_ii|^2 / ||h_i||^2 at or below which row i counts as linearly
+# dependent on rows 0..i-1 (a measure-zero event for CN(0,1) rows).
 _RANK_EPS = 1e-24
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _MIN_NORMAL_EVENTS = 20  # below this the normal CI is replaced by Clopper-Pearson
@@ -117,6 +117,13 @@ class OutageEstimate:
     n_discarded: int = 0
 
     def __post_init__(self):
+        for count in (self.n_samples, self.n_outages):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"counts must be integers, got {count!r}")
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
+        if not (math.isfinite(self.r) and self.r >= 0.0):
+            raise ValueError(f"r must be finite and >= 0, got {self.r}")
         if self.n_samples < 1 or not 0 <= self.n_outages <= self.n_samples:
             raise ValueError(
                 f"bad counts: {self.n_outages} outages of {self.n_samples}"
@@ -165,113 +172,69 @@ def _sample_rows(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray
 
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
-    return np.einsum("nm,nm->n", v.conj(), v).real
+    """Squared Euclidean norms along the last axis."""
+    return np.einsum("...m,...m->...", v.conj(), v).real
 
 
-def _project_out(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Remove the components of each row of v along an orthonormal basis.
+def _qr_gains(rows: np.ndarray, zf: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Effective gains of stacked channels from the R factor of H* = QR.
 
-    Two passes for numerical re-orthogonalization.
+    rows: (n, k, m) -> (gains (n, k), ok (n,)). |R_ii|^2 is the squared
+    residual of row i after removing rows 0..i-1, the DPC gain when users
+    are encoded in row order. Since HH* = R*R, the ZF gain
+    1 / [(HH*)^-1]_ii is 1 / ||row i of R^-1||^2. ``ok`` is False where
+    |R_ii|^2 <= _RANK_EPS ||h_i||^2 on any row for ZF, or on any row but
+    the last for DPC (no DPC gain depends on the last row's direction).
     """
-    for _ in range(2):
-        for q in basis:
-            coef = np.einsum("nm,nm->n", q.conj(), v)
-            v = v - coef[:, None] * q
-    return v
-
-
-def _orthonormal_basis(rows: np.ndarray, indices) -> tuple[list[np.ndarray], np.ndarray]:
-    """Batched Gram-Schmidt over the selected row indices.
-
-    Returns the orthonormal basis vectors and a boolean mask of samples
-    where some selected row was numerically dependent on its predecessors.
-    """
-    basis: list[np.ndarray] = []
-    bad = np.zeros(rows.shape[0], dtype=bool)
-    for j in indices:
-        v = _project_out(rows[:, j, :].copy(), basis)
-        norm_sq = _sq_norm(v)
-        ref = _sq_norm(rows[:, j, :])
-        tiny = norm_sq <= _RANK_EPS * ref
-        bad |= tiny
-        scale = np.sqrt(np.where(tiny, 1.0, norm_sq))
-        basis.append(v / scale[:, None])
-    return basis, bad
-
-
-def _zf_gains_batch(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_i = squared norm of row i projected onto the orthogonal
-    complement of all other rows. rows: (n, k, m) -> (gains (n, k), ok (n,))."""
-    n, k, _ = rows.shape
-    gains = np.empty((n, k))
-    bad = np.zeros(n, dtype=bool)
-    for i in range(k):
-        basis, dep = _orthonormal_basis(rows, [j for j in range(k) if j != i])
-        bad |= dep
-        gains[:, i] = _sq_norm(_project_out(rows[:, i, :].copy(), basis))
-    return gains, ~bad
-
-
-def _dpc_gains_batch(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_i = squared norm of row i projected onto the orthogonal
-    complement of rows 0..i-1 (successive encoding along the row order)."""
-    n, k, _ = rows.shape
-    gains = np.empty((n, k))
-    basis: list[np.ndarray] = []
-    bad = np.zeros(n, dtype=bool)
-    for i in range(k):
-        v = _project_out(rows[:, i, :].copy(), basis)
-        norm_sq = _sq_norm(v)
-        gains[:, i] = norm_sq
-        if i < k - 1:  # last row's direction is never projected against
-            ref = _sq_norm(rows[:, i, :])
-            tiny = norm_sq <= _RANK_EPS * ref
-            bad |= tiny
-            scale = np.sqrt(np.where(tiny, 1.0, norm_sq))
-            basis.append(v / scale[:, None])
-    return gains, ~bad
+    _, k, m = rows.shape
+    if k > m:
+        raise TooManyUsersError(f"{k} users exceed {m} transmit antennas")
+    r = np.linalg.qr(rows.conj().swapaxes(1, 2), mode="r")
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    residual = np.abs(diag) ** 2
+    tiny = residual <= _RANK_EPS * _sq_norm(rows)
+    if not zf:
+        return residual, ~tiny[:, :-1].any(axis=1)
+    # A unit pivot keeps the inverse finite where R is singular; ok masks it.
+    r[:, range(k), range(k)] = np.where(tiny, 1.0, diag)
+    return 1.0 / _sq_norm(np.linalg.inv(r)), ~tiny.any(axis=1)
 
 
 def zf_gains(channel: ChannelMatrix) -> EffectiveGains:
     """Zero-forcing effective gains of one realization.
 
-    gamma_i is the squared norm of the projection of row i onto the null
-    space of the other K-1 rows, computed from a re-orthogonalized
-    Gram-Schmidt basis of the interferers.
+    gamma_i = 1 / [(HH*)^-1]_ii, the squared residual of row i after
+    removing the other K-1 rows, read off the R factor of H* = QR.
 
-    Raises ``RankDeficientError`` if the interfering rows are numerically
-    dependent and ``TooManyUsersError`` if K > M.
+    Raises ``RankDeficientError`` if the rows are numerically dependent
+    and ``TooManyUsersError`` if K > M.
     """
-    if channel.n_users > channel.n_tx:
-        raise TooManyUsersError(
-            f"{channel.n_users} users exceed {channel.n_tx} transmit antennas"
-        )
-    gains, ok = _zf_gains_batch(channel.h[None, :, :])
+    gains, ok = _qr_gains(channel.h[None, :, :], zf=True)
     if not ok[0]:
-        raise RankDeficientError("interfering rows are numerically dependent")
+        raise RankDeficientError("channel rows are numerically dependent")
     return EffectiveGains(tuple(gains[0]))
 
 
 def dpc_gains(channel: ChannelMatrix, encode_order) -> EffectiveGains:
     """Dirty-paper effective gains of one realization under ``encode_order``.
 
-    The user encoded first keeps its full squared row norm; each later user
-    is projected onto the null space of all previously encoded rows. Gains
-    are returned indexed by user (not by encode position).
+    The gain of the user encoded at position j is |R_jj|^2 from H* = QR
+    with the rows in encode order: the first user keeps its full squared
+    row norm, and each later user the squared residual after removing all
+    previously encoded rows. Gains are returned indexed by user (not by
+    encode position).
+
+    Raises ``RankDeficientError`` if the previously encoded rows are
+    numerically dependent and ``TooManyUsersError`` if K > M.
     """
-    if channel.n_users > channel.n_tx:
-        raise TooManyUsersError(
-            f"{channel.n_users} users exceed {channel.n_tx} transmit antennas"
-        )
-    order = tuple(int(i) for i in encode_order)
+    order = [int(i) for i in encode_order]
     if sorted(order) != list(range(channel.n_users)):
         raise ValueError(f"encode_order must permute 0..{channel.n_users - 1}")
-    gains, ok = _dpc_gains_batch(channel.h[None, list(order), :])
+    gains, ok = _qr_gains(channel.h[None, order, :], zf=False)
     if not ok[0]:
         raise RankDeficientError("previously encoded rows are numerically dependent")
-    gamma = [0.0] * channel.n_users
-    for pos, user in enumerate(order):
-        gamma[user] = float(gains[0, pos])
+    gamma = np.empty(channel.n_users)
+    gamma[order] = gains[0]
     return EffectiveGains(tuple(gamma))
 
 
@@ -342,21 +305,17 @@ def _chunk_gains(scenario: Scenario, rng: np.random.Generator, n: int) -> np.nda
 def _matrix_gains(
     scenario: Scenario, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle path: draw n channel matrices and project them by Gram-Schmidt.
+    """Oracle path: draw n channel matrices and read their gains off the
+    R factor of a stacked QR factorization.
 
     Returns (gains (n, k), valid mask (n,)) with columns as in
     ``_chunk_gains``.
     """
-    k = scenario.k
     if scenario.kind.startswith("parallel"):
-        gains = np.empty((n, k))
-        for i, n_i in enumerate(scenario.gain_shapes()):
-            gains[:, i] = _sq_norm(_sample_rows(rng, n, 1, n_i)[:, 0, :])
-        return gains, np.ones(n, dtype=bool)
-    rows = _sample_rows(rng, n, k, scenario.m)
-    if scenario.kind == "bc-zf":
-        return _zf_gains_batch(rows)
-    return _dpc_gains_batch(rows[:, list(scenario.encode_order()), :])
+        gains = [_sq_norm(_sample_rows(rng, n, 1, n_i)) for n_i in scenario.gain_shapes()]
+        return np.concatenate(gains, axis=1), np.ones(n, dtype=bool)
+    rows = _sample_rows(rng, n, scenario.k, scenario.m)[:, list(scenario.encode_order()), :]
+    return _qr_gains(rows, zf=scenario.kind == "bc-zf")
 
 
 def confidence_interval(
@@ -452,8 +411,8 @@ def validate_gain_distribution(
 
     ``index`` selects the gain column in encode order (for bc-dpc, position
     0 is the first-encoded, largest-weight user). Gains come from drawn
-    channel matrices through the Gram-Schmidt projections, so this checks
-    the Gamma reduction that ``outage_probability`` samples from. Reports
+    channel matrices through the R factor of H* = QR, so this checks the
+    Gamma reduction that ``outage_probability`` samples from. Reports
     relative errors of mean and variance plus the Kolmogorov-Smirnov
     distance.
     """

@@ -386,6 +386,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     by_r: dict[float, list[OutageEstimate]] = {}
     for row in rows:
+        if row["K"] != rows[0]["K"] or _scenario_from_row(row) != scenario:
+            raise CliError(f"{args.input}: rows describe different scenarios")
         est = OutageEstimate(
             rho=10.0 ** (float(row["rho_db"]) / 10.0),
             r=float(row["r"]),

@@ -130,6 +130,16 @@ class TestZfGains:
         with pytest.raises(RankDeficientError):
             zf_gains(ChannelMatrix(h))
 
+    @pytest.mark.parametrize(
+        "h",
+        [[[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+        ids=["near-zero-pivot", "exact-zero-pivot"],
+    )
+    def test_collinear_pair_rank_deficient(self, h):
+        # each interferer set is a single nonzero row, yet H itself is singular
+        with pytest.raises(RankDeficientError):
+            zf_gains(ChannelMatrix(np.array(h, dtype=complex)))
+
     def test_too_many_users(self):
         with pytest.raises(TooManyUsersError):
             zf_gains(sample_channel(2, 3, 5))
@@ -170,6 +180,18 @@ class TestDpcGains:
         ch = sample_channel(3, 2, 41)
         with pytest.raises(ValueError):
             dpc_gains(ch, (0, 0))
+
+    def test_rank_deficient_detected(self):
+        h = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], dtype=complex)
+        with pytest.raises(RankDeficientError):
+            dpc_gains(ChannelMatrix(h), (1, 2, 0))
+
+    def test_collinear_last_row_keeps_zero_gain(self):
+        # the last-encoded row is never projected against, so its ~0 gain stands
+        h = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [2.0, 4.0, 0.0]], dtype=complex)
+        g = dpc_gains(ChannelMatrix(h), (0, 1, 2))
+        assert g.gamma[:2] == pytest.approx((5.0, 1.0), rel=1e-12)
+        assert g.gamma[2] == pytest.approx(0.0, abs=1e-20)
 
 
 class TestWeightedCapacity:
@@ -297,9 +319,10 @@ class TestOutageProbability:
 
 class TestGammaSampler:
     """The Monte Carlo sampler (Gamma draws, Bartlett factor for ZF) against
-    the Gram-Schmidt matrix path, by two-sample KS tests on independent
-    seeds. ZF gains are dependent, so the joint statistics min_i gamma_i
-    and prod_i gamma_i are tested as well as each column."""
+    the QR matrix path (gains read off the R factor of drawn H* = QR), by
+    two-sample KS tests on independent seeds. ZF gains are dependent, so
+    the joint statistics min_i gamma_i and prod_i gamma_i are tested as well
+    as each column."""
 
     N = 50_000
     P_FLOOR = 1e-4  # about 30 comparisons in all
@@ -364,6 +387,25 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             OutageEstimate(rho=10.0, r=0.5, n_samples=100, n_outages=50,
                            ci_low=0.9, ci_high=1.0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_samples", 10.5),
+            ("n_outages", 2.5),
+            ("n_outages", True),
+            ("rho", math.nan),
+            ("rho", math.inf),
+            ("rho", 0.0),
+            ("r", math.nan),
+            ("r", math.inf),
+            ("r", -0.5),
+        ],
+    )
+    def test_estimate_rejects_bad_fields(self, name, value):
+        fields = dict(rho=10.0, r=0.5, n_samples=10, n_outages=1, ci_low=0.0, ci_high=1.0)
+        with pytest.raises(ValueError):
+            OutageEstimate(**{**fields, name: value})
 
 
 class TestValidateGainDistribution:

@@ -229,6 +229,29 @@ class TestFitCommand:
         row = read_rows(sim)[0]
         assert float(row["p_hat"]) == int(row["n_outages"]) / int(row["n_samples"])
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [(0, "bc-dpc"), (1, "3"), (2, "4"), (3, "0.25;0.75"), (5, "nan")],
+        ids=["scenario", "K", "M", "weights", "nan-rho_db"],
+    )
+    def test_inconsistent_row_is_usage_error(self, tmp_path, capsys, column, value):
+        # a real three-row simulate table with one field of the middle row replaced
+        sim = tmp_path / "sim.csv"
+        code = main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+            "--r", "1.0", "--snr-db", "10:20:5", "--samples", "5000", "--seed", "41",
+            "--out", str(sim),
+        ])
+        assert code == EXIT_OK
+        lines = sim.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = value
+        lines[2] = ",".join(fields)
+        sim.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--input", str(sim), "--window", "10:20"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_parallel_different_profile_round_trip(self, tmp_path, capsys):
         sim = tmp_path / "sim.csv"
         code = main([
