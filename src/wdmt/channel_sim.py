@@ -76,6 +76,8 @@ class ChannelMatrix:
         h = np.array(self.h, dtype=complex)
         if h.ndim != 2 or h.size == 0:
             raise ValueError(f"expected a K x M matrix, got shape {h.shape}")
+        if not np.isfinite(h).all():
+            raise ValueError("channel entries must be finite")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
@@ -90,14 +92,14 @@ class ChannelMatrix:
 
 @dataclass(frozen=True)
 class EffectiveGains:
-    """Nonnegative per-channel effective power gains."""
+    """Finite, nonnegative per-channel effective power gains."""
 
     gamma: tuple[float, ...]
 
     def __post_init__(self):
         g = tuple(float(x) for x in self.gamma)
-        if any(x < 0.0 for x in g):
-            raise ValueError(f"gains must be >= 0, got {g}")
+        if not all(0.0 <= x < math.inf for x in g):
+            raise ValueError(f"gains must be finite and >= 0, got {g}")
         object.__setattr__(self, "gamma", g)
 
     def __len__(self) -> int:

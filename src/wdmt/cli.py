@@ -5,17 +5,20 @@ Subcommands: ``curve`` (analytic corner points plus a dense sampling),
 against the analytic curve), and ``validate`` (gain distribution checks).
 Exit codes: 0 success, 2 invalid input, 3 statistical failure.
 
-Flags may also be supplied through a ``key = value`` config file
-(``--config PATH``); command-line flags override file entries. Weights
-accept decimals or exact fractions such as ``3/5``.
+``curve``, ``simulate`` and ``validate`` also read a ``key = value`` config
+file (``--config PATH``) whose entries become parser defaults; flags override
+them. Defaults: samples 100000, seed 0, shards 1, format csv, tol 0.15,
+mean-tol 0.01, var-tol 0.03. Weights accept decimals or fractions (``3/5``).
+Tolerances must be finite and >= 0, and ``fit`` exits 2 on a non-finite
+window or a table row that lacks a column or disagrees with its ``K``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -95,10 +98,7 @@ def parse_profile(text: str) -> AntennaProfile:
         raise CliError(f"cannot parse profile {text!r}") from exc
     if not counts:
         raise CliError("empty antenna profile")
-    try:
-        return AntennaProfile(counts)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return AntennaProfile(counts)
 
 
 def parse_r_list(text: str) -> tuple[float, ...]:
@@ -109,7 +109,7 @@ def parse_r_list(text: str) -> tuple[float, ...]:
 
 
 def parse_snr_grid(text: str) -> tuple[float, ...]:
-    """SNR grid in dB: a single value or ``start:stop:step`` with step > 0."""
+    """SNR grid in dB: a single value or finite ``start:stop:step`` with step > 0."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -123,6 +123,8 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
         raise CliError(f"SNR step must be > 0, got {step}")
     if stop < start:
         raise CliError(f"SNR stop {stop} below start {start}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CliError(f"SNR grid must be finite, got {text!r}")
     grid = []
     i = 0
     while True:
@@ -142,39 +144,16 @@ def parse_window(text: str) -> tuple[float, float]:
         low, high = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise CliError(f"cannot parse window {text!r}") from exc
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise CliError(f"window bounds must be finite, got {text!r}")
     return low, high
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything one command run needs."""
-
-    kind: str | None = None
-    k: int | None = None
-    m: int | None = None
-    n_t: int | None = None
-    profile: AntennaProfile | None = None
-    weights: Weights | None = None
-    r_list: tuple[float, ...] = ()
-    snr_db: tuple[float, ...] = ()
-    samples: int = 100_000
-    seed: int = 0
-    shards: int = 1
-    out: str | None = None
-    format: str = "csv"
-
-    def scenario(self) -> Scenario:
-        if self.kind is None:
-            raise CliError("missing --scenario")
-        if self.weights is None:
-            raise CliError("missing --weights")
-        return Scenario(
-            kind=self.kind,
-            weights=self.weights,
-            n_t=self.n_t,
-            profile=self.profile,
-            m=self.m,
-        )
+def parse_tolerance(text: str, flag: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise CliError(f"{flag} must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -194,120 +173,96 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _merged(args: argparse.Namespace, key: str) -> str | None:
-    """Command-line value if given, else config-file value, else None."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return getattr(args, "_config", {}).get(key)
-
-
-def _to_int(value: str, name: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise CliError(f"--{name} expects an integer, got {value!r}") from exc
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    kind = _merged(args, "scenario")
-    weights_text = _merged(args, "weights")
-    profile_text = _merged(args, "profile")
-    ints = {}
+def _scenario(args: argparse.Namespace) -> Scenario:
+    """The command's scenario; converts the integer flags of ``args`` in place."""
     for name in ("k", "m", "nt", "samples", "seed", "shards"):
-        raw = _merged(args, name)
-        ints[name] = None if raw is None else _to_int(raw, name)
-    weights = parse_weights(weights_text) if weights_text is not None else None
-    profile = parse_profile(profile_text) if profile_text is not None else None
-    if weights is not None and ints["k"] is not None and len(weights) != ints["k"]:
-        raise CliError(f"--k {ints['k']} but {len(weights)} weights given")
-    r_text = _merged(args, "r")
-    snr_text = _merged(args, "snr_db")
-    return RunConfig(
-        kind=kind,
-        k=ints["k"] if ints["k"] is not None else (len(weights) if weights else None),
-        m=ints["m"],
-        n_t=ints["nt"],
-        profile=profile,
-        weights=weights,
-        r_list=parse_r_list(r_text) if r_text is not None else (),
-        snr_db=parse_snr_grid(snr_text) if snr_text is not None else (),
-        samples=ints["samples"] if ints["samples"] is not None else 100_000,
-        seed=ints["seed"] if ints["seed"] is not None else 0,
-        shards=ints["shards"] if ints["shards"] is not None else 1,
-        out=_merged(args, "out"),
-        format=(_merged(args, "format") or "csv"),
+        value = getattr(args, name, None)
+        if value is not None:
+            try:
+                setattr(args, name, int(value))
+            except ValueError as exc:
+                raise CliError(f"--{name} expects an integer, got {value!r}") from exc
+    if args.scenario is None:
+        raise CliError("missing --scenario")
+    if args.weights is None:
+        raise CliError("missing --weights")
+    weights = parse_weights(args.weights)
+    if args.k is not None and args.k != len(weights):
+        raise CliError(f"--k {args.k} but {len(weights)} weights given")
+    profile = None if args.profile is None else parse_profile(args.profile)
+    return Scenario(
+        kind=args.scenario, weights=weights, n_t=args.nt, profile=profile, m=args.m
     )
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
+def _write_output(args: argparse.Namespace, payload, csv_lines: list[str]) -> None:
+    """Write ``payload`` as JSON or ``csv_lines`` as CSV, as ``--format``
+    says, to ``--out`` or else stdout."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        text = "\n".join(csv_lines) + "\n"
+    else:
+        raise CliError(f"unknown format {args.format!r}")
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _scenario_m_column(cfg: RunConfig) -> str:
-    if cfg.kind in ("bc-zf", "bc-dpc"):
-        return str(cfg.m)
-    if cfg.kind == "parallel-identical":
-        return str(cfg.n_t)
-    return ";".join(str(n) for n in cfg.profile.n)
+def _scenario_m_column(scenario: Scenario) -> str:
+    """The table's ``M`` column; :func:`_scenario_from_row` reads it back."""
+    if scenario.kind in ("bc-zf", "bc-dpc"):
+        return str(scenario.m)
+    if scenario.kind == "parallel-identical":
+        return str(scenario.n_t)
+    return ";".join(str(n) for n in scenario.profile.n)
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    scenario = cfg.scenario()
+    scenario = _scenario(args)
     curve = curve_for_scenario(scenario)
     k = scenario.k
     steps = round(k / CURVE_RESOLUTION)
     dense = [(i * k / steps, curve.evaluate(i * k / steps)) for i in range(steps + 1)]
 
-    if cfg.format == "json":
-        payload = {
-            "scenario": scenario.kind,
-            "K": k,
-            "M": _scenario_m_column(cfg),
-            "weights": list(scenario.weights.mu),
-            "corners": [[r, d] for r, d in curve.corners],
-            "dense": [[r, d] for r, d in dense],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif cfg.format == "csv":
-        lines = ["section,r,d"]
-        lines += [f"corner,{_fmt(r)},{_fmt(d)}" for r, d in curve.corners]
-        lines += [f"dense,{_fmt(r)},{_fmt(d)}" for r, d in dense]
-        text = "\n".join(lines) + "\n"
-    else:
-        raise CliError(f"unknown format {cfg.format!r}")
-
-    _write_output(text, cfg.out)
+    payload = {
+        "scenario": scenario.kind,
+        "K": k,
+        "M": _scenario_m_column(scenario),
+        "weights": list(scenario.weights.mu),
+        "corners": [[r, d] for r, d in curve.corners],
+        "dense": [[r, d] for r, d in dense],
+    }
+    lines = ["section,r,d"]
+    lines += [f"corner,{_fmt(r)},{_fmt(d)}" for r, d in curve.corners]
+    lines += [f"dense,{_fmt(r)},{_fmt(d)}" for r, d in dense]
+    _write_output(args, payload, lines)
     summary = " ".join(f"({r:g},{d:g})" for r, d in curve.corners)
-    stream = sys.stdout if cfg.out else sys.stderr
+    stream = sys.stdout if args.out else sys.stderr
     stream.write(f"corners: {summary}\n")
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    scenario = cfg.scenario()
-    if not cfg.r_list:
+    scenario = _scenario(args)
+    if args.r is None:
         raise CliError("missing --r")
-    if not cfg.snr_db:
+    if args.snr_db is None:
         raise CliError("missing --snr-db")
-    m_col = _scenario_m_column(cfg)
+    m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
     rows = []
-    for i_r, r in enumerate(cfg.r_list):
-        for i_db, db in enumerate(cfg.snr_db):
+    for i_r, r in enumerate(parse_r_list(args.r)):
+        for i_db, db in enumerate(parse_snr_grid(args.snr_db)):
             est = outage_probability(
                 scenario,
                 r=r,
                 rho=10.0 ** (db / 10.0),
-                n_samples=cfg.samples,
-                seed=np.random.SeedSequence((cfg.seed, i_r, i_db)),
-                shards=cfg.shards,
+                n_samples=args.samples,
+                seed=np.random.SeedSequence((args.seed, i_r, i_db)),
+                shards=args.shards,
             )
             rows.append(
                 {
@@ -322,25 +277,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "p_hat": est.p_hat,
                     "ci_low": est.ci_low,
                     "ci_high": est.ci_high,
-                    "seed": cfg.seed,
-                    "shards": cfg.shards,
+                    "seed": args.seed,
+                    "shards": args.shards,
                 }
             )
 
-    if cfg.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    elif cfg.format == "csv":
-        lines = [CSV_COLUMNS] + [",".join(map(_csv_cell, row.values())) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        raise CliError(f"unknown format {cfg.format!r}")
-    _write_output(text, cfg.out)
+    lines = [CSV_COLUMNS] + [",".join(map(_csv_cell, row.values())) for row in rows]
+    _write_output(args, rows, lines)
     return EXIT_OK
 
 
 def _scenario_from_row(row: dict[str, str]) -> Scenario:
+    """The scenario that one table row's ``scenario``, ``K``, ``M`` and
+    ``weights`` columns describe."""
     kind = row["scenario"]
     weights = validate_weights([float(w) for w in row["weights"].split(";")])
+    if int(row["K"]) != len(weights):
+        raise CliError(f"row has K={row['K']} but {len(weights)} weights")
     if kind in ("bc-zf", "bc-dpc"):
         return Scenario(kind=kind, weights=weights, m=int(row["M"]))
     if kind == "parallel-identical":
@@ -350,6 +303,7 @@ def _scenario_from_row(row: dict[str, str]) -> Scenario:
 
 
 def _read_table(path: str) -> list[dict[str, str]]:
+    """The rows of a CSV or JSON simulate table; each holds every column."""
     try:
         with open(path, encoding="utf-8") as fh:
             content = fh.read()
@@ -358,35 +312,37 @@ def _read_table(path: str) -> list[dict[str, str]]:
     stripped = content.strip()
     if not stripped:
         raise CliError(f"{path} is empty")
+    columns = CSV_COLUMNS.split(",")
     if stripped.startswith("["):  # json table
         rows = json.loads(stripped)
-        return [{k: str(v) for k, v in row.items()} for row in rows]
-    lines = stripped.splitlines()
-    header = lines[0].split(",")
-    if header != CSV_COLUMNS.split(","):
-        raise CliError(f"{path}: unexpected columns {lines[0]!r}")
-    rows = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise CliError(f"{path}: malformed row {line!r}")
-        rows.append(dict(zip(header, fields)))
+        if not all(isinstance(row, dict) and row.keys() >= set(columns) for row in rows):
+            raise CliError(f"{path}: missing required columns")
+        rows = [{k: str(v) for k, v in row.items()} for row in rows]
+    else:
+        lines = stripped.splitlines()
+        if lines[0].split(",") != columns:
+            raise CliError(f"{path}: unexpected columns {lines[0]!r}")
+        rows = []
+        for line in lines[1:]:
+            fields = line.split(",")
+            if len(fields) != len(columns):
+                raise CliError(f"{path}: malformed row {line!r}")
+            rows.append(dict(zip(columns, fields)))
+    if not rows:
+        raise CliError(f"{path}: missing required columns")
     return rows
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     rows = _read_table(args.input)
-    required = set(CSV_COLUMNS.split(","))
-    if not rows or not required.issubset(rows[0].keys()):
-        raise CliError(f"{args.input}: missing required columns")
     window = parse_window(args.window)
-    tol = float(args.tol)
+    tol = parse_tolerance(args.tol, "--tol")
     scenario = _scenario_from_row(rows[0])
     curve = curve_for_scenario(scenario)
 
     by_r: dict[float, list[OutageEstimate]] = {}
     for row in rows:
-        if row["K"] != rows[0]["K"] or _scenario_from_row(row) != scenario:
+        if _scenario_from_row(row) != scenario:
             raise CliError(f"{args.input}: rows describe different scenarios")
         est = OutageEstimate(
             rho=10.0 ** (float(row["rho_db"]) / 10.0),
@@ -419,17 +375,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    scenario = cfg.scenario()
-    mean_tol = float(args.mean_tol)
-    var_tol = float(args.var_tol)
+    scenario = _scenario(args)
+    mean_tol = parse_tolerance(args.mean_tol, "--mean-tol")
+    var_tol = parse_tolerance(args.var_tol, "--var-tol")
     all_passed = True
     for index in range(scenario.k):
         report = validate_gain_distribution(
             scenario,
             index,
-            n_samples=cfg.samples,
-            seed=np.random.SeedSequence((cfg.seed, index)),
+            n_samples=args.samples,
+            seed=np.random.SeedSequence((args.seed, index)),
         )
         ok = report.mean_rel_err <= mean_tol and report.var_rel_err <= var_tol
         all_passed &= ok
@@ -454,10 +409,11 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (stdout if omitted)")
-    parser.add_argument("--format", choices=["csv", "json"])
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``wdmt`` parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="wdmt",
         description="Diversity-multiplexing tradeoff curves and outage simulation "
@@ -475,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_sim)
     p_sim.add_argument("--r", help="comma-separated multiplexing gains")
     p_sim.add_argument("--snr-db", dest="snr_db", help="SNR grid start:stop:step in dB")
-    p_sim.add_argument("--samples", help="Monte Carlo samples per (r, SNR) point")
-    p_sim.add_argument("--seed", help="base random seed")
-    p_sim.add_argument("--shards", help="independent substreams per point")
+    p_sim.add_argument("--samples", default="100000", help="Monte Carlo samples per (r, SNR) point")
+    p_sim.add_argument("--seed", default="0", help="base random seed")
+    p_sim.add_argument("--shards", default="1", help="independent substreams per point")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit diversity slopes from a simulate table")
@@ -488,28 +444,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check effective gain distributions")
     _add_scenario_flags(p_val)
-    p_val.add_argument("--samples", help="draws per gain index")
-    p_val.add_argument("--seed", help="base random seed")
+    p_val.add_argument("--samples", default="100000", help="draws per gain index")
+    p_val.add_argument("--seed", default="0", help="base random seed")
     p_val.add_argument("--mean-tol", dest="mean_tol", default="0.01")
     p_val.add_argument("--var-tol", dest="var_tol", default="0.03")
     p_val.set_defaults(func=cmd_validate)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            args._config = _read_config_file(args.config)
-        else:
-            args._config = {}
+            # File entries become defaults, so flags win; other keys are ignored.
+            flags = vars(args).keys() - {"command", "config", "func"}
+            entries = _read_config_file(args.config).items()
+            commands[args.command].set_defaults(**{k: v for k, v in entries if k in flags})
+            args = parser.parse_args(argv)
         return args.func(args)
-    except DmtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (DmtError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

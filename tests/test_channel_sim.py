@@ -130,6 +130,11 @@ class TestZfGains:
         with pytest.raises(RankDeficientError):
             zf_gains(ChannelMatrix(h))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_channel_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelMatrix([[bad, 1.0, 0.0], [0.0, 1.0, 0.0]])
+
     @pytest.mark.parametrize(
         "h",
         [[[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
@@ -224,6 +229,11 @@ class TestWeightedCapacity:
     def test_nan_snr(self):
         with pytest.raises(OutOfRangeError):
             weighted_capacity(EffectiveGains((1.0,)), validate_weights((1.0,)), math.nan)
+
+    @pytest.mark.parametrize("gamma", [(math.inf, 1.0), (math.nan,), (-1.0,)])
+    def test_bad_gains_rejected(self, gamma):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            EffectiveGains(gamma)
 
 
 class TestOutageProbability:

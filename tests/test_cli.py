@@ -7,6 +7,7 @@ from wdmt.cli import (
     EXIT_OK,
     EXIT_STAT_FAIL,
     EXIT_USAGE,
+    CliError,
     _fmt,
     main,
     parse_snr_grid,
@@ -47,6 +48,12 @@ class TestParsing:
         grid = parse_snr_grid("0:1:0.1")
         assert len(grid) == 11
         assert grid[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("text", ["0:nan:1", "0:inf:1", "0:10:nan", "nan:10:1", "-inf:0:1"])
+    def test_non_finite_snr_grid_rejected(self, text):
+        # each of these used to loop, appending grid points until memory ran out
+        with pytest.raises(CliError, match="finite"):
+            parse_snr_grid(text)
 
 
 class TestCurveCommand:
@@ -252,6 +259,55 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_k_disagreeing_with_weights_is_usage_error(self, tmp_path, capsys):
+        # every row agrees with the others, but K=3 against two weights
+        sim = tmp_path / "sim.csv"
+        code = main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+            "--r", "1.0", "--snr-db", "10:20:5", "--samples", "5000", "--seed", "41",
+            "--out", str(sim),
+        ])
+        assert code == EXIT_OK
+        lines = sim.read_text().splitlines()
+        lines[1:] = [line.replace("bc-zf,2,", "bc-zf,3,", 1) for line in lines[1:]]
+        sim.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--input", str(sim), "--window", "10:20"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("damage", ["not-objects", "row-lacks-K"])
+    def test_malformed_json_table_is_usage_error(self, tmp_path, capsys, damage):
+        sim = tmp_path / "sim.json"
+        code = main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+            "--r", "1.0", "--snr-db", "10:20:5", "--samples", "5000", "--seed", "41",
+            "--format", "json", "--out", str(sim),
+        ])
+        assert code == EXIT_OK
+        rows = json.loads(sim.read_text())
+        if damage == "not-objects":
+            rows = [1, 2]
+        else:
+            del rows[1]["K"]
+        sim.write_text(json.dumps(rows))
+        assert main(["fit", "--input", str(sim), "--window", "10:20"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--window", "nan:30"], ["--window", "10:inf"],
+            ["--window", "10:30", "--tol", "nan"], ["--window", "10:30", "--tol", "-0.1"],
+            ["--window", "10:30", "--tol", "inf"],
+        ],
+        ids=["nan-low", "inf-high", "nan-tol", "negative-tol", "inf-tol"],
+    )
+    def test_non_finite_window_or_tolerance_is_usage_error(self, tmp_path, capsys, flags):
+        table = tmp_path / "sim.csv"
+        write_power_law_table(table, 1.0, (10, 20, 30), 10**8)
+        assert main(["fit", "--input", str(table), *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_parallel_different_profile_round_trip(self, tmp_path, capsys):
         sim = tmp_path / "sim.csv"
         code = main([
@@ -292,8 +348,79 @@ class TestValidateCommand:
         ])
         assert code == EXIT_STAT_FAIL
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--mean-tol", "nan"), ("--mean-tol", "-0.01"), ("--var-tol", "nan"),
+         ("--var-tol", "-1")],
+    )
+    def test_bad_tolerance_is_usage_error(self, capsys, flag, value):
+        code = main([
+            "validate", "--scenario", "parallel-identical", "--nt", "1", "--k", "1",
+            "--weights", "1", "--samples", "1000", flag, value,
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# Every flag of one run per command; the config-file test moves them all into
+# a file. The validate run's --mean-tol is impossible, so it must FAIL both ways.
+CONFIG_RUNS = {
+    "curve": [
+        "--scenario", "bc-dpc", "--m", "3", "--k", "2", "--weights", "3/5,2/5",
+        "--format", "json",
+    ],
+    "simulate": [
+        "--scenario", "bc-zf", "--m", "3", "--k", "2", "--weights", "0.5,0.5",
+        "--r", "0.5,1.0", "--snr-db", "5:10:5", "--samples", "2000", "--seed", "11",
+        "--shards", "2", "--format", "json",
+    ],
+    "validate": [
+        "--scenario", "parallel-identical", "--nt", "2", "--k", "1", "--weights", "1",
+        "--samples", "20000", "--seed", "5", "--mean-tol", "1e-9", "--var-tol", "0.5",
+    ],
+}
+
 
 class TestConfigFile:
+    @pytest.mark.parametrize("command", sorted(CONFIG_RUNS))
+    def test_config_file_matches_flags(self, tmp_path, capsys, command):
+        flags = CONFIG_RUNS[command]
+        if command != "validate":
+            flags = flags + ["--out", str(tmp_path / "out")]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            out = tmp_path / "out"
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return code, captured.out, captured.err, written
+
+        by_flags = run([command, *flags])
+        assert by_flags[0] == (EXIT_STAT_FAIL if command == "validate" else EXIT_OK)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(
+            f"{flags[i][2:]} = {flags[i + 1]}\n" for i in range(0, len(flags), 2)
+        ))
+        assert run([command, "--config", str(cfg)]) == by_flags
+
+    @pytest.mark.parametrize("entry", ["scenario = foo", "format = xml"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, entry):
+        # argparse checks choices only on the command line, not on defaults
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = bc-zf\nm = 3\nweights = 0.5,0.5\n{entry}\n")
+        assert main(["curve", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_config_keys_that_are_not_flags_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "scenario = bc-zf\nm = 3\nweights = 0.5,0.5\n"
+            "func = x\ncommand = fit\nconfig = /nonexistent.cfg\ntol = 9\n"
+        )
+        assert main(["curve", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().err == "corners: (0,4) (1,2) (2,0)\n"
+
     def test_config_supplies_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
