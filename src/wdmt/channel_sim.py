@@ -11,9 +11,13 @@ Conventions
   from channel matrices: parallel and DPC gains are independent
   Gamma(shape_i, 1) draws with the shapes of ``Scenario.gain_shapes()``,
   and ZF gains come from the Bartlett factor of the Wishart Gram matrix
-  HH* (Goodman 1963). The R factor of H* = QR for drawn K x M matrices
-  (one stacked LAPACK call) remains as the independent oracle behind
-  ``zf_gains``, ``dpc_gains`` and ``validate_gain_distribution``.
+  HH* (Goodman 1963), inverted by forward substitution in real arithmetic.
+  The R factor of H* = QR for drawn K x M matrices (one stacked LAPACK
+  call) remains as the independent oracle behind ``zf_gains``,
+  ``dpc_gains`` and ``validate_gain_distribution``.
+* The normal quantile, the Clopper-Pearson bounds and the Gamma CDF of
+  the KS distance come from ``scipy.special``; importing ``scipy.stats``
+  would add about a second to every start of the CLI.
 * Capacities are in nats; SNR ``rho`` is linear here (the CLI converts
   from dB exactly once).
 * The finite-SNR capacity keeps the weights inside the logarithm,
@@ -32,7 +36,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .core import (
     DimensionMismatchError,
@@ -63,7 +67,6 @@ _CHUNK = 1 << 18
 _RANK_EPS = 1e-24
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _MIN_NORMAL_EVENTS = 20  # below this the normal CI is replaced by Clopper-Pearson
-_Z_95 = float(stats.norm.ppf(0.975))
 
 
 @dataclass(frozen=True)
@@ -278,30 +281,58 @@ def _chunk_gains(scenario: Scenario, rng: np.random.Generator, n: int) -> np.nda
     """Draw n effective-gain vectors (n, k) from the equivalent parallel
     model, columns in ``scenario.encode_order()``.
 
-    Parallel and DPC gains are independent Gamma(shape_i, 1). ZF gains are
-    gamma_i = 1 / [G^-1]_ii for the Gram matrix G = HH*, whose Bartlett
-    factor L (G = LL*) has independent entries: |L_ii|^2 ~ Gamma(m - i, 1)
-    and CN(0,1) below the diagonal. [G^-1]_ii is the squared norm of
-    column i of L^-1, built row by row by forward substitution.
+    Parallel and DPC gains are independent Gamma(shape_i, 1), drawn with
+    a scalar shape into one row of a (k, n) buffer at a time (the stream
+    of a single broadcast-shape call). ZF gains are gamma_i = 1 / [G^-1]_ii
+    for the Gram matrix G = HH*, whose Bartlett factor L (G = LL*) has
+    independent entries: |L_ii|^2 ~ Gamma(m - i, 1) and CN(0,1) below the
+    diagonal. [G^-1]_ii is the squared norm of column i of L^-1, built row
+    by row by forward substitution in real arithmetic: each off-diagonal
+    entry of L^-1 is a pair of real (n,) arrays, and the diagonal
+    1 / |L_ii| stays real. Products accumulate over j ascending and column
+    norms over rows ascending, as in the complex (k, k, n) formulation
+    that the tests keep as the reference, so the gains equal its gains
+    bit for bit.
     """
     k = scenario.k
-    if scenario.kind != "bc-zf":
-        shapes = np.asarray(scenario.gain_shapes(), dtype=float)
-        # Drawn as (k, n) and returned transposed: the capacity kernel runs
-        # fastest on column-major gains.
-        return rng.standard_gamma(shapes[:, None], size=(k, n)).T
-    shapes = scenario.m - np.arange(k, dtype=float)
-    inv_diag = 1.0 / np.sqrt(rng.standard_gamma(shapes[:, None], size=(k, n)))
+    zf = scenario.kind == "bc-zf"
+    shapes = range(scenario.m, scenario.m - k, -1) if zf else scenario.gain_shapes()
+    # Drawn as (k, n) and returned transposed: the capacity kernel runs
+    # fastest on column-major gains.
+    draws = np.empty((k, n))
+    for row, shape in zip(draws, shapes):
+        rng.standard_gamma(float(shape), size=n, out=row)
+    if not zf:
+        return draws.T
+    # The draws buffer becomes 1 / |L_ii|, then the column norms, then the gains.
+    inv_diag = np.sqrt(draws, out=draws)
+    np.divide(1.0, inv_diag, out=inv_diag)
     z = rng.standard_normal((2, k * (k - 1) // 2, n))
-    below = (z[0] + 1j * z[1]) * _SQRT_HALF  # rows of the strict lower triangle
-    inv = np.zeros((k, k, n), dtype=complex)
+    z *= _SQRT_HALF
+    below_re, below_im = z  # strict lower triangle of L, row by row
+    inv = {}  # (i, c) -> (real, imaginary) parts of entry (i, c < i) of L^-1
     start = 0
     for i in range(k):
-        l_row = below[start : start + i]
+        l_re, l_im = below_re[start : start + i], below_im[start : start + i]
         start += i
-        inv[i, :i] = -np.einsum("jn,jcn->cn", l_row, inv[:i, :i]) * inv_diag[i]
-        inv[i, i] = inv_diag[i]
-    return 1.0 / (inv.real**2 + inv.imag**2).sum(axis=0).T
+        scale = -inv_diag[i]
+        for c in range(i):
+            re, im = l_re[c] * inv_diag[c], l_im[c] * inv_diag[c]
+            for j in range(c + 1, i):
+                x_re, x_im = inv[j, c]
+                re += l_re[j] * x_re - l_im[j] * x_im
+                im += l_re[j] * x_im + l_im[j] * x_re
+            re *= scale
+            im *= scale
+            inv[i, c] = re, im
+    gains = np.square(inv_diag, out=inv_diag)
+    for (_, c), (re, im) in inv.items():  # insertion order: rows ascending in each column
+        np.square(re, out=re)
+        np.square(im, out=im)
+        re += im
+        gains[c] += re
+    np.divide(1.0, gains, out=gains)
+    return gains.T
 
 
 def _matrix_gains(
@@ -338,18 +369,15 @@ def confidence_interval(
         raise OutOfRangeError(f"confidence level {level} outside (0, 1)")
     p = n_outages / n_samples
     if n_outages >= _MIN_NORMAL_EVENTS:
-        z = _Z_95 if level == 0.95 else float(stats.norm.ppf(0.5 + level / 2))
-        half = z * math.sqrt(p * (1.0 - p) / n_samples)
+        half = float(special.ndtri(0.5 + level / 2)) * math.sqrt(p * (1.0 - p) / n_samples)
         return max(0.0, p - half), min(1.0, p + half)
     alpha = 1.0 - level
     low = 0.0
     if n_outages > 0:
-        low = float(stats.beta.ppf(alpha / 2, n_outages, n_samples - n_outages + 1))
+        low = float(special.betaincinv(n_outages, n_samples - n_outages + 1, alpha / 2))
     high = 1.0
     if n_outages < n_samples:
-        high = float(
-            stats.beta.ppf(1 - alpha / 2, n_outages + 1, n_samples - n_outages)
-        )
+        high = float(special.betaincinv(n_outages + 1, n_samples - n_outages, 1 - alpha / 2))
     return low, high
 
 
@@ -433,7 +461,12 @@ def validate_gain_distribution(
     sample = np.concatenate(parts)
     mean = float(sample.mean())
     variance = float(sample.var())
-    ks = float(stats.kstest(sample, stats.gamma(shape).cdf).statistic)
+    # One-sample KS distance, max(D+, D-), as scipy.stats.kstest computes it.
+    cdf = special.gammainc(shape, np.sort(sample))
+    size = cdf.size
+    d_plus = (np.arange(1.0, size + 1) / size - cdf).max()
+    d_minus = (cdf - np.arange(0.0, size) / size).max()
+    ks = float(max(d_plus, d_minus))
     return GainDistributionReport(
         index=index,
         shape=shape,

@@ -207,8 +207,11 @@ def _write_output(args: argparse.Namespace, payload, csv_lines: list[str]) -> No
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
 
 
 def _scenario_m_column(scenario: Scenario) -> str:

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from wdmt import (
     weighted_capacity,
     zf_gains,
 )
-from wdmt.channel_sim import _chunk_gains, _matrix_gains
+from wdmt.channel_sim import _SQRT_HALF, _chunk_gains, _matrix_gains
 
 
 def k1_outage_oracle(rho, r):
@@ -39,6 +42,44 @@ def projection_residual_sq(target, onto):
     coef, *_ = np.linalg.lstsq(onto.T, target, rcond=None)
     resid = target - onto.T @ coef
     return float(np.vdot(resid, resid).real)
+
+
+def reference_chunk_gains(scenario, rng, n):
+    """Reference for ``_chunk_gains``, same draws in the same order: one
+    broadcast-shape Gamma call, and for bc-zf the forward substitution on
+    complex (k, k, n) arrays with an einsum."""
+    k = scenario.k
+    if scenario.kind != "bc-zf":
+        shapes = np.asarray(scenario.gain_shapes(), dtype=float)
+        return rng.standard_gamma(shapes[:, None], size=(k, n)).T
+    shapes = scenario.m - np.arange(k, dtype=float)
+    inv_diag = 1.0 / np.sqrt(rng.standard_gamma(shapes[:, None], size=(k, n)))
+    z = rng.standard_normal((2, k * (k - 1) // 2, n))
+    below = (z[0] + 1j * z[1]) * _SQRT_HALF
+    inv = np.zeros((k, k, n), dtype=complex)
+    start = 0
+    for i in range(k):
+        l_row = below[start : start + i]
+        start += i
+        inv[i, :i] = -np.einsum("jn,jcn->cn", l_row, inv[:i, :i]) * inv_diag[i]
+        inv[i, i] = inv_diag[i]
+    return 1.0 / (inv.real**2 + inv.imag**2).sum(axis=0).T
+
+
+def reference_confidence_interval(n_outages, n_samples, level=0.95):
+    """Reference for ``confidence_interval`` on scipy.stats distributions."""
+    p = n_outages / n_samples
+    if n_outages >= 20:
+        half = stats.norm.ppf(0.5 + level / 2) * math.sqrt(p * (1.0 - p) / n_samples)
+        return max(0.0, p - half), min(1.0, p + half)
+    alpha = 1.0 - level
+    low = 0.0
+    if n_outages > 0:
+        low = float(stats.beta.ppf(alpha / 2, n_outages, n_samples - n_outages + 1))
+    high = 1.0
+    if n_outages < n_samples:
+        high = float(stats.beta.ppf(1 - alpha / 2, n_outages + 1, n_samples - n_outages))
+    return low, high
 
 
 def gamma_scenario(kind, m, k):
@@ -364,6 +405,23 @@ class TestGammaSampler:
             assert p >= self.P_FLOOR, f"{kind} M={m} K={k} {name}: KS p = {p:.2e}"
 
 
+class TestSamplerMatchesReference:
+    """``_chunk_gains`` against ``reference_chunk_gains`` on the same
+    generator state: the gains must be equal, not merely close."""
+
+    @pytest.mark.parametrize("kind", ["parallel-identical", "parallel-different", "bc-dpc", "bc-zf"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_bit_identical(self, kind, k):
+        for m in (k, k + 2):
+            s = gamma_scenario(kind, m, k)
+            for n in (1, 7, 1000, 30_000):
+                rng_fast, rng_ref = np.random.default_rng(k * n + m), np.random.default_rng(k * n + m)
+                fast = _chunk_gains(s, rng_fast, n)
+                assert np.array_equal(fast, reference_chunk_gains(s, rng_ref, n)), (m, n)
+                # both leave the stream at the same place
+                assert rng_fast.random() == rng_ref.random()
+
+
 class TestConfidenceInterval:
     def test_normal_regime(self):
         lo, hi = confidence_interval(500, 10_000)
@@ -378,6 +436,16 @@ class TestConfidenceInterval:
         assert hi == pytest.approx(1 - 0.025 ** (1 / 1000), rel=1e-6)
         lo, hi = confidence_interval(5, 1000)
         assert 0.0 < lo < 5 / 1000 < hi < 1.0
+
+    def test_equals_scipy_stats_reference(self):
+        for n_samples in (1, 2, 19, 20, 21, 1000, 5000, 10**7):
+            for n_outages in {0, 1, 2, 7, 19, 20, 21, n_samples // 2, n_samples - 1, n_samples}:
+                if not 0 <= n_outages <= n_samples:
+                    continue
+                for level in (0.95, 0.9, 0.99, 0.5):
+                    assert confidence_interval(n_outages, n_samples, level) == (
+                        reference_confidence_interval(n_outages, n_samples, level)
+                    ), (n_outages, n_samples, level)
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan, math.inf])
     def test_level_outside_unit_interval_rejected(self, level):
@@ -426,7 +494,28 @@ class TestValidateGainDistribution:
         assert rep.mean_rel_err < 0.01
         assert rep.var_rel_err < 0.03
 
+    @pytest.mark.parametrize("kind", ["parallel-different", "bc-dpc", "bc-zf"])
+    def test_statistics_equal_scipy_stats_reference(self, kind):
+        s = gamma_scenario(kind, 3, 2)
+        for index in range(2):
+            rep = validate_gain_distribution(s, index, 5000, seed=17)
+            gains, ok = _matrix_gains(s, np.random.default_rng(17), 5000)
+            sample = gains[ok, index]
+            assert rep.mean == sample.mean() and rep.variance == sample.var()
+            assert rep.ks_stat == stats.kstest(sample, stats.gamma(rep.shape).cdf).statistic
+
     def test_index_out_of_range(self):
         s = Scenario(kind="bc-zf", weights=validate_weights((0.5, 0.5)), m=3)
         with pytest.raises(OutOfRangeError):
             validate_gain_distribution(s, 2, 1000, seed=1)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; the package needs only scipy.special
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import wdmt, wdmt.cli; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -83,6 +83,20 @@ class TestCurveCommand:
         assert code == EXIT_USAGE
         assert "weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, via_config):
+        # --out into a missing directory, or a config entry `out =` with no value
+        argv = ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5"]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("out =\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--out", str(tmp_path / "missing" / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
     def test_too_many_users_is_usage_error(self):
         code = main([
             "curve", "--scenario", "bc-zf", "--m", "2", "--k", "3",
