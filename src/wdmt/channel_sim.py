@@ -12,6 +12,9 @@ Conventions
   Gamma(shape_i, 1) draws with the shapes of ``Scenario.gain_shapes()``,
   and ZF gains come from the Bartlett factor of the Wishart Gram matrix
   HH* (Goodman 1963), inverted by forward substitution in real arithmetic.
+  A Gamma draw of integer shape a <= 3 is the sum of a Exp(1) draws (the
+  Erlang sum: a squared norm over a CN(0,1) entries); larger shapes use
+  numpy's ``standard_gamma``, which is the faster of the two there.
   The R factor of H* = QR for drawn K x M matrices (one stacked LAPACK
   call) remains as the independent oracle behind ``zf_gains``,
   ``dpc_gains`` and ``validate_gain_distribution``.
@@ -62,6 +65,12 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18
+# Largest integer Gamma shape drawn as a sum of that many Exp(1) draws.
+# Per draw, ziggurat Exp(1) sums beat numpy's Marsaglia-Tsang standard_gamma
+# at shapes 1-3 (8, 19 and 28 ns against 10, 33 and 33 ns on a 2-CPU Xeon,
+# numpy 2.4; table in BENCH_9.json) and lose from shape 4 on (39 against
+# 34 ns), since a sum's cost grows with its shape and standard_gamma's does not.
+_ERLANG_MAX_SHAPE = 3
 # Ratio |R_ii|^2 / ||h_i||^2 at or below which row i counts as linearly
 # dependent on rows 0..i-1 (a measure-zero event for CN(0,1) rows).
 _RANK_EPS = 1e-24
@@ -281,12 +290,14 @@ def _chunk_gains(scenario: Scenario, rng: np.random.Generator, n: int) -> np.nda
     """Draw n effective-gain vectors (n, k) from the equivalent parallel
     model, columns in ``scenario.encode_order()``.
 
-    Parallel and DPC gains are independent Gamma(shape_i, 1), drawn with
-    a scalar shape into one row of a (k, n) buffer at a time (the stream
-    of a single broadcast-shape call). ZF gains are gamma_i = 1 / [G^-1]_ii
-    for the Gram matrix G = HH*, whose Bartlett factor L (G = LL*) has
-    independent entries: |L_ii|^2 ~ Gamma(m - i, 1) and CN(0,1) below the
-    diagonal. [G^-1]_ii is the squared norm of column i of L^-1, built row
+    Parallel and DPC gains are independent Gamma(shape_i, 1), drawn into
+    one row of a (k, n) buffer at a time: a row of shape a <= 3 is the
+    in-place sum of a ``standard_exponential`` draws of n values, a row of
+    larger shape one ``standard_gamma`` call. ZF gains are
+    gamma_i = 1 / [G^-1]_ii for the Gram matrix G = HH*, whose Bartlett
+    factor L (G = LL*) has independent entries: |L_ii|^2 ~ Gamma(m - i, 1),
+    drawn by the same per-shape rule, and CN(0,1) below the diagonal.
+    [G^-1]_ii is the squared norm of column i of L^-1, built row
     by row by forward substitution in real arithmetic: each off-diagonal
     entry of L^-1 is a pair of real (n,) arrays, and the diagonal
     1 / |L_ii| stays real. Products accumulate over j ascending and column
@@ -299,9 +310,14 @@ def _chunk_gains(scenario: Scenario, rng: np.random.Generator, n: int) -> np.nda
     shapes = range(scenario.m, scenario.m - k, -1) if zf else scenario.gain_shapes()
     # Drawn as (k, n) and returned transposed: the capacity kernel runs
     # fastest on column-major gains.
-    draws = np.empty((k, n))
+    draws, term = np.empty((k, n)), np.empty(n)
     for row, shape in zip(draws, shapes):
-        rng.standard_gamma(float(shape), size=n, out=row)
+        if shape > _ERLANG_MAX_SHAPE:
+            rng.standard_gamma(float(shape), size=n, out=row)
+        else:
+            rng.standard_exponential(size=n, out=row)
+            for _ in range(shape - 1):
+                row += rng.standard_exponential(size=n, out=term)
     if not zf:
         return draws.T
     # The draws buffer becomes 1 / |L_ii|, then the column norms, then the gains.
@@ -393,10 +409,13 @@ def outage_probability(
 
     Gains are drawn from the equivalent parallel model (Gamma draws, and
     the Bartlett factor of the Gram matrix for bc-zf), so no draw is ever
-    rank deficient and ``n_discarded`` is always 0. The sample budget is
-    split across ``shards`` deterministic substreams derived from
-    ``seed``; outage counts are summed, so the estimate is a pure function
-    of (scenario, r, rho, n_samples, seed, shards).
+    rank deficient and ``n_discarded`` is always 0. A Gamma draw of shape
+    a <= 3 is a sum of a Exp(1) draws and one of larger shape comes from
+    ``standard_gamma``; both give the exact Gamma(a, 1) law, so the
+    estimate's distribution does not depend on the split. The sample
+    budget is split across ``shards`` deterministic substreams derived
+    from ``seed``; outage counts are summed, so the estimate is a pure
+    function of (scenario, r, rho, n_samples, seed, shards).
     """
     k = scenario.k
     if not (math.isfinite(r) and 0.0 <= r <= k):

@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 invalid input, 3 statistical failure.
 file (``--config PATH``) whose entries become parser defaults; flags override
 them. Defaults: samples 100000, seed 0, shards 1, format csv, tol 0.15,
 mean-tol 0.01, var-tol 0.03. Weights accept decimals or fractions (``3/5``).
-Tolerances must be finite and >= 0, and ``fit`` exits 2 on a non-finite
+Tolerances must be finite and >= 0, an SNR grid must be finite with at
+most ``MAX_SNR_POINTS`` points, and ``fit`` exits 2 on a non-finite
 window or a table row that lacks a column or disagrees with its ``K``.
 """
 
@@ -48,6 +49,7 @@ CSV_COLUMNS = (
 )
 
 CURVE_RESOLUTION = 0.01
+MAX_SNR_POINTS = 10_000  # simulate runs one estimate per point and r
 
 
 class CliError(DmtError):
@@ -109,7 +111,8 @@ def parse_r_list(text: str) -> tuple[float, ...]:
 
 
 def parse_snr_grid(text: str) -> tuple[float, ...]:
-    """SNR grid in dB: a single value or finite ``start:stop:step`` with step > 0."""
+    """SNR grid in dB: a single value or finite ``start:stop:step`` with
+    step > 0 and at most ``MAX_SNR_POINTS`` points."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -126,13 +129,10 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     if not all(map(math.isfinite, (start, stop, step))):
         raise CliError(f"SNR grid must be finite, got {text!r}")
     grid = []
-    i = 0
-    while True:
-        value = start + i * step
-        if value > stop + 1e-9:
-            break
+    while (value := start + len(grid) * step) <= stop + 1e-9:
+        if len(grid) == MAX_SNR_POINTS:
+            raise CliError(f"SNR grid {text!r} has more than {MAX_SNR_POINTS} points")
         grid.append(value)
-        i += 1
     return tuple(grid)
 
 
@@ -433,7 +433,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_scenario_flags(p_sim)
     _add_output_flags(p_sim)
     p_sim.add_argument("--r", help="comma-separated multiplexing gains")
-    p_sim.add_argument("--snr-db", dest="snr_db", help="SNR grid start:stop:step in dB")
+    p_sim.add_argument(
+        "--snr-db", dest="snr_db",
+        help=f"SNR grid start:stop:step in dB, at most {MAX_SNR_POINTS} points",
+    )
     p_sim.add_argument("--samples", default="100000", help="Monte Carlo samples per (r, SNR) point")
     p_sim.add_argument("--seed", default="0", help="base random seed")
     p_sim.add_argument("--shards", default="1", help="independent substreams per point")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from wdmt import (
     AntennaProfile,
@@ -26,7 +26,7 @@ from wdmt import (
     weighted_capacity,
     zf_gains,
 )
-from wdmt.channel_sim import _SQRT_HALF, _chunk_gains, _matrix_gains
+from wdmt.channel_sim import _ERLANG_MAX_SHAPE, _SQRT_HALF, _chunk_gains, _matrix_gains
 
 
 def k1_outage_oracle(rho, r):
@@ -44,16 +44,26 @@ def projection_residual_sq(target, onto):
     return float(np.vdot(resid, resid).real)
 
 
+def reference_gamma_rows(rng, shapes, n):
+    """(k, n) Gamma(shape, 1) rows, drawn one row after another: shape
+    a <= ``_ERLANG_MAX_SHAPE`` as an (a, n) block of Exp(1) draws summed
+    over its first axis, a larger shape by one ``standard_gamma`` call."""
+    return np.stack([
+        rng.standard_exponential((a, n)).sum(axis=0)
+        if a <= _ERLANG_MAX_SHAPE
+        else rng.standard_gamma(a, n)
+        for a in shapes
+    ])
+
+
 def reference_chunk_gains(scenario, rng, n):
-    """Reference for ``_chunk_gains``, same draws in the same order: one
-    broadcast-shape Gamma call, and for bc-zf the forward substitution on
-    complex (k, k, n) arrays with an einsum."""
+    """Reference for ``_chunk_gains``, same draws in the same order: Gamma
+    rows by ``reference_gamma_rows``, and for bc-zf the forward
+    substitution on complex (k, k, n) arrays with an einsum."""
     k = scenario.k
     if scenario.kind != "bc-zf":
-        shapes = np.asarray(scenario.gain_shapes(), dtype=float)
-        return rng.standard_gamma(shapes[:, None], size=(k, n)).T
-    shapes = scenario.m - np.arange(k, dtype=float)
-    inv_diag = 1.0 / np.sqrt(rng.standard_gamma(shapes[:, None], size=(k, n)))
+        return reference_gamma_rows(rng, scenario.gain_shapes(), n).T
+    inv_diag = 1.0 / np.sqrt(reference_gamma_rows(rng, range(scenario.m, scenario.m - k, -1), n))
     z = rng.standard_normal((2, k * (k - 1) // 2, n))
     below = (z[0] + 1j * z[1]) * _SQRT_HALF
     inv = np.zeros((k, k, n), dtype=complex)
@@ -371,9 +381,11 @@ class TestOutageProbability:
 class TestGammaSampler:
     """The Monte Carlo sampler (Gamma draws, Bartlett factor for ZF) against
     the QR matrix path (gains read off the R factor of drawn H* = QR), by
-    two-sample KS tests on independent seeds. ZF gains are dependent, so
-    the joint statistics min_i gamma_i and prod_i gamma_i are tested as well
-    as each column."""
+    two-sample KS tests on independent seeds. The sampler draws shapes up
+    to ``_ERLANG_MAX_SHAPE`` as Erlang sums of Exp(1) draws and larger
+    shapes by ``standard_gamma``; the cases below use shapes 1-4, so both
+    methods meet the oracle. ZF gains are dependent, so the joint statistics
+    min_i gamma_i and prod_i gamma_i are tested as well as each column."""
 
     N = 50_000
     P_FLOOR = 1e-4  # about 30 comparisons in all
@@ -403,6 +415,33 @@ class TestGammaSampler:
         for name, a, b in columns + joint:
             p = stats.ks_2samp(a, b).pvalue
             assert p >= self.P_FLOOR, f"{kind} M={m} K={k} {name}: KS p = {p:.2e}"
+
+
+class TestGammaLaw:
+    """Each ``_chunk_gains`` column against its exact Gamma(shape, 1) CDF
+    (``special.gammainc``) by a one-sample KS test. Shapes 1-5 sit on both
+    sides of ``_ERLANG_MAX_SHAPE``, so both the Erlang sums and the
+    ``standard_gamma`` draws are tested; bc-zf columns are the Gamma(m - k + 1)
+    marginals, built from Bartlett diagonals of shapes up to 6."""
+
+    N = 50_000
+    P_FLOOR = 1e-4  # 30 comparisons in all
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            *(gamma_scenario("parallel-identical", n_t + 1, 2) for n_t in range(1, 6)),
+            gamma_scenario("parallel-different", 5, 5),
+            gamma_scenario("bc-dpc", 5, 5),
+            *(gamma_scenario("bc-zf", m, 2) for m in range(2, 7)),
+        ],
+        ids=lambda s: f"{s.kind}-shapes{'-'.join(map(str, s.gain_shapes()))}",
+    )
+    def test_columns_follow_gamma_law(self, scenario):
+        gains = _chunk_gains(scenario, np.random.default_rng(97), self.N)
+        for i, shape in enumerate(scenario.gain_shapes()):
+            p = stats.kstest(gains[:, i], lambda x: special.gammainc(shape, x)).pvalue
+            assert p >= self.P_FLOOR, f"gamma_{i} ~ Gamma({shape}, 1): KS p = {p:.2e}"
 
 
 class TestSamplerMatchesReference:

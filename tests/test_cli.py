@@ -7,6 +7,7 @@ from wdmt.cli import (
     EXIT_OK,
     EXIT_STAT_FAIL,
     EXIT_USAGE,
+    MAX_SNR_POINTS,
     CliError,
     _fmt,
     main,
@@ -54,6 +55,14 @@ class TestParsing:
         # each of these used to loop, appending grid points until memory ran out
         with pytest.raises(CliError, match="finite"):
             parse_snr_grid(text)
+
+    def test_snr_grid_point_limit(self):
+        assert len(parse_snr_grid(f"0:{MAX_SNR_POINTS - 1}:1")) == MAX_SNR_POINTS
+        # a finite grid used to append points until memory ran out; it now
+        # stops one point past the limit
+        for text in (f"0:{MAX_SNR_POINTS}:1", "0:1e9:1e-3"):
+            with pytest.raises(CliError, match="more than"):
+                parse_snr_grid(text)
 
 
 class TestCurveCommand:
@@ -170,6 +179,14 @@ class TestSimulateCommand:
             }
             assert fields == csv_row
             assert list(json_row) == list(csv_row)
+
+    def test_oversized_snr_grid_is_usage_error(self, capsys):
+        code = main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--k", "2",
+            "--weights", "0.5,0.5", "--r", "1", "--snr-db", "0:1e9:1e-3",
+        ])
+        assert code == EXIT_USAGE
+        assert f"more than {MAX_SNR_POINTS} points" in capsys.readouterr().err
 
     def test_missing_r_is_usage_error(self):
         code = main([

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wdmt import (
     AntennaProfile,
@@ -41,6 +43,16 @@ def paper_corners(counts, mu):
     n_hat = [counts[i] for i in order]
     rates = [0.0] + [k * math.fsum(mu_hat[k - i :]) for i in range(1, k)] + [float(k)]
     return tuple((rates[i], float(sum(n_hat[: k - i]))) for i in range(k + 1))
+
+
+@st.composite
+def antennas_and_weights(draw):
+    """(m, weights) with K = 1..5 users and m = K..K+3 antennas."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(k, k + 3))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    total = math.fsum(raw)
+    return m, validate_weights(tuple(x / total for x in raw))
 
 
 def identical(n_t, weights):
@@ -306,6 +318,23 @@ class TestCurveProperties:
             divs = [c[1] for c in curve.corners]
             assert all(b > a for a, b in zip(rates, rates[1:]))
             assert all(b <= a for a, b in zip(divs, divs[1:]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(antennas_and_weights())
+    @example((2, validate_weights((0.49999999999999994, 0.5)))).xfail(
+        raises=AssertionError,
+        reason="known near-tie defect: stable_desc_order ties the two weights, so "
+        "ZF keeps index order and puts its corner at r = 1.0, while DPC's shapes "
+        "(2, 1) order the channels exactly and put it one ulp lower; DPC then "
+        "reads 0.9999999999999999 against ZF's 1.0 at r = 1.0",
+    )
+    def test_dpc_on_or_above_zf(self, case):
+        # the paper's ordering of the precoders, compared exactly at every
+        # corner rate of either curve
+        m, w = case
+        dpc, zf = broadcast("bc-dpc", m, w.mu), broadcast("bc-zf", m, w.mu)
+        for r in sorted({c[0] for c in dpc.corners + zf.corners}):
+            assert dpc.evaluate(r) >= zf.evaluate(r), (m, w.mu, r)
 
     def test_curve_for_scenario_dispatch(self):
         # every kind is the closed form over its gain shapes, with the
