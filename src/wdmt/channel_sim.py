@@ -12,12 +12,18 @@ Conventions
   Gamma(shape_i, 1) draws with the shapes of ``Scenario.gain_shapes()``,
   and ZF gains come from the Bartlett factor of the Wishart Gram matrix
   HH* (Goodman 1963), inverted by forward substitution in real arithmetic.
-  A Gamma draw of integer shape a <= 3 is the sum of a Exp(1) draws (the
-  Erlang sum: a squared norm over a CN(0,1) entries); larger shapes use
-  numpy's ``standard_gamma``, which is the faster of the two there.
+  A Gamma draw of integer shape a <= 5 is -log prod_{j<a} (1 - U_j) for
+  uniforms U_j in [0, 1) (Knuth's product form of the Erlang law: a sum
+  of a Exp(1) draws, as a squared norm over a CN(0,1) entries is); larger
+  shapes use numpy's ``standard_gamma``, which is the faster of the two
+  there.
   The R factor of H* = QR for drawn K x M matrices (one stacked LAPACK
   call) remains as the independent oracle behind ``zf_gains``,
   ``dpc_gains`` and ``validate_gain_distribution``.
+* The outage kernel draws and reduces samples in blocks of 2^14 inside
+  one workspace per call, sized for the L2 cache, and accumulates the
+  capacity row by row in place; ``weighted_capacity`` runs the same
+  formula.
 * The normal quantile, the Clopper-Pearson bounds and the Gamma CDF of
   the KS distance come from ``scipy.special``; importing ``scipy.stats``
   would add about a second to every start of the CLI.
@@ -64,13 +70,19 @@ __all__ = [
     "confidence_interval",
 ]
 
-_CHUNK = 1 << 18
-# Largest integer Gamma shape drawn as a sum of that many Exp(1) draws.
-# Per draw, ziggurat Exp(1) sums beat numpy's Marsaglia-Tsang standard_gamma
-# at shapes 1-3 (8, 19 and 28 ns against 10, 33 and 33 ns on a 2-CPU Xeon,
-# numpy 2.4; table in BENCH_9.json) and lose from shape 4 on (39 against
-# 34 ns), since a sum's cost grows with its shape and standard_gamma's does not.
-_ERLANG_MAX_SHAPE = 3
+# Samples per block of the outage kernel. One block's workspace, k + 2
+# float64 rows of this length and a bool row (0.5 MB at K = 2, 0.75 MB with
+# the bc-zf normals), stays inside a 2 MB per-core L2 cache. Repeating one
+# scenario, 2^15 and 2^16 ran up to 10% faster, but in the interleaved
+# mc-deep benchmark 2^15 gained less over the parent (BENCH_10.json).
+_BLOCK = 1 << 14
+_CHUNK = 1 << 18  # channel matrices per step of validate_gain_distribution
+# Largest integer Gamma shape a drawn as -log of a product of a uniforms.
+# Per draw, that beats numpy's Marsaglia-Tsang standard_gamma at shapes 1-5
+# and is no faster from shape 6 on, since its cost grows with the shape and
+# standard_gamma's does not (table in BENCH_10.json). Must stay <= 19, so that
+# the product, at least 2^(-53 a), cannot underflow.
+_ERLANG_MAX_SHAPE = 5
 # Ratio |R_ii|^2 / ||h_i||^2 at or below which row i counts as linearly
 # dependent on rows 0..i-1 (a measure-zero event for CN(0,1) rows).
 _RANK_EPS = 1e-24
@@ -262,9 +274,20 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise OutOfRangeError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _capacity(mu: np.ndarray, rho: float, gains: np.ndarray) -> np.ndarray:
-    """K * sum_i mu_i log(1 + mu_i rho gamma_i) along the last axis of gains."""
-    return mu.size * (np.log1p(mu * rho * gains) @ mu)
+def _capacity(mu: np.ndarray, rho: float, gains: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """K * sum_i mu_i log(1 + mu_i rho gamma_i) for each column of the (k, n)
+    ``gains``, accumulated row by row into ``out`` (n,); ``gains`` is
+    overwritten."""
+    for i, (row, w) in enumerate(zip(gains, mu)):
+        np.multiply(row, w * rho, out=row)
+        np.log1p(row, out=row)
+        if i == 0:
+            np.multiply(row, w, out=out)
+        else:
+            row *= w
+            out += row
+    out *= mu.size
+    return out
 
 
 def weighted_capacity(gains: EffectiveGains, weights: Weights, rho: float) -> float:
@@ -277,7 +300,8 @@ def weighted_capacity(gains: EffectiveGains, weights: Weights, rho: float) -> fl
     if len(gains) != len(weights):
         raise DimensionMismatchError(f"{len(gains)} gains vs {len(weights)} weights")
     _check_rho(rho)
-    return float(_capacity(np.asarray(weights.mu), rho, np.asarray(gains.gamma)))
+    column = np.array(gains.gamma)[:, None]
+    return float(_capacity(np.asarray(weights.mu), rho, column, np.empty(1))[0])
 
 
 def _mu_columns(scenario: Scenario) -> np.ndarray:
@@ -286,14 +310,35 @@ def _mu_columns(scenario: Scenario) -> np.ndarray:
     return np.asarray([mu[i] for i in scenario.encode_order()])
 
 
-def _chunk_gains(scenario: Scenario, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n effective-gain vectors (n, k) from the equivalent parallel
-    model, columns in ``scenario.encode_order()``.
+class _Workspace:
+    """Buffers that the outage kernel reuses for every block of at most
+    ``size`` samples: the (k, n) gain rows, a scratch row, the capacity
+    accumulator, the outage mask and, for bc-zf, the Bartlett normals.
+    Buffers are flat, so a shorter block's leading slice reshapes into a
+    contiguous array."""
 
-    Parallel and DPC gains are independent Gamma(shape_i, 1), drawn into
-    one row of a (k, n) buffer at a time: a row of shape a <= 3 is the
-    in-place sum of a ``standard_exponential`` draws of n values, a row of
-    larger shape one ``standard_gamma`` call. ZF gains are
+    def __init__(self, scenario: Scenario, size: int):
+        k = scenario.k
+        self.draws = np.empty(k * size)
+        self.term = np.empty(size)
+        self.acc = np.empty(size)
+        self.hit = np.empty(size, dtype=bool)
+        self.normals = np.empty(k * (k - 1) * size if scenario.kind == "bc-zf" else 0)
+
+
+def _chunk_gains(
+    scenario: Scenario, rng: np.random.Generator, n: int, work: _Workspace
+) -> np.ndarray:
+    """Draw n effective-gain vectors from the equivalent parallel model into
+    ``work`` and return them as a (k, n) view, rows in
+    ``scenario.encode_order()``.
+
+    Parallel and DPC gains are independent Gamma(shape_i, 1), drawn one row
+    at a time: a row of shape a <= ``_ERLANG_MAX_SHAPE`` is
+    -log prod_{j<a} (1 - U_j) for uniforms U_j from ``rng.random``,
+    multiplied in place (the factors lie in (0, 1], so a zero uniform can
+    never give -log 0), and a row of larger shape one ``standard_gamma``
+    call. ZF gains are
     gamma_i = 1 / [G^-1]_ii for the Gram matrix G = HH*, whose Bartlett
     factor L (G = LL*) has independent entries: |L_ii|^2 ~ Gamma(m - i, 1),
     drawn by the same per-shape rule, and CN(0,1) below the diagonal.
@@ -308,22 +353,23 @@ def _chunk_gains(scenario: Scenario, rng: np.random.Generator, n: int) -> np.nda
     k = scenario.k
     zf = scenario.kind == "bc-zf"
     shapes = range(scenario.m, scenario.m - k, -1) if zf else scenario.gain_shapes()
-    # Drawn as (k, n) and returned transposed: the capacity kernel runs
-    # fastest on column-major gains.
-    draws, term = np.empty((k, n)), np.empty(n)
+    draws, term = work.draws[: k * n].reshape(k, n), work.term[:n]
     for row, shape in zip(draws, shapes):
         if shape > _ERLANG_MAX_SHAPE:
             rng.standard_gamma(float(shape), size=n, out=row)
-        else:
-            rng.standard_exponential(size=n, out=row)
-            for _ in range(shape - 1):
-                row += rng.standard_exponential(size=n, out=term)
+            continue
+        np.subtract(1.0, rng.random(out=row), out=row)
+        for _ in range(shape - 1):
+            row *= np.subtract(1.0, rng.random(out=term), out=term)
+        np.log(row, out=row)
+        np.negative(row, out=row)
     if not zf:
-        return draws.T
+        return draws
     # The draws buffer becomes 1 / |L_ii|, then the column norms, then the gains.
     inv_diag = np.sqrt(draws, out=draws)
     np.divide(1.0, inv_diag, out=inv_diag)
-    z = rng.standard_normal((2, k * (k - 1) // 2, n))
+    pairs = k * (k - 1) // 2
+    z = rng.standard_normal(out=work.normals[: 2 * pairs * n].reshape(2, pairs, n))
     z *= _SQRT_HALF
     below_re, below_im = z  # strict lower triangle of L, row by row
     inv = {}  # (i, c) -> (real, imaginary) parts of entry (i, c < i) of L^-1
@@ -348,7 +394,7 @@ def _chunk_gains(scenario: Scenario, rng: np.random.Generator, n: int) -> np.nda
         re += im
         gains[c] += re
     np.divide(1.0, gains, out=gains)
-    return gains.T
+    return gains
 
 
 def _matrix_gains(
@@ -357,8 +403,8 @@ def _matrix_gains(
     """Oracle path: draw n channel matrices and read their gains off the
     R factor of a stacked QR factorization.
 
-    Returns (gains (n, k), valid mask (n,)) with columns as in
-    ``_chunk_gains``.
+    Returns (gains (n, k), valid mask (n,)), the columns in the order of
+    the rows of ``_chunk_gains``.
     """
     if scenario.kind.startswith("parallel"):
         gains = [_sq_norm(_sample_rows(rng, n, 1, n_i)) for n_i in scenario.gain_shapes()]
@@ -410,12 +456,16 @@ def outage_probability(
     Gains are drawn from the equivalent parallel model (Gamma draws, and
     the Bartlett factor of the Gram matrix for bc-zf), so no draw is ever
     rank deficient and ``n_discarded`` is always 0. A Gamma draw of shape
-    a <= 3 is a sum of a Exp(1) draws and one of larger shape comes from
-    ``standard_gamma``; both give the exact Gamma(a, 1) law, so the
-    estimate's distribution does not depend on the split. The sample
-    budget is split across ``shards`` deterministic substreams derived
-    from ``seed``; outage counts are summed, so the estimate is a pure
-    function of (scenario, r, rho, n_samples, seed, shards).
+    a <= ``_ERLANG_MAX_SHAPE`` is -log of a product of a uniforms in
+    (0, 1] and one of larger shape comes from ``standard_gamma``; both give
+    the exact Gamma(a, 1) law, so the estimate's distribution does not
+    depend on the split. Samples are drawn and reduced in blocks of at most
+    ``_BLOCK``: each call allocates one cache-sized workspace, and every
+    block of every shard reuses it for the draws, the capacity and the
+    outage count. The sample budget is split across ``shards``
+    deterministic substreams derived from ``seed``; outage counts are
+    summed, so the estimate is a pure function of
+    (scenario, r, rho, n_samples, seed, shards).
     """
     k = scenario.k
     if not (math.isfinite(r) and 0.0 <= r <= k):
@@ -430,6 +480,7 @@ def outage_probability(
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     quota, extra = divmod(n_samples, shards)
 
+    work = _Workspace(scenario, min(_BLOCK, quota + (1 if extra else 0)))
     outages = 0
     for shard_index, child in enumerate(root.spawn(shards)):
         remaining = quota + (1 if shard_index < extra else 0)
@@ -437,10 +488,11 @@ def outage_probability(
             continue
         rng = np.random.default_rng(child)
         while remaining > 0:
-            n = min(_CHUNK, remaining)
+            n = min(_BLOCK, remaining)
             remaining -= n
-            capacity = _capacity(mu, rho, _chunk_gains(scenario, rng, n))
-            outages += int((capacity <= threshold).sum())
+            capacity = _capacity(mu, rho, _chunk_gains(scenario, rng, n, work), work.acc[:n])
+            hit = np.less_equal(capacity, threshold, out=work.hit[:n])
+            outages += int(np.count_nonzero(hit))
 
     ci_low, ci_high = confidence_interval(outages, n_samples)
     return OutageEstimate(

@@ -7,8 +7,9 @@ Exit codes: 0 success, 2 invalid input, 3 statistical failure.
 
 ``curve``, ``simulate`` and ``validate`` also read a ``key = value`` config
 file (``--config PATH``) whose entries become parser defaults; flags override
-them. Defaults: samples 100000, seed 0, shards 1, format csv, tol 0.15,
-mean-tol 0.01, var-tol 0.03. Weights accept decimals or fractions (``3/5``).
+them. A key that names no flag of any command exits 2; a key of another
+command's flag is ignored. Defaults: samples 100000, seed 0, shards 1,
+format csv, tol 0.15, mean-tol 0.01, var-tol 0.03. Weights accept decimals or fractions (``3/5``).
 Tolerances must be finite and >= 0, an SNR grid must be finite with at
 most ``MAX_SNR_POINTS`` points, and ``fit`` exits 2 on a non-finite
 window or a table row that lacks a column or disagrees with its ``K``.
@@ -256,9 +257,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("missing --snr-db")
     m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
+    r_values, snr_grid = parse_r_list(args.r), parse_snr_grid(args.snr_db)
     rows = []
-    for i_r, r in enumerate(parse_r_list(args.r)):
-        for i_db, db in enumerate(parse_snr_grid(args.snr_db)):
+    for i_r, r in enumerate(r_values):
+        for i_db, db in enumerate(snr_grid):
             est = outage_probability(
                 scenario,
                 r=r,
@@ -464,10 +466,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            # File entries become defaults, so flags win; other keys are ignored.
+            entries = _read_config_file(args.config)
+            known = {a.dest for p in commands.values() for a in p._actions} - {"help"}
+            if unknown := sorted(entries.keys() - known):
+                raise CliError(f"{args.config}: no wdmt command has a flag {', '.join(unknown)}")
+            # File entries become defaults, so flags win; keys that belong
+            # to another command's flags are ignored.
             flags = vars(args).keys() - {"command", "config", "func"}
-            entries = _read_config_file(args.config).items()
-            commands[args.command].set_defaults(**{k: v for k, v in entries if k in flags})
+            commands[args.command].set_defaults(**{k: v for k, v in entries.items() if k in flags})
             args = parser.parse_args(argv)
         return args.func(args)
     except (DmtError, ValueError) as exc:

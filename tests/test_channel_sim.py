@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,14 @@ from wdmt import (
     weighted_capacity,
     zf_gains,
 )
-from wdmt.channel_sim import _ERLANG_MAX_SHAPE, _SQRT_HALF, _chunk_gains, _matrix_gains
+from wdmt.channel_sim import (
+    _BLOCK,
+    _ERLANG_MAX_SHAPE,
+    _SQRT_HALF,
+    _Workspace,
+    _chunk_gains,
+    _matrix_gains,
+)
 
 
 def k1_outage_oracle(rho, r):
@@ -46,14 +55,20 @@ def projection_residual_sq(target, onto):
 
 def reference_gamma_rows(rng, shapes, n):
     """(k, n) Gamma(shape, 1) rows, drawn one row after another: shape
-    a <= ``_ERLANG_MAX_SHAPE`` as an (a, n) block of Exp(1) draws summed
-    over its first axis, a larger shape by one ``standard_gamma`` call."""
+    a <= ``_ERLANG_MAX_SHAPE`` as -log of the product over the first axis
+    of an (a, n) block of 1 - U factors, a larger shape by one
+    ``standard_gamma`` call."""
     return np.stack([
-        rng.standard_exponential((a, n)).sum(axis=0)
+        -np.log(np.prod(1.0 - rng.random((a, n)), axis=0))
         if a <= _ERLANG_MAX_SHAPE
         else rng.standard_gamma(a, n)
         for a in shapes
     ])
+
+
+def chunk_gains(scenario, rng, n):
+    """``_chunk_gains`` in a workspace of its own, as an (n, k) array."""
+    return _chunk_gains(scenario, rng, n, _Workspace(scenario, n)).T
 
 
 def reference_chunk_gains(scenario, rng, n):
@@ -382,10 +397,11 @@ class TestGammaSampler:
     """The Monte Carlo sampler (Gamma draws, Bartlett factor for ZF) against
     the QR matrix path (gains read off the R factor of drawn H* = QR), by
     two-sample KS tests on independent seeds. The sampler draws shapes up
-    to ``_ERLANG_MAX_SHAPE`` as Erlang sums of Exp(1) draws and larger
-    shapes by ``standard_gamma``; the cases below use shapes 1-4, so both
-    methods meet the oracle. ZF gains are dependent, so the joint statistics
-    min_i gamma_i and prod_i gamma_i are tested as well as each column."""
+    to ``_ERLANG_MAX_SHAPE`` as -log of products of uniforms and larger
+    shapes by ``standard_gamma``; the cases below use shapes 1-4, so they
+    test the products, and ``TestGammaLaw`` tests both methods. ZF gains are
+    dependent, so the joint statistics min_i gamma_i and prod_i gamma_i are
+    tested as well as each column."""
 
     N = 50_000
     P_FLOOR = 1e-4  # about 30 comparisons in all
@@ -404,7 +420,7 @@ class TestGammaSampler:
     )
     def test_matches_matrix_path(self, kind, m, k):
         s = gamma_scenario(kind, m, k)
-        fast = _chunk_gains(s, np.random.default_rng(83), self.N)
+        fast = chunk_gains(s, np.random.default_rng(83), self.N)
         oracle, ok = _matrix_gains(s, np.random.default_rng(89), self.N)
         assert fast.shape == (self.N, k) and ok.all()
         columns = [(f"gamma_{i}", fast[:, i], oracle[:, i]) for i in range(k)]
@@ -419,18 +435,18 @@ class TestGammaSampler:
 
 class TestGammaLaw:
     """Each ``_chunk_gains`` column against its exact Gamma(shape, 1) CDF
-    (``special.gammainc``) by a one-sample KS test. Shapes 1-5 sit on both
-    sides of ``_ERLANG_MAX_SHAPE``, so both the Erlang sums and the
+    (``special.gammainc``) by a one-sample KS test. Shapes 1-7 sit on both
+    sides of ``_ERLANG_MAX_SHAPE``, so both the products of uniforms and the
     ``standard_gamma`` draws are tested; bc-zf columns are the Gamma(m - k + 1)
     marginals, built from Bartlett diagonals of shapes up to 6."""
 
     N = 50_000
-    P_FLOOR = 1e-4  # 30 comparisons in all
+    P_FLOOR = 1e-4  # 34 comparisons in all
 
     @pytest.mark.parametrize(
         "scenario",
         [
-            *(gamma_scenario("parallel-identical", n_t + 1, 2) for n_t in range(1, 6)),
+            *(gamma_scenario("parallel-identical", n_t + 1, 2) for n_t in range(1, 8)),
             gamma_scenario("parallel-different", 5, 5),
             gamma_scenario("bc-dpc", 5, 5),
             *(gamma_scenario("bc-zf", m, 2) for m in range(2, 7)),
@@ -438,7 +454,7 @@ class TestGammaLaw:
         ids=lambda s: f"{s.kind}-shapes{'-'.join(map(str, s.gain_shapes()))}",
     )
     def test_columns_follow_gamma_law(self, scenario):
-        gains = _chunk_gains(scenario, np.random.default_rng(97), self.N)
+        gains = chunk_gains(scenario, np.random.default_rng(97), self.N)
         for i, shape in enumerate(scenario.gain_shapes()):
             p = stats.kstest(gains[:, i], lambda x: special.gammainc(shape, x)).pvalue
             assert p >= self.P_FLOOR, f"gamma_{i} ~ Gamma({shape}, 1): KS p = {p:.2e}"
@@ -455,10 +471,69 @@ class TestSamplerMatchesReference:
             s = gamma_scenario(kind, m, k)
             for n in (1, 7, 1000, 30_000):
                 rng_fast, rng_ref = np.random.default_rng(k * n + m), np.random.default_rng(k * n + m)
-                fast = _chunk_gains(s, rng_fast, n)
+                fast = chunk_gains(s, rng_fast, n)
                 assert np.array_equal(fast, reference_chunk_gains(s, rng_ref, n)), (m, n)
                 # both leave the stream at the same place
                 assert rng_fast.random() == rng_ref.random()
+
+
+class TestOutageKernel:
+    """The blocked, in-place outage kernel against a rebuild of its count
+    from ``reference_chunk_gains``, block by block, with the capacity
+    formula K * (log1p(mu rho gamma) @ mu). The two formulas add the K terms
+    in different orders, so a sample whose reference capacity lies within
+    4 K eps (relative) of the threshold may fall on either side."""
+
+    @pytest.mark.parametrize("kind", ["parallel-identical", "parallel-different", "bc-dpc", "bc-zf"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_count_matches_reference(self, kind, k):
+        s = gamma_scenario(kind, k + 1, k)
+        r, rho, seed, shards = 0.75 * k, 10.0, 103, 3
+        n_samples = shards * (_BLOCK + 777) + 2  # uneven shards, a short last block
+        mu = np.asarray([s.weights.mu[i] for i in s.encode_order()])
+        threshold = r * math.log(rho)
+        tol = 4 * k * np.finfo(float).eps * threshold
+        quota, extra = divmod(n_samples, shards)
+        below = near = 0
+        for index, child in enumerate(np.random.SeedSequence(seed).spawn(shards)):
+            rng = np.random.default_rng(child)
+            remaining = quota + (index < extra)
+            while remaining > 0:
+                n = min(_BLOCK, remaining)
+                remaining -= n
+                capacity = k * (np.log1p(mu * rho * reference_chunk_gains(s, rng, n)) @ mu)
+                close = np.abs(capacity - threshold) <= tol
+                below += int((capacity[~close] <= threshold).sum())
+                near += int(close.sum())
+        est = outage_probability(s, r, rho, n_samples, seed, shards)
+        assert 0 < below and below <= est.n_outages <= below + near
+
+    def test_peak_memory_is_one_workspace(self):
+        # one block's buffers, not 2^20-sample temporaries (18 MB before blocking)
+        s = gamma_scenario("bc-zf", 3, 2)
+        tracemalloc.start()
+        try:
+            outage_probability(s, r=1.0, rho=100.0, n_samples=1 << 20, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    class ZeroUniforms:
+        """A generator stub whose uniforms are all exactly 0.0."""
+
+        def random(self, size=None, dtype=np.float64, out=None):
+            out.fill(0.0)
+            return out
+
+    # bc-zf is left out: a zero Bartlett diagonal is a singular Gram matrix.
+    @pytest.mark.parametrize("kind", ["parallel-identical", "parallel-different", "bc-dpc"])
+    def test_zero_uniform_gives_zero_gain(self, kind):
+        s = gamma_scenario(kind, _ERLANG_MAX_SHAPE, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gains = chunk_gains(s, self.ZeroUniforms(), 100)
+        assert np.isfinite(gains).all() and (gains == 0.0).all()
 
 
 class TestConfidenceInterval:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import wdmt.cli
 from wdmt.cli import (
     EXIT_OK,
     EXIT_STAT_FAIL,
@@ -179,6 +180,22 @@ class TestSimulateCommand:
             }
             assert fields == csv_row
             assert list(json_row) == list(csv_row)
+
+    def test_snr_grid_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse_snr_grid(text)
+
+        monkeypatch.setattr(wdmt.cli, "parse_snr_grid", counting_parse)
+        code = main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--k", "2",
+            "--weights", "0.5,0.5", "--r", "0.5,1.0,1.5", "--snr-db", "5:10:5",
+            "--samples", "100", "--out", str(tmp_path / "sim.csv"),
+        ])
+        assert code == EXIT_OK and calls == ["5:10:5"]
+        assert len(read_rows(tmp_path / "sim.csv")) == 6
 
     def test_oversized_snr_grid_is_usage_error(self, capsys):
         code = main([
@@ -443,14 +460,22 @@ class TestConfigFile:
         assert main(["curve", "--config", str(cfg)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_config_keys_that_are_not_flags_are_ignored(self, tmp_path, capsys):
+    def test_config_keys_of_other_commands_are_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "scenario = bc-zf\nm = 3\nweights = 0.5,0.5\n"
-            "func = x\ncommand = fit\nconfig = /nonexistent.cfg\ntol = 9\n"
+            "config = /nonexistent.cfg\ntol = 9\nr = 7\nmean-tol = x\n"
         )
         assert main(["curve", "--config", str(cfg)]) == EXIT_OK
         assert capsys.readouterr().err == "corners: (0,4) (1,2) (2,0)\n"
+
+    @pytest.mark.parametrize("entry", ["sample = 10", "func = x", "command = fit", "help = 1"])
+    def test_config_key_of_no_flag_is_usage_error(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = bc-zf\nm = 3\nweights = 0.5,0.5\n{entry}\n")
+        assert main(["curve", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and entry.split()[0] in err
 
     def test_config_supplies_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
