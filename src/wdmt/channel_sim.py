@@ -305,7 +305,8 @@ def weighted_capacity(gains: EffectiveGains, weights: Weights, rho: float) -> fl
 
 
 def _mu_columns(scenario: Scenario) -> np.ndarray:
-    """Weights aligned with the gain columns (encode order for bc-dpc)."""
+    """Weights aligned with the gain rows of ``_chunk_gains`` (encode order
+    for bc-dpc)."""
     mu = scenario.weights.mu
     return np.asarray([mu[i] for i in scenario.encode_order()])
 
