@@ -313,7 +313,7 @@ def _mu_columns(scenario: Scenario) -> np.ndarray:
 
 class _Workspace:
     """Buffers that the outage kernel reuses for every block of at most
-    ``size`` samples: the (k, n) gain rows, a scratch row, the capacity
+    ``size`` samples: the (k, n) gain rows, a spare row, the capacity
     accumulator, the outage mask and, for bc-zf, the Bartlett normals.
     Buffers are flat, so a shorter block's leading slice reshapes into a
     contiguous array."""
