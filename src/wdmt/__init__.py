@@ -9,7 +9,6 @@ from .core import (
     DmtCurve,
     DmtError,
     NonPositiveWeightError,
-    OrderingT,
     OutOfRangeError,
     RankDeficientError,
     Scenario,
@@ -66,7 +65,6 @@ __all__ = [
     "InsufficientEventsError",
     "LpInstance",
     "NonPositiveWeightError",
-    "OrderingT",
     "OutOfRangeError",
     "OutageEstimate",
     "RankDeficientError",

@@ -11,19 +11,11 @@ Conventions
   from channel matrices: parallel and DPC gains are independent
   Gamma(shape_i, 1) draws with the shapes of ``Scenario.gain_shapes()``,
   and ZF gains come from the Bartlett factor of the Wishart Gram matrix
-  HH* (Goodman 1963), inverted by forward substitution in real arithmetic.
-  A Gamma draw of integer shape a <= 5 is -log prod_{j<a} (1 - U_j) for
-  uniforms U_j in [0, 1) (Knuth's product form of the Erlang law: a sum
-  of a Exp(1) draws, as a squared norm over a CN(0,1) entries is); larger
-  shapes use numpy's ``standard_gamma``, which is the faster of the two
-  there.
-  The R factor of H* = QR for drawn K x M matrices (one stacked LAPACK
-  call) remains as the independent oracle behind ``zf_gains``,
-  ``dpc_gains`` and ``validate_gain_distribution``.
-* The outage kernel draws and reduces samples in blocks of 2^14 inside
-  one workspace per call, sized for the L2 cache, and accumulates the
-  capacity row by row in place; ``weighted_capacity`` runs the same
-  formula.
+  HH* (Goodman 1963); ``_chunk_gains`` describes the draw and
+  ``_Workspace`` the buffers it reuses. The R factor of H* = QR for drawn
+  K x M matrices (one stacked LAPACK call) remains as the independent
+  oracle behind ``zf_gains``, ``dpc_gains`` and
+  ``validate_gain_distribution``.
 * The normal quantile, the Clopper-Pearson bounds and the Gamma CDF of
   the KS distance come from ``scipy.special``; importing ``scipy.stats``
   would add about a second to every start of the CLI.
@@ -40,6 +32,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -108,10 +101,6 @@ class ChannelMatrix:
     @property
     def n_users(self) -> int:
         return self.h.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.h.shape[1]
 
 
 @dataclass(frozen=True)
@@ -454,19 +443,14 @@ def outage_probability(
 ) -> OutageEstimate:
     """Monte Carlo estimate of P{weighted sum capacity <= r log rho}.
 
-    Gains are drawn from the equivalent parallel model (Gamma draws, and
-    the Bartlett factor of the Gram matrix for bc-zf), so no draw is ever
-    rank deficient and ``n_discarded`` is always 0. A Gamma draw of shape
-    a <= ``_ERLANG_MAX_SHAPE`` is -log of a product of a uniforms in
-    (0, 1] and one of larger shape comes from ``standard_gamma``; both give
-    the exact Gamma(a, 1) law, so the estimate's distribution does not
-    depend on the split. Samples are drawn and reduced in blocks of at most
-    ``_BLOCK``: each call allocates one cache-sized workspace, and every
-    block of every shard reuses it for the draws, the capacity and the
-    outage count. The sample budget is split across ``shards``
-    deterministic substreams derived from ``seed``; outage counts are
-    summed, so the estimate is a pure function of
-    (scenario, r, rho, n_samples, seed, shards).
+    Gains are drawn from the equivalent parallel model by
+    ``_chunk_gains``, so no draw is ever rank deficient and
+    ``n_discarded`` is always 0. Samples are drawn and reduced in blocks
+    of at most ``_BLOCK`` inside one ``_Workspace`` per call. The sample
+    budget is split across min(shards, n_samples) deterministic substreams
+    spawned from a copy of ``seed`` (a caller's ``SeedSequence`` is never
+    advanced); outage counts are summed, so the estimate is a pure function
+    of (scenario, r, rho, n_samples, seed, shards).
     """
     k = scenario.k
     if not (math.isfinite(r) and 0.0 <= r <= k):
@@ -474,19 +458,20 @@ def outage_probability(
     _check_rho(rho)
     _check_count("n_samples", n_samples, 1)
     _check_count("shards", shards, 1)
-    n_samples, shards = int(n_samples), int(shards)
+    n_samples, shards = int(n_samples), min(int(shards), int(n_samples))
 
     threshold = r * math.log(rho)
     mu = _mu_columns(scenario)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        root = copy.copy(seed)  # spawning must not advance the caller's object
+    else:
+        root = np.random.SeedSequence(seed)
     quota, extra = divmod(n_samples, shards)
 
     work = _Workspace(scenario, min(_BLOCK, quota + (1 if extra else 0)))
     outages = 0
     for shard_index, child in enumerate(root.spawn(shards)):
         remaining = quota + (1 if shard_index < extra else 0)
-        if remaining == 0:
-            continue
         rng = np.random.default_rng(child)
         while remaining > 0:
             n = min(_BLOCK, remaining)

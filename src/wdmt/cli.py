@@ -99,8 +99,6 @@ def parse_profile(text: str) -> AntennaProfile:
         counts = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise CliError(f"cannot parse profile {text!r}") from exc
-    if not counts:
-        raise CliError("empty antenna profile")
     return AntennaProfile(counts)
 
 

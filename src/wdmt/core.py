@@ -24,7 +24,6 @@ __all__ = [
     "TooLargeError",
     "Weights",
     "AntennaProfile",
-    "OrderingT",
     "DmtCurve",
     "Scenario",
     "validate_weights",
@@ -94,15 +93,8 @@ class Weights:
                 f"weights sum to {total!r}; expected 1 within {WEIGHT_SUM_TOL}"
             )
 
-    @property
-    def k(self) -> int:
-        return len(self.mu)
-
     def __len__(self) -> int:
         return len(self.mu)
-
-    def __iter__(self):
-        return iter(self.mu)
 
 
 def validate_weights(raw) -> Weights:
@@ -162,56 +154,12 @@ class AntennaProfile:
             raise ValueError(f"antenna counts must be integers >= 1, got {self.n}")
         object.__setattr__(self, "n", counts)
 
-    @property
-    def k(self) -> int:
-        return len(self.n)
-
     def total_diversity(self) -> int:
         """Sum of all antenna counts, the diversity available at zero rate."""
         return sum(self.n)
 
-    @staticmethod
-    def uniform(k: int, n_t: int) -> "AntennaProfile":
-        return AntennaProfile((n_t,) * k)
-
     def __len__(self) -> int:
         return len(self.n)
-
-
-@dataclass(frozen=True)
-class OrderingT:
-    """Stable permutation sorting channels by weight-per-antenna, descending.
-
-    ``perm[j]`` is the original 0-based channel index placed at sorted
-    position ``j``. Ties are broken by ascending original index.
-    """
-
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        perm = tuple(int(p) for p in self.perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise ValueError(f"not a permutation of 0..{len(perm) - 1}: {perm}")
-        object.__setattr__(self, "perm", perm)
-
-    @property
-    def k(self) -> int:
-        return len(self.perm)
-
-    def apply(self, seq) -> tuple:
-        """Reorder ``seq`` into sorted position: result[j] = seq[perm[j]]."""
-        values = tuple(seq)
-        if len(values) != len(self.perm):
-            raise DimensionMismatchError(
-                f"sequence of length {len(values)} vs permutation of {len(self.perm)}"
-            )
-        return tuple(values[p] for p in self.perm)
-
-    def inverse(self) -> "OrderingT":
-        inv = [0] * len(self.perm)
-        for j, p in enumerate(self.perm):
-            inv[p] = j
-        return OrderingT(tuple(inv))
 
 
 # Relative gap below which two sort keys count as tied. Exact rational ties
@@ -239,11 +187,10 @@ def stable_desc_order(values, tol: float = _TIE_RTOL) -> tuple[int, ...]:
     return tuple(i for group in groups for i in sorted(group))
 
 
-def ordering(weights: Weights, profile: AntennaProfile) -> OrderingT:
-    """Permutation sorting channels by mu_i / n_i in descending order.
-
-    Stable: channels with equal weight-per-antenna (up to float noise) keep
-    their relative order.
+def ordering(weights: Weights, profile: AntennaProfile) -> tuple[int, ...]:
+    """Channel indices sorted by mu_i / n_i, descending: entry j is the
+    original 0-based index of the channel at sorted position j. Channels
+    with equal weight-per-antenna (up to float noise) keep index order.
 
     Raises
     ------
@@ -255,7 +202,7 @@ def ordering(weights: Weights, profile: AntennaProfile) -> OrderingT:
             f"{len(weights)} weights vs {len(profile)} antenna counts"
         )
     per_antenna = [m / n for m, n in zip(weights.mu, profile.n)]
-    return OrderingT(stable_desc_order(per_antenna))
+    return stable_desc_order(per_antenna)
 
 
 @dataclass(frozen=True)

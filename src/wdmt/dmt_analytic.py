@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .core import (
     AntennaProfile,
-    DimensionMismatchError,
     DmtCurve,
     OutOfRangeError,
     Scenario,
@@ -76,18 +75,18 @@ def _corner_rates(k: int, mu_desc) -> list[float]:
 def dmt_different(profile: AntennaProfile, weights: Weights) -> DmtCurve:
     """DMT of K parallel MISO channels with per-channel antenna counts.
 
-    Channels are first sorted by weight-per-antenna (descending, stable);
-    with ordered weights mu_hat and counts n_hat the corners are
+    The weights mu_hat and counts n_hat are read by index in the order of
+    :func:`~wdmt.core.ordering` (weight-per-antenna, descending, stable),
+    and the corners are
     r(i) = K(1 - sum_{j<=K-i} mu_hat_j) and d(i) = sum_{j<=K-i} n_hat_j,
     with r(K) = K and d(K) = 0. A uniform profile n_t gives the identical
     channels' corners r(i) = K(sum of the i smallest weights),
-    d(i) = n_t(K-i). Raises ``DimensionMismatchError`` (from
-    :func:`~wdmt.core.ordering`) if the lengths differ.
+    d(i) = n_t(K-i). Raises ``DimensionMismatchError`` if the lengths differ.
     """
-    t = ordering(weights, profile)
+    order = ordering(weights, profile)
     k = len(profile)
-    mu_hat = t.apply(weights.mu)
-    n_hat = t.apply(profile.n)
+    mu_hat = [weights.mu[i] for i in order]
+    n_hat = [profile.n[i] for i in order]
     rates = _corner_rates(k, mu_hat)
     corners = tuple((rates[i], float(sum(n_hat[: k - i]))) for i in range(k + 1))
     return DmtCurve(corners)
@@ -103,30 +102,24 @@ def lp_greedy(profile: AntennaProfile, weights: Weights, r: float) -> ExponentSo
 
     with alpha = x / n returned in the original channel indexing. The
     objective equals the curve value: ``dmt_different(...).evaluate(r)``.
+    Raises ``DimensionMismatchError`` if the lengths differ, at every r.
     """
-    if len(weights) != len(profile):
-        raise DimensionMismatchError(
-            f"{len(weights)} weights vs {len(profile)} antenna counts"
-        )
+    order = ordering(weights, profile)
     k = len(profile)
     if not 0.0 <= r <= k:  # NaN fails too
         raise OutOfRangeError(f"r = {r} outside [0, {k}]")
     if r == 0.0:
         return ExponentSolution((1.0,) * k, float(profile.total_diversity()))
-    t = ordering(weights, profile)
-    mu_hat = t.apply(weights.mu)
-    n_hat = t.apply(profile.n)
+    mu, n = weights.mu, profile.n
     bound = 1.0 - r / k
-    x_hat = []
-    consumed = 0.0  # sum of mu_hat over fully saturated channels
-    for i in range(k):
-        per_antenna = mu_hat[i] / n_hat[i]
+    x = [0.0] * k  # by original index, filled in weight-per-antenna order
+    consumed = 0.0  # sum of mu over fully saturated channels
+    for i in order:
+        per_antenna = mu[i] / n[i]
         residual = bound - consumed
-        x_hat.append(min(max(residual, 0.0) / per_antenna, float(n_hat[i])))
-        consumed += mu_hat[i]
-    alpha_hat = tuple(x / n for x, n in zip(x_hat, n_hat))
-    alpha = t.inverse().apply(alpha_hat)
-    return ExponentSolution(alpha, math.fsum(x_hat))
+        x[i] = min(max(residual, 0.0) / per_antenna, float(n[i]))
+        consumed += mu[i]
+    return ExponentSolution(tuple(x_i / n_i for x_i, n_i in zip(x, n)), math.fsum(x))
 
 
 def optimal_weights(profile: AntennaProfile) -> Weights:

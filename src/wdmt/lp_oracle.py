@@ -88,14 +88,12 @@ class LpInstance:
     ) -> "LpInstance":
         """Substituted variables x_i = n_i alpha_i in [0, n_i]: unit costs,
         weights mu_i / n_i."""
-        k = len(profile)
-        if not 0.0 <= r <= k:  # NaN fails too
-            raise OutOfRangeError(f"r = {r} outside [0, {k}]")
+        a = cls.alpha_form(profile, weights, r)
         return cls(
-            costs=(1.0,) * k,
-            weights=tuple(m / n for m, n in zip(weights.mu, profile.n)),
-            bound=1.0 - r / k,
-            upper=tuple(float(n) for n in profile.n),
+            costs=a.upper,
+            weights=tuple(m / n for m, n in zip(a.weights, a.costs)),
+            bound=a.bound,
+            upper=a.costs,
         )
 
 

@@ -128,7 +128,7 @@ class TestSampleChannel:
     def test_shape_and_convention(self):
         ch = sample_channel(5, 3, 0)
         assert ch.h.shape == (3, 5)
-        assert ch.n_users == 3 and ch.n_tx == 5
+        assert ch.n_users == 3
 
     def test_entry_power_is_unit(self):
         ch = sample_channel(50_000, 2, 7)  # 1e5 entries
@@ -321,6 +321,21 @@ class TestOutageProbability:
         a = outage_probability(s, r=1.0, rho=100.0, n_samples=30_000, seed=53, shards=4)
         b = outage_probability(s, r=1.0, rho=100.0, n_samples=30_000, seed=53, shards=4)
         assert a == b
+
+    def test_seed_sequence_object_is_not_advanced(self):
+        s = gamma_scenario("bc-zf", 3, 2)
+        seed = np.random.SeedSequence(5)
+        a = outage_probability(s, r=1.0, rho=100.0, n_samples=20_000, seed=seed, shards=2)
+        b = outage_probability(s, r=1.0, rho=100.0, n_samples=20_000, seed=seed, shards=2)
+        assert a == b
+        assert seed.n_children_spawned == 0
+        assert a == outage_probability(s, r=1.0, rho=100.0, n_samples=20_000, seed=5, shards=2)
+
+    @pytest.mark.parametrize("kind", ["parallel-identical", "bc-zf"])
+    def test_shards_beyond_samples_match_one_sample_per_shard(self, kind):
+        s = gamma_scenario(kind, 3, 2)
+        many = outage_probability(s, r=1.5, rho=10.0, n_samples=10, seed=7, shards=10**4)
+        assert many == outage_probability(s, r=1.5, rho=10.0, n_samples=10, seed=7, shards=10)
 
     def test_monotone_in_snr_and_rate(self):
         ests_rho = [

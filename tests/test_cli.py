@@ -107,6 +107,15 @@ class TestCurveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and err.count("\n") == 1
 
+    def test_empty_profile_is_usage_error(self, capsys):
+        code = main([
+            "curve", "--scenario", "parallel-different", "--profile", ",",
+            "--weights", "0.5,0.5",
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_too_many_users_is_usage_error(self):
         code = main([
             "curve", "--scenario", "bc-zf", "--m", "2", "--k", "3",

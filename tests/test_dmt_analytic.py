@@ -122,7 +122,7 @@ class TestDifferent:
             k = int(rng.integers(1, 6))
             n_t = int(rng.integers(1, 5))
             w = random_weights(rng, k)
-            curve = dmt_different(AntennaProfile.uniform(k, n_t), w)
+            curve = dmt_different(AntennaProfile((n_t,) * k), w)
             assert curve.corners == paper_corners((n_t,) * k, w.mu)
 
     def test_dimension_mismatch(self):
@@ -240,6 +240,12 @@ class TestLpGreedy:
     def test_nan_rate_rejected(self):
         with pytest.raises(OutOfRangeError):
             lp_greedy(AntennaProfile((2, 1)), validate_weights((0.5, 0.5)), math.nan)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_dimension_mismatch(self, r):
+        # the r = 0 shortcut must not skip the length check
+        with pytest.raises(DimensionMismatchError):
+            lp_greedy(AntennaProfile((2, 1, 1)), validate_weights((0.5, 0.5)), r)
 
     def test_objective_matches_curve_everywhere(self):
         rng = np.random.default_rng(52)
