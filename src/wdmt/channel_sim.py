@@ -503,7 +503,8 @@ def validate_gain_distribution(
     relative errors of mean and variance plus the Kolmogorov-Smirnov
     distance.
     """
-    if not 0 <= index < scenario.k:
+    _check_count("index", index, 0)
+    if index >= scenario.k:
         raise OutOfRangeError(f"index {index} outside 0..{scenario.k - 1}")
     _check_count("n_samples", n_samples, 2)
     shape = scenario.gain_shapes()[index]

@@ -5,19 +5,20 @@ Subcommands: ``curve`` (analytic corner points plus a dense sampling),
 against the analytic curve), and ``validate`` (gain distribution checks).
 Exit codes: 0 success, 2 invalid input, 3 statistical failure.
 
-``curve``, ``simulate`` and ``validate`` also read a ``key = value`` config
-file (``--config PATH``) whose entries become parser defaults; flags override
-them. A key that names no flag of any command exits 2; a key of another
-command's flag is ignored. Defaults: samples 100000, seed 0, shards 1,
-format csv, tol 0.15, mean-tol 0.01, var-tol 0.03. Weights accept decimals or fractions (``3/5``).
-Tolerances must be finite and >= 0, an SNR grid must be finite with at
-most ``MAX_SNR_POINTS`` points, and ``fit`` exits 2 on a non-finite
-window or a table row that lacks a column or disagrees with its ``K``.
+Each value flag's text is converted once, by its argparse ``type``; the
+entries of a ``key = value`` config file (``--config PATH`` for ``curve``,
+``simulate`` and ``validate``) become parser defaults, so the same converters
+read them and flags override them. A key that names no flag of any command
+exits 2; a key of another command's flag is ignored. An empty list entry
+(``0.5,,0.5``) and an antenna flag that the scenario kind does not use exit
+2 too. Every rejection is one ``error:`` line; a value that its converter
+rejects is named by its flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -53,105 +54,108 @@ CURVE_RESOLUTION = 0.01
 MAX_SNR_POINTS = 10_000  # simulate runs one estimate per point and r
 
 
-class CliError(DmtError):
-    """Invalid command-line or config-file input."""
+class CliError(DmtError, argparse.ArgumentTypeError):
+    """Invalid command-line or config-file input. When a flag's ``type``
+    converter raises it, argparse reports it as ``argument --flag: ...``."""
 
 
-def _fmt(x: float) -> str:
-    """Serialize a float with 17 significant digits (lossless round trip)."""
-    return format(float(x), ".17g")
+def _converter(parse):
+    """``parse`` as an argparse ``type``: whatever it rejects is re-raised as
+    a :class:`CliError`, so the message names the flag."""
+
+    @functools.wraps(parse)
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (DmtError, ValueError, ArithmeticError) as exc:
+            raise CliError(str(exc)) from exc
+
+    return convert
 
 
-def _csv_cell(value) -> str:
-    """One simulate-table field as CSV text: floats through :func:`_fmt`,
-    everything else (strings, integer counts) as ``str``."""
-    return _fmt(value) if isinstance(value, float) else str(value)
+def _fmt(x) -> str:
+    """One output field as text: a float with 17 significant digits (lossless
+    round trip), anything else (strings, integer counts) as ``str``."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
+def _entries(text: str) -> list[str]:
+    """The stripped entries of a comma-separated list; an empty one is an error."""
+    entries = [tok.strip() for tok in text.split(",")]
+    if "" in entries:
+        raise ValueError(f"empty entry in {text!r}")
+    return entries
 
 
 def _parse_fraction(token: str) -> Fraction:
-    token = token.strip()
-    try:
-        if "/" in token:
-            num, den = token.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"cannot parse number {token!r}") from exc
+    num, slash, den = token.partition("/")
+    return Fraction(int(num), int(den)) if slash else Fraction(token)
 
 
+@_converter
 def parse_weights(text: str) -> Weights:
     """Comma-separated weights, decimals or fractions, exactly normalized.
 
     Fractions are kept exact through normalization, so e.g. ``3/5,2/5``
     yields float weights whose sum is exactly 1.
     """
-    parts = [_parse_fraction(tok) for tok in text.split(",") if tok.strip()]
-    if not parts:
-        raise CliError("empty weight list")
+    parts = [_parse_fraction(tok) for tok in _entries(text)]
     total = sum(parts)
     if abs(total - 1) > Fraction(1, 10**9):
-        raise CliError(f"weights sum to {float(total)}, expected 1 within 1e-9")
+        raise ValueError(f"weights sum to {float(total)}, expected 1 within 1e-9")
     return validate_weights([float(p / total) for p in parts])
 
 
+@_converter
 def parse_profile(text: str) -> AntennaProfile:
-    try:
-        counts = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise CliError(f"cannot parse profile {text!r}") from exc
-    return AntennaProfile(counts)
+    return AntennaProfile(tuple(int(tok) for tok in _entries(text)))
 
 
+@_converter
 def parse_r_list(text: str) -> tuple[float, ...]:
-    values = tuple(float(_parse_fraction(tok)) for tok in text.split(",") if tok.strip())
-    if not values:
-        raise CliError("empty multiplexing-gain list")
-    return values
+    return tuple(float(_parse_fraction(tok)) for tok in _entries(text))
 
 
+@_converter
 def parse_snr_grid(text: str) -> tuple[float, ...]:
     """SNR grid in dB: a single value or finite ``start:stop:step`` with
     step > 0 and at most ``MAX_SNR_POINTS`` points."""
     parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) != 3:
-            raise ValueError
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise CliError(f"SNR grid must be 'start:stop:step', got {text!r}") from exc
+    if len(parts) == 1:
+        parts = [text, text, "1"]
+    if len(parts) != 3:
+        raise ValueError(f"SNR grid must be 'start:stop:step', got {text!r}")
+    start, stop, step = map(float, parts)
     if step <= 0:
-        raise CliError(f"SNR step must be > 0, got {step}")
+        raise ValueError(f"SNR step must be > 0, got {step}")
     if stop < start:
-        raise CliError(f"SNR stop {stop} below start {start}")
+        raise ValueError(f"SNR stop {stop} below start {start}")
     if not all(map(math.isfinite, (start, stop, step))):
-        raise CliError(f"SNR grid must be finite, got {text!r}")
+        raise ValueError(f"SNR grid must be finite, got {text!r}")
     grid = []
     while (value := start + len(grid) * step) <= stop + 1e-9:
         if len(grid) == MAX_SNR_POINTS:
-            raise CliError(f"SNR grid {text!r} has more than {MAX_SNR_POINTS} points")
+            raise ValueError(f"SNR grid {text!r} has more than {MAX_SNR_POINTS} points")
         grid.append(value)
     return tuple(grid)
 
 
+@_converter
 def parse_window(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise CliError(f"window must be 'low:high' in dB, got {text!r}")
-    try:
-        low, high = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise CliError(f"cannot parse window {text!r}") from exc
+        raise ValueError(f"window must be 'low:high' in dB, got {text!r}")
+    low, high = float(parts[0]), float(parts[1])
     if not (math.isfinite(low) and math.isfinite(high)):
-        raise CliError(f"window bounds must be finite, got {text!r}")
+        raise ValueError(f"window bounds must be finite, got {text!r}")
     return low, high
 
 
-def parse_tolerance(text: str, flag: str) -> float:
+@_converter
+def parse_tolerance(text: str) -> float:
     tol = float(text)
     if not 0.0 <= tol < math.inf:
-        raise CliError(f"{flag} must be finite and >= 0, got {text!r}")
+        raise ValueError(f"tolerance must be finite and >= 0, got {text!r}")
     return tol
 
 
@@ -173,25 +177,14 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _scenario(args: argparse.Namespace) -> Scenario:
-    """The command's scenario; converts the integer flags of ``args`` in place."""
-    for name in ("k", "m", "nt", "samples", "seed", "shards"):
-        value = getattr(args, name, None)
-        if value is not None:
-            try:
-                setattr(args, name, int(value))
-            except ValueError as exc:
-                raise CliError(f"--{name} expects an integer, got {value!r}") from exc
+    """The scenario that the command's converted flags describe."""
     if args.scenario is None:
         raise CliError("missing --scenario")
     if args.weights is None:
         raise CliError("missing --weights")
-    weights = parse_weights(args.weights)
-    if args.k is not None and args.k != len(weights):
-        raise CliError(f"--k {args.k} but {len(weights)} weights given")
-    profile = None if args.profile is None else parse_profile(args.profile)
-    return Scenario(
-        kind=args.scenario, weights=weights, n_t=args.nt, profile=profile, m=args.m
-    )
+    if args.k is not None and args.k != len(args.weights):
+        raise CliError(f"--k {args.k} but {len(args.weights)} weights given")
+    return Scenario(args.scenario, args.weights, n_t=args.nt, profile=args.profile, m=args.m)
 
 
 def _write_output(args: argparse.Namespace, payload, csv_lines: list[str]) -> None:
@@ -214,12 +207,10 @@ def _write_output(args: argparse.Namespace, payload, csv_lines: list[str]) -> No
 
 
 def _scenario_m_column(scenario: Scenario) -> str:
-    """The table's ``M`` column; :func:`_scenario_from_row` reads it back."""
-    if scenario.kind in ("bc-zf", "bc-dpc"):
-        return str(scenario.m)
-    if scenario.kind == "parallel-identical":
-        return str(scenario.n_t)
-    return ";".join(str(n) for n in scenario.profile.n)
+    """The table's ``M`` column: the counts of the one antenna field that the
+    kind uses. :func:`_scenario_from_row` reads it back."""
+    counts = scenario.profile.n if scenario.profile else (scenario.n_t or scenario.m,)
+    return ";".join(map(str, counts))
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
@@ -255,10 +246,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("missing --snr-db")
     m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
-    r_values, snr_grid = parse_r_list(args.r), parse_snr_grid(args.snr_db)
     rows = []
-    for i_r, r in enumerate(r_values):
-        for i_db, db in enumerate(snr_grid):
+    for i_r, r in enumerate(args.r):
+        for i_db, db in enumerate(args.snr_db):
             est = outage_probability(
                 scenario,
                 r=r,
@@ -267,25 +257,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 seed=np.random.SeedSequence((args.seed, i_r, i_db)),
                 shards=args.shards,
             )
-            rows.append(
-                {
-                    "scenario": scenario.kind,
-                    "K": scenario.k,
-                    "M": m_col,
-                    "weights": w_col,
-                    "r": r,
-                    "rho_db": db,
-                    "n_samples": est.n_samples,
-                    "n_outages": est.n_outages,
-                    "p_hat": est.p_hat,
-                    "ci_low": est.ci_low,
-                    "ci_high": est.ci_high,
-                    "seed": args.seed,
-                    "shards": args.shards,
-                }
+            values = (
+                scenario.kind, scenario.k, m_col, w_col, r, db, est.n_samples,
+                est.n_outages, est.p_hat, est.ci_low, est.ci_high, args.seed, args.shards,
             )
+            rows.append(dict(zip(CSV_COLUMNS.split(","), values)))
 
-    lines = [CSV_COLUMNS] + [",".join(map(_csv_cell, row.values())) for row in rows]
+    lines = [CSV_COLUMNS] + [",".join(map(_fmt, row.values())) for row in rows]
     _write_output(args, rows, lines)
     return EXIT_OK
 
@@ -338,8 +316,6 @@ def _read_table(path: str) -> list[dict[str, str]]:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     rows = _read_table(args.input)
-    window = parse_window(args.window)
-    tol = parse_tolerance(args.tol, "--tol")
     scenario = _scenario_from_row(rows[0])
     curve = curve_for_scenario(scenario)
 
@@ -360,12 +336,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     all_passed = True
     for r in sorted(by_r):
         try:
-            fit = fit_slope(by_r[r], window)
+            fit = fit_slope(by_r[r], args.window)
         except DmtError as exc:
             print(f"r={r:g}: FAIL ({exc})")
             all_passed = False
             continue
-        report = compare(fit, curve, r, tol=tol)
+        report = compare(fit, curve, r, tol=args.tol)
         verdict = "pass" if report.passed else "FAIL"
         dropped = f" dropped={len(fit.dropped)}" if fit.dropped else ""
         print(
@@ -379,8 +355,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
-    mean_tol = parse_tolerance(args.mean_tol, "--mean-tol")
-    var_tol = parse_tolerance(args.var_tol, "--var-tol")
     all_passed = True
     for index in range(scenario.k):
         report = validate_gain_distribution(
@@ -389,7 +363,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             n_samples=args.samples,
             seed=np.random.SeedSequence((args.seed, index)),
         )
-        ok = report.mean_rel_err <= mean_tol and report.var_rel_err <= var_tol
+        ok = report.mean_rel_err <= args.mean_tol and report.var_rel_err <= args.var_tol
         all_passed &= ok
         print(
             f"gain[{index}] ~ Gamma({report.shape},1): mean={report.mean:.4f} "
@@ -401,13 +375,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", choices=SCENARIO_KINDS)
-    parser.add_argument("--k", help="number of channels / users")
-    parser.add_argument("--m", help="transmit antennas (broadcast kinds)")
-    parser.add_argument("--nt", help="antennas per channel (parallel-identical)")
-    parser.add_argument("--profile", help="comma-separated antenna counts")
-    parser.add_argument("--weights", help="comma-separated weights, decimals or fractions")
-    parser.add_argument("--config", help="key = value file; flags override")
+    add = parser.add_argument
+    add("--scenario", choices=SCENARIO_KINDS)
+    add("--k", type=int, help="number of channels / users")
+    add("--m", type=int, help="transmit antennas (broadcast kinds)")
+    add("--nt", type=int, help="antennas per channel (parallel-identical)")
+    add("--profile", type=parse_profile, help="comma-separated antenna counts")
+    add("--weights", type=parse_weights, help="comma-separated weights, decimals or fractions")
+    add("--config", help="key = value file; flags override")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -432,37 +407,41 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sim = sub.add_parser("simulate", help="Monte Carlo outage probability table")
     _add_scenario_flags(p_sim)
     _add_output_flags(p_sim)
-    p_sim.add_argument("--r", help="comma-separated multiplexing gains")
-    p_sim.add_argument(
-        "--snr-db", dest="snr_db",
-        help=f"SNR grid start:stop:step in dB, at most {MAX_SNR_POINTS} points",
-    )
-    p_sim.add_argument("--samples", default="100000", help="Monte Carlo samples per (r, SNR) point")
-    p_sim.add_argument("--seed", default="0", help="base random seed")
-    p_sim.add_argument("--shards", default="1", help="independent substreams per point")
+    add = p_sim.add_argument
+    add("--r", type=parse_r_list, help="comma-separated multiplexing gains")
+    add("--snr-db", type=parse_snr_grid,
+        help=f"SNR grid start:stop:step in dB, at most {MAX_SNR_POINTS} points")
+    add("--samples", type=int, default="100000", help="Monte Carlo samples per (r, SNR) point")
+    add("--seed", type=int, default="0", help="base random seed")
+    add("--shards", type=int, default="1", help="independent substreams per point")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit diversity slopes from a simulate table")
-    p_fit.add_argument("--input", required=True, help="table written by simulate")
-    p_fit.add_argument("--window", required=True, help="fit window low:high in dB")
-    p_fit.add_argument("--tol", default="0.15", help="relative tolerance on d (default 0.15)")
+    add = p_fit.add_argument
+    add("--input", required=True, help="table written by simulate")
+    add("--window", type=parse_window, required=True, help="fit window low:high in dB")
+    add("--tol", type=parse_tolerance, default="0.15",
+        help="relative tolerance on d (default 0.15)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_val = sub.add_parser("validate", help="check effective gain distributions")
     _add_scenario_flags(p_val)
-    p_val.add_argument("--samples", default="100000", help="draws per gain index")
-    p_val.add_argument("--seed", default="0", help="base random seed")
-    p_val.add_argument("--mean-tol", dest="mean_tol", default="0.01")
-    p_val.add_argument("--var-tol", dest="var_tol", default="0.03")
+    add = p_val.add_argument
+    add("--samples", type=int, default="100000", help="draws per gain index")
+    add("--seed", type=int, default="0", help="base random seed")
+    add("--mean-tol", type=parse_tolerance, default="0.01")
+    add("--var-tol", type=parse_tolerance, default="0.03")
     p_val.set_defaults(func=cmd_validate)
 
+    for p in (parser, *sub.choices.values()):
+        p.exit_on_error = False  # main reports a bad value in one line
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):
             entries = _read_config_file(args.config)
             known = {a.dest for p in commands.values() for a in p._actions} - {"help"}
@@ -474,7 +453,7 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(**{k: v for k, v in entries.items() if k in flags})
             args = parser.parse_args(argv)
         return args.func(args)
-    except (DmtError, ValueError) as exc:
+    except (DmtError, ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,6 +8,7 @@ pure, so values can be shared freely across threads and processes.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -131,11 +132,13 @@ def validate_weights(raw) -> Weights:
 
 
 def _as_count(x) -> int | None:
-    """``x`` as an int if it is an integer >= 1 (2.0 counts, 2.5 does not),
-    else None."""
+    """``x`` as an int if it is a real integer >= 1 (2.0 counts; 2.5, ``True``
+    and ``"2"`` do not), else None."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return None
     try:
         count = int(x)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         return None
     return count if count >= 1 and count == x else None
 
@@ -221,6 +224,8 @@ class DmtCurve:
         pts = tuple((float(r), float(d)) for r, d in self.corners)
         if len(pts) < 2:
             raise ValueError("a DMT curve needs at least two corners")
+        if not all(math.isfinite(v) for p in pts for v in p):
+            raise ValueError(f"corners must be finite: {pts}")
         if pts[0][0] != 0.0:
             raise ValueError(f"first corner must be at r = 0, got {pts[0]}")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
@@ -275,6 +280,9 @@ class Scenario:
     bc-zf / bc-dpc
         Broadcast channel, ``m`` transmit antennas, K single-antenna users,
         zero-forcing or dirty-paper precoding.
+
+    Each kind sets exactly one of ``n_t``, ``profile`` and ``m``; setting
+    another is an error.
     """
 
     kind: str
@@ -286,6 +294,10 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        used = {"parallel-identical": "n_t", "parallel-different": "profile"}.get(self.kind, "m")
+        unused = [f for f in ("n_t", "profile", "m") if f != used and getattr(self, f) is not None]
+        if unused:
+            raise ValueError(f"{self.kind} uses {used} only, got {', '.join(unused)} too")
         k = len(self.weights)
         if self.kind == "parallel-identical":
             n_t = _as_count(self.n_t)

@@ -638,6 +638,12 @@ class TestValidateGainDistribution:
         with pytest.raises(OutOfRangeError):
             validate_gain_distribution(s, 2, 1000, seed=1)
 
+    @pytest.mark.parametrize("index", [True, 1.0, -1, "0"])
+    def test_index_must_be_an_integer(self, index):
+        s = Scenario(kind="bc-zf", weights=validate_weights((0.5, 0.5)), m=3)
+        with pytest.raises(OutOfRangeError):
+            validate_gain_distribution(s, index, 1000, seed=1)
+
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import; the package needs only scipy.special

@@ -11,10 +11,22 @@ from wdmt.cli import (
     MAX_SNR_POINTS,
     CliError,
     _fmt,
+    build_parser,
     main,
+    parse_profile,
+    parse_r_list,
     parse_snr_grid,
     parse_weights,
 )
+
+# (flag, parser, text) of list values with an empty entry; each used to be
+# read as a shorter list
+EMPTY_ENTRIES = [
+    ("--weights", parse_weights, "0.5,,0.5"),
+    ("--weights", parse_weights, "0.5,0.5,"),
+    ("--profile", parse_profile, "2,,1"),
+    ("--r", parse_r_list, "1,,1.5"),
+]
 
 
 def read_corners(path):
@@ -57,6 +69,11 @@ class TestParsing:
         with pytest.raises(CliError, match="finite"):
             parse_snr_grid(text)
 
+    @pytest.mark.parametrize("parse, text", [case[1:] for case in EMPTY_ENTRIES])
+    def test_empty_list_entry_rejected(self, parse, text):
+        with pytest.raises(CliError, match="empty entry"):
+            parse(text)
+
     def test_snr_grid_point_limit(self):
         assert len(parse_snr_grid(f"0:{MAX_SNR_POINTS - 1}:1")) == MAX_SNR_POINTS
         # a finite grid used to append points until memory ran out; it now
@@ -64,6 +81,35 @@ class TestParsing:
         for text in (f"0:{MAX_SNR_POINTS}:1", "0:1e9:1e-3"):
             with pytest.raises(CliError, match="more than"):
                 parse_snr_grid(text)
+
+
+@pytest.mark.parametrize("flag, parse, text", EMPTY_ENTRIES)
+def test_empty_list_entry_is_usage_error(capsys, flag, parse, text):
+    argv = {
+        "--weights": ["curve", "--scenario", "bc-zf", "--m", "3"],
+        "--profile": ["curve", "--scenario", "parallel-different", "--weights", "0.5,0.5"],
+        "--r": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                "--snr-db", "10", "--samples", "100"],
+    }[flag]
+    assert main([*argv, flag, text]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: argument {flag}: empty entry in {text!r}\n"
+
+
+def test_value_flags_have_converters():
+    # argparse runs `type` on string defaults, and config entries become string
+    # defaults, so flags and config entries share one converter. Only choice
+    # options (checked by the command) and paths stay strings.
+    _, commands = build_parser()
+    checked = 0
+    for command, parser in commands.items():
+        for action in parser._actions:
+            if action.dest == "help":
+                continue
+            untyped = action.choices is not None or action.dest in ("config", "out", "input")
+            assert (action.type is None) == untyped, (command, action.dest)
+            checked += isinstance(action.default, str) and action.type is not None
+    assert checked == 8  # --samples and --seed twice, --shards, --tol, --mean-tol, --var-tol
 
 
 class TestCurveCommand:
@@ -115,6 +161,18 @@ class TestCurveCommand:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--scenario", "bc-zf", "--m", "3", "--nt", "2"],
+         ["--scenario", "parallel-identical", "--nt", "2", "--profile", "2,1"],
+         ["--scenario", "parallel-different", "--profile", "2,1", "--m", "3"]],
+        ids=["bc-zf-nt", "identical-profile", "different-m"],
+    )
+    def test_unused_antenna_flag_is_usage_error(self, capsys, flags):
+        assert main(["curve", *flags, "--weights", "0.55,0.45"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "only" in err
 
     def test_too_many_users_is_usage_error(self):
         code = main([

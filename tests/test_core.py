@@ -103,6 +103,9 @@ class TestAntennaProfile:
             AntennaProfile((1.5, 2))
         with pytest.raises(ValueError):
             AntennaProfile((math.inf, 2))
+        for flag in (True, np.True_):  # a bool is not the count 1
+            with pytest.raises(ValueError):
+                AntennaProfile((flag, 2))
 
 
 class TestOrdering:
@@ -163,6 +166,9 @@ class TestDmtCurve:
             DmtCurve(((0.0, 4.0), (2.0, 1.0)))  # last d nonzero
         with pytest.raises(ValueError):
             DmtCurve(((0.0, 0.0),))  # single corner
+        for corners in (((0, math.nan), (1, 0)), ((0, math.inf), (1, 0)), ((0, 1), (math.inf, 0))):
+            with pytest.raises(ValueError):
+                DmtCurve(corners)  # non-finite corner
 
     def test_evaluate_exact_at_corners(self):
         curve = DmtCurve(((0.0, 4.0), (1.0, 2.0), (2.0, 0.0)))
@@ -204,14 +210,14 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(kind="parallel-identical", weights=validate_weights((1.0,)))
 
-    @pytest.mark.parametrize("n_t", [2.7, 0.5, 0, math.nan, math.inf, "2"])
+    @pytest.mark.parametrize("n_t", [2.7, 0.5, 0, math.nan, math.inf, "2", True, np.True_])
     def test_parallel_identical_rejects_non_integer_nt(self, n_t):
         w = validate_weights((1.0,))
         with pytest.raises(ValueError):
             Scenario(kind="parallel-identical", weights=w, n_t=n_t)
 
     @pytest.mark.parametrize("kind", ["bc-zf", "bc-dpc"])
-    @pytest.mark.parametrize("m", [3.9, 0, math.nan, math.inf])
+    @pytest.mark.parametrize("m", [3.9, 0, math.nan, math.inf, True])
     def test_broadcast_rejects_non_integer_m(self, kind, m):
         with pytest.raises(ValueError):
             Scenario(kind=kind, weights=validate_weights((1.0,)), m=m)
@@ -220,6 +226,22 @@ class TestScenario:
         w = validate_weights((1.0,))
         assert Scenario(kind="parallel-identical", weights=w, n_t=2.0).n_t == 2
         assert Scenario(kind="bc-zf", weights=w, m=np.int64(3)).m == 3
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            ("parallel-identical", {"n_t": 2, "m": 3}),
+            ("parallel-identical", {"n_t": 2, "profile": AntennaProfile((2, 2))}),
+            ("parallel-different", {"profile": AntennaProfile((2, 2)), "n_t": 2}),
+            ("parallel-different", {"profile": AntennaProfile((2, 2)), "m": 3}),
+            ("bc-zf", {"m": 3, "n_t": 7}),
+            ("bc-dpc", {"m": 3, "profile": AntennaProfile((9, 9))}),
+            ("bc-zf", {"m": 3, "n_t": 7, "profile": AntennaProfile((9, 9))}),
+        ],
+    )
+    def test_rejects_antenna_field_its_kind_does_not_use(self, kind, fields):
+        with pytest.raises(ValueError, match="only"):
+            Scenario(kind=kind, weights=validate_weights((0.5, 0.5)), **fields)
 
     def test_parallel_different_needs_matching_profile(self):
         w = validate_weights((0.5, 0.5))
