@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,15 @@ from scipy import special
 
 from .core import (
     DimensionMismatchError,
+    DmtError,
     OutOfRangeError,
     RankDeficientError,
     Scenario,
     TooManyUsersError,
     Weights,
+    check_count,
+    check_positive,
+    check_rate,
 )
 
 __all__ = [
@@ -92,9 +95,9 @@ class ChannelMatrix:
     def __post_init__(self):
         h = np.array(self.h, dtype=complex)
         if h.ndim != 2 or h.size == 0:
-            raise ValueError(f"expected a K x M matrix, got shape {h.shape}")
+            raise DmtError(f"expected a K x M matrix, got shape {h.shape}")
         if not np.isfinite(h).all():
-            raise ValueError("channel entries must be finite")
+            raise OutOfRangeError("channel entries must be finite")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
 
@@ -112,7 +115,7 @@ class EffectiveGains:
     def __post_init__(self):
         g = tuple(float(x) for x in self.gamma)
         if not all(0.0 <= x < math.inf for x in g):
-            raise ValueError(f"gains must be finite and >= 0, got {g}")
+            raise OutOfRangeError(f"gains must be finite and >= 0, got {g}")
         object.__setattr__(self, "gamma", g)
 
     def __len__(self) -> int:
@@ -132,19 +135,14 @@ class OutageEstimate:
     n_discarded: int = 0
 
     def __post_init__(self):
-        for count in (self.n_samples, self.n_outages):
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise ValueError(f"counts must be integers, got {count!r}")
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError(f"r must be finite and >= 0, got {self.r}")
-        if self.n_samples < 1 or not 0 <= self.n_outages <= self.n_samples:
-            raise ValueError(
-                f"bad counts: {self.n_outages} outages of {self.n_samples}"
-            )
+        check_count("n_samples", self.n_samples, 1)
+        check_count("n_outages", self.n_outages, 0)
+        check_positive("rho", self.rho)
+        check_rate(self.r, math.inf)  # the estimate does not know K
+        if self.n_outages > self.n_samples:
+            raise OutOfRangeError(f"{self.n_outages} outages exceed {self.n_samples} samples")
         if not self.ci_low - 1e-12 <= self.p_hat <= self.ci_high + 1e-12:
-            raise ValueError("confidence interval does not cover the estimate")
+            raise OutOfRangeError("confidence interval does not cover the estimate")
 
     @property
     def p_hat(self) -> float:
@@ -175,8 +173,7 @@ def sample_channel(m: int, k: int, rng) -> ChannelMatrix:
     ``rng`` may be an integer seed, a SeedSequence, or a Generator; the
     same generator state always yields the same matrix.
     """
-    if m < 1 or k < 1:
-        raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
+    m, k = check_count("m", m, 1), check_count("k", k, 1)
     return ChannelMatrix(_sample_rows(np.random.default_rng(rng), 1, k, m)[0])
 
 
@@ -242,25 +239,15 @@ def dpc_gains(channel: ChannelMatrix, encode_order) -> EffectiveGains:
     Raises ``RankDeficientError`` if the previously encoded rows are
     numerically dependent and ``TooManyUsersError`` if K > M.
     """
-    order = [int(i) for i in encode_order]
+    order = [check_count("encode_order entry", i, 0) for i in encode_order]
     if sorted(order) != list(range(channel.n_users)):
-        raise ValueError(f"encode_order must permute 0..{channel.n_users - 1}")
+        raise DmtError(f"encode_order must permute 0..{channel.n_users - 1}")
     gains, ok = _qr_gains(channel.h[None, order, :], zf=False)
     if not ok[0]:
         raise RankDeficientError("previously encoded rows are numerically dependent")
     gamma = np.empty(channel.n_users)
     gamma[order] = gains[0]
     return EffectiveGains(tuple(gamma))
-
-
-def _check_rho(rho) -> None:
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise OutOfRangeError(f"rho must be finite and > 0, got {rho}")
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise OutOfRangeError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _capacity(mu: np.ndarray, rho: float, gains: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -288,7 +275,7 @@ def weighted_capacity(gains: EffectiveGains, weights: Weights, rho: float) -> fl
     """
     if len(gains) != len(weights):
         raise DimensionMismatchError(f"{len(gains)} gains vs {len(weights)} weights")
-    _check_rho(rho)
+    rho = check_positive("rho", rho)
     column = np.array(gains.gamma)[:, None]
     return float(_capacity(np.asarray(weights.mu), rho, column, np.empty(1))[0])
 
@@ -413,8 +400,8 @@ def confidence_interval(
     >= 1, ``n_outages`` an integer in [0, n_samples], and ``level`` must
     lie strictly between 0 and 1.
     """
-    _check_count("n_samples", n_samples, 1)
-    _check_count("n_outages", n_outages, 0)
+    check_count("n_samples", n_samples, 1)
+    check_count("n_outages", n_outages, 0)
     if n_outages > n_samples:
         raise OutOfRangeError(f"{n_outages} outages exceed {n_samples} samples")
     if not 0.0 < level < 1.0:  # NaN fails too
@@ -452,13 +439,9 @@ def outage_probability(
     advanced); outage counts are summed, so the estimate is a pure function
     of (scenario, r, rho, n_samples, seed, shards).
     """
-    k = scenario.k
-    if not (math.isfinite(r) and 0.0 <= r <= k):
-        raise OutOfRangeError(f"r = {r} outside [0, {k}]")
-    _check_rho(rho)
-    _check_count("n_samples", n_samples, 1)
-    _check_count("shards", shards, 1)
-    n_samples, shards = int(n_samples), min(int(shards), int(n_samples))
+    r, rho = check_rate(r, scenario.k), check_positive("rho", rho)
+    n_samples = check_count("n_samples", n_samples, 1)
+    shards = min(check_count("shards", shards, 1), n_samples)
 
     threshold = r * math.log(rho)
     mu = _mu_columns(scenario)
@@ -482,8 +465,8 @@ def outage_probability(
 
     ci_low, ci_high = confidence_interval(outages, n_samples)
     return OutageEstimate(
-        rho=float(rho),
-        r=float(r),
+        rho=rho,
+        r=r,
         n_samples=n_samples,
         n_outages=outages,
         ci_low=ci_low,
@@ -503,10 +486,10 @@ def validate_gain_distribution(
     relative errors of mean and variance plus the Kolmogorov-Smirnov
     distance.
     """
-    _check_count("index", index, 0)
+    check_count("index", index, 0)
     if index >= scenario.k:
         raise OutOfRangeError(f"index {index} outside 0..{scenario.k - 1}")
-    _check_count("n_samples", n_samples, 2)
+    check_count("n_samples", n_samples, 2)
     shape = scenario.gain_shapes()[index]
     rng = np.random.default_rng(seed)
     parts = []

@@ -32,6 +32,8 @@ from .core import (
     DmtError,
     Scenario,
     Weights,
+    check_count,
+    check_positive,
     validate_weights,
 )
 from .dmt_analytic import curve_for_scenario
@@ -67,7 +69,7 @@ def _converter(parse):
     def convert(text: str):
         try:
             return parse(text)
-        except (DmtError, ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise CliError(str(exc)) from exc
 
     return convert
@@ -83,7 +85,7 @@ def _entries(text: str) -> list[str]:
     """The stripped entries of a comma-separated list; an empty one is an error."""
     entries = [tok.strip() for tok in text.split(",")]
     if "" in entries:
-        raise ValueError(f"empty entry in {text!r}")
+        raise CliError(f"empty entry in {text!r}")
     return entries
 
 
@@ -102,7 +104,7 @@ def parse_weights(text: str) -> Weights:
     parts = [_parse_fraction(tok) for tok in _entries(text)]
     total = sum(parts)
     if abs(total - 1) > Fraction(1, 10**9):
-        raise ValueError(f"weights sum to {float(total)}, expected 1 within 1e-9")
+        raise CliError(f"weights sum to {float(total)}, expected 1 within 1e-9")
     return validate_weights([float(p / total) for p in parts])
 
 
@@ -116,27 +118,38 @@ def parse_r_list(text: str) -> tuple[float, ...]:
     return tuple(float(_parse_fraction(tok)) for tok in _entries(text))
 
 
+def _snr_linear(db: float) -> float:
+    """Linear SNR of ``db`` decibels; ``OutOfRangeError`` unless finite and > 0."""
+    try:
+        rho = 10.0 ** (db / 10.0)
+    except OverflowError:  # from about 3083 dB on; -4000 dB underflows to 0
+        rho = math.inf
+    return check_positive(f"linear SNR of {db:g} dB", rho)
+
+
 @_converter
 def parse_snr_grid(text: str) -> tuple[float, ...]:
-    """SNR grid in dB: a single value or finite ``start:stop:step`` with
-    step > 0 and at most ``MAX_SNR_POINTS`` points."""
+    """SNR grid in dB: a single value or finite ``start:stop:step`` with step > 0,
+    at most ``MAX_SNR_POINTS`` points and a finite linear SNR > 0 at each."""
     parts = text.split(":")
     if len(parts) == 1:
         parts = [text, text, "1"]
     if len(parts) != 3:
-        raise ValueError(f"SNR grid must be 'start:stop:step', got {text!r}")
+        raise CliError(f"SNR grid must be 'start:stop:step', got {text!r}")
     start, stop, step = map(float, parts)
     if step <= 0:
-        raise ValueError(f"SNR step must be > 0, got {step}")
+        raise CliError(f"SNR step must be > 0, got {step}")
     if stop < start:
-        raise ValueError(f"SNR stop {stop} below start {start}")
+        raise CliError(f"SNR stop {stop} below start {start}")
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"SNR grid must be finite, got {text!r}")
+        raise CliError(f"SNR grid must be finite, got {text!r}")
     grid = []
     while (value := start + len(grid) * step) <= stop + 1e-9:
         if len(grid) == MAX_SNR_POINTS:
-            raise ValueError(f"SNR grid {text!r} has more than {MAX_SNR_POINTS} points")
+            raise CliError(f"SNR grid {text!r} has more than {MAX_SNR_POINTS} points")
         grid.append(value)
+    for db in (grid[0], grid[-1]):  # the grid ascends, so its ends bound every point
+        _snr_linear(db)
     return tuple(grid)
 
 
@@ -144,10 +157,10 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
 def parse_window(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise ValueError(f"window must be 'low:high' in dB, got {text!r}")
+        raise CliError(f"window must be 'low:high' in dB, got {text!r}")
     low, high = float(parts[0]), float(parts[1])
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise ValueError(f"window bounds must be finite, got {text!r}")
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise CliError(f"window bounds must be finite with low <= high, got {text!r}")
     return low, high
 
 
@@ -155,8 +168,13 @@ def parse_window(text: str) -> tuple[float, float]:
 def parse_tolerance(text: str) -> float:
     tol = float(text)
     if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {text!r}")
+        raise CliError(f"tolerance must be finite and >= 0, got {text!r}")
     return tol
+
+
+@_converter
+def parse_seed(text: str) -> int:
+    return check_count("seed", int(text), 0)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -252,7 +270,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             est = outage_probability(
                 scenario,
                 r=r,
-                rho=10.0 ** (db / 10.0),
+                rho=_snr_linear(db),
                 n_samples=args.samples,
                 seed=np.random.SeedSequence((args.seed, i_r, i_db)),
                 shards=args.shards,
@@ -324,7 +342,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if _scenario_from_row(row) != scenario:
             raise CliError(f"{args.input}: rows describe different scenarios")
         est = OutageEstimate(
-            rho=10.0 ** (float(row["rho_db"]) / 10.0),
+            rho=_snr_linear(float(row["rho_db"])),
             r=float(row["r"]),
             n_samples=int(row["n_samples"]),
             n_outages=int(row["n_outages"]),
@@ -412,7 +430,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add("--snr-db", type=parse_snr_grid,
         help=f"SNR grid start:stop:step in dB, at most {MAX_SNR_POINTS} points")
     add("--samples", type=int, default="100000", help="Monte Carlo samples per (r, SNR) point")
-    add("--seed", type=int, default="0", help="base random seed")
+    add("--seed", type=parse_seed, default="0", help="base random seed")
     add("--shards", type=int, default="1", help="independent substreams per point")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -428,7 +446,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_scenario_flags(p_val)
     add = p_val.add_argument
     add("--samples", type=int, default="100000", help="draws per gain index")
-    add("--seed", type=int, default="0", help="base random seed")
+    add("--seed", type=parse_seed, default="0", help="base random seed")
     add("--mean-tol", type=parse_tolerance, default="0.01")
     add("--var-tol", type=parse_tolerance, default="0.03")
     p_val.set_defaults(func=cmd_validate)
@@ -453,7 +471,7 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(**{k: v for k, v in entries.items() if k in flags})
             args = parser.parse_args(argv)
         return args.func(args)
-    except (DmtError, ValueError, argparse.ArgumentError) as exc:
+    except (ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,7 +37,7 @@ WEIGHT_SUM_TOL = 1e-9
 SCENARIO_KINDS = ("parallel-identical", "parallel-different", "bc-zf", "bc-dpc")
 
 
-class DmtError(Exception):
+class DmtError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
@@ -131,16 +131,34 @@ def validate_weights(raw) -> Weights:
     return Weights(mu)
 
 
-def _as_count(x) -> int | None:
-    """``x`` as an int if it is a real integer >= 1 (2.0 counts; 2.5, ``True``
-    and ``"2"`` do not), else None."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return None
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is an integer (not a bool) >= ``minimum``, else
+    ``OutOfRangeError``; 2.0, 2.5, ``True`` and ``"2"`` are not counts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise OutOfRangeError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_rate(r, k) -> float:
+    """Multiplexing gain ``r`` as a float if it is finite and 0 <= r <= k;
+    else ``OutOfRangeError`` (NaN and non-numbers included)."""
     try:
-        count = int(x)
-    except (ValueError, OverflowError):
-        return None
-    return count if count >= 1 and count == x else None
+        if math.isfinite(r) and 0.0 <= r <= k:
+            return float(r)
+    except (TypeError, OverflowError):
+        pass
+    raise OutOfRangeError(f"r = {r} outside [0, {k}]")
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a float if it is finite and > 0; else ``OutOfRangeError``
+    (NaN and non-numbers included)."""
+    try:
+        if 0.0 < value < math.inf:
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise OutOfRangeError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -150,11 +168,9 @@ class AntennaProfile:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(_as_count(x) for x in self.n)
+        counts = tuple(check_count("antenna count", x, 1) for x in self.n)
         if len(counts) < 1:
-            raise ValueError("antenna profile must have at least one channel")
-        if None in counts:
-            raise ValueError(f"antenna counts must be integers >= 1, got {self.n}")
+            raise DmtError("antenna profile must have at least one channel")
         object.__setattr__(self, "n", counts)
 
     def total_diversity(self) -> int:
@@ -171,11 +187,11 @@ class AntennaProfile:
 _TIE_RTOL = 1e-12
 
 
-def stable_desc_order(values, tol: float = _TIE_RTOL) -> tuple[int, ...]:
+def stable_desc_order(values) -> tuple[int, ...]:
     """Indices sorting ``values`` descending; near-ties by ascending index.
 
-    Values within relative ``tol`` of the head of their run are grouped as
-    tied and emitted in ascending original order.
+    Values within relative ``_TIE_RTOL`` of the head of their run are grouped
+    as tied and emitted in ascending original order.
     """
     vals = [float(v) for v in values]
     by_value = sorted(range(len(vals)), key=lambda i: (-vals[i], i))
@@ -183,7 +199,7 @@ def stable_desc_order(values, tol: float = _TIE_RTOL) -> tuple[int, ...]:
     for i in by_value:
         if groups:
             head = vals[groups[-1][0]]
-            if abs(vals[i] - head) <= tol * max(abs(vals[i]), abs(head)):
+            if abs(vals[i] - head) <= _TIE_RTOL * max(abs(vals[i]), abs(head)):
                 groups[-1].append(i)
                 continue
         groups.append([i])
@@ -213,9 +229,9 @@ class DmtCurve:
     """Piecewise-linear diversity-multiplexing tradeoff.
 
     ``corners`` are the breakpoints (r_i, d_i) with r strictly increasing
-    from 0, d non-increasing, and d = 0 at the final corner. Collinear
-    corners are retained on purpose: they carry the structural breakpoints
-    of the generating formulas and keep corner counts deterministic.
+    from 0, d non-increasing, and d = 0 at the final corner, so d >= 0.
+    Collinear corners are retained on purpose: they carry the structural
+    breakpoints of the generating formulas and keep corner counts deterministic.
     """
 
     corners: tuple[tuple[float, float], ...]
@@ -223,19 +239,17 @@ class DmtCurve:
     def __post_init__(self):
         pts = tuple((float(r), float(d)) for r, d in self.corners)
         if len(pts) < 2:
-            raise ValueError("a DMT curve needs at least two corners")
+            raise DmtError("a DMT curve needs at least two corners")
         if not all(math.isfinite(v) for p in pts for v in p):
-            raise ValueError(f"corners must be finite: {pts}")
+            raise DmtError(f"corners must be finite: {pts}")
         if pts[0][0] != 0.0:
-            raise ValueError(f"first corner must be at r = 0, got {pts[0]}")
+            raise DmtError(f"first corner must be at r = 0, got {pts[0]}")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
-            raise ValueError(f"corner rates must be strictly increasing: {pts}")
+            raise DmtError(f"corner rates must be strictly increasing: {pts}")
         if any(b[1] > a[1] for a, b in zip(pts, pts[1:])):
-            raise ValueError(f"corner diversities must be non-increasing: {pts}")
-        if any(d < 0.0 for _, d in pts):
-            raise ValueError(f"diversity values must be >= 0: {pts}")
+            raise DmtError(f"corner diversities must be non-increasing: {pts}")
         if pts[-1][1] != 0.0:
-            raise ValueError(f"last corner must have d = 0, got {pts[-1]}")
+            raise DmtError(f"last corner must have d = 0, got {pts[-1]}")
         object.__setattr__(self, "corners", pts)
 
     @property
@@ -254,9 +268,7 @@ class DmtCurve:
         Exact at the corner abscissae. Raises ``OutOfRangeError`` outside
         [0, max_rate].
         """
-        r = float(r)
-        if not 0.0 <= r <= self.max_rate:  # NaN fails too
-            raise OutOfRangeError(f"r = {r} outside [0, {self.max_rate}]")
+        r = check_rate(r, self.max_rate)
         rates = [c[0] for c in self.corners]
         i = bisect_right(rates, r) - 1
         r0, d0 = self.corners[i]
@@ -293,33 +305,25 @@ class Scenario:
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
+            raise DmtError(f"unknown scenario kind {self.kind!r}")
+        if not isinstance(self.weights, Weights):
+            raise DmtError(f"weights must be a Weights, got {self.weights!r}")
         used = {"parallel-identical": "n_t", "parallel-different": "profile"}.get(self.kind, "m")
         unused = [f for f in ("n_t", "profile", "m") if f != used and getattr(self, f) is not None]
         if unused:
-            raise ValueError(f"{self.kind} uses {used} only, got {', '.join(unused)} too")
+            raise DmtError(f"{self.kind} uses {used} only, got {', '.join(unused)} too")
         k = len(self.weights)
         if self.kind == "parallel-identical":
-            n_t = _as_count(self.n_t)
-            if n_t is None:
-                raise ValueError(
-                    f"parallel-identical requires an integer n_t >= 1, got {self.n_t}"
-                )
-            object.__setattr__(self, "n_t", n_t)
+            object.__setattr__(self, "n_t", check_count("n_t", self.n_t, 1))
         elif self.kind == "parallel-different":
-            if self.profile is None:
-                raise ValueError("parallel-different requires an antenna profile")
+            if not isinstance(self.profile, AntennaProfile):
+                raise DmtError(f"parallel-different needs an AntennaProfile, got {self.profile!r}")
             if len(self.profile) != k:
                 raise DimensionMismatchError(
                     f"{k} weights vs {len(self.profile)} antenna counts"
                 )
         else:
-            m = _as_count(self.m)
-            if m is None:
-                raise ValueError(
-                    f"{self.kind} requires an integer m >= 1, got {self.m}"
-                )
-            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "m", check_count("m", self.m, 1))
             if k > self.m:
                 raise TooManyUsersError(
                     f"{k} single-antenna users exceed {self.m} transmit antennas"

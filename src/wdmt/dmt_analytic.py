@@ -29,6 +29,7 @@ from .core import (
     OutOfRangeError,
     Scenario,
     Weights,
+    check_rate,
     ordering,
     validate_weights,
 )
@@ -45,15 +46,15 @@ __all__ = [
 @dataclass(frozen=True)
 class ExponentSolution:
     """Optimal per-channel outage exponents alpha (in [0,1]) and the
-    resulting diversity value d = sum_k n_k * alpha_k."""
+    resulting finite diversity value d = sum_k n_k * alpha_k."""
 
     alpha: tuple[float, ...]
     d: float
 
     def __post_init__(self):
         a = tuple(float(x) for x in self.alpha)
-        if any(x < -1e-12 or x > 1.0 + 1e-12 for x in a):
-            raise ValueError(f"exponents must lie in [0, 1], got {a}")
+        if not (all(-1e-12 <= x <= 1.0 + 1e-12 for x in a) and math.isfinite(self.d)):
+            raise OutOfRangeError(f"need exponents in [0, 1] and a finite d, got {a}, {self.d}")
         a = tuple(min(1.0, max(0.0, x)) for x in a)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "d", float(self.d))
@@ -106,8 +107,7 @@ def lp_greedy(profile: AntennaProfile, weights: Weights, r: float) -> ExponentSo
     """
     order = ordering(weights, profile)
     k = len(profile)
-    if not 0.0 <= r <= k:  # NaN fails too
-        raise OutOfRangeError(f"r = {r} outside [0, {k}]")
+    r = check_rate(r, k)
     if r == 0.0:
         return ExponentSolution((1.0,) * k, float(profile.total_diversity()))
     mu, n = weights.mu, profile.n

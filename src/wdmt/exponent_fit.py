@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DmtCurve, DmtError
+from .core import DmtCurve, DmtError, OutOfRangeError, check_count
 
 __all__ = [
     "MIN_EVENTS",
@@ -59,10 +59,9 @@ class SlopeFit:
     dropped: tuple[tuple[float, int], ...] = ()
 
     def __post_init__(self):
-        if self.points_used < 2:
-            raise ValueError("a slope fit needs at least two points")
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be >= 0")
+        check_count("points_used", self.points_used, 2)
+        if not self.stderr >= 0.0:  # NaN fails too
+            raise OutOfRangeError(f"stderr must be >= 0, got {self.stderr}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class CompareReport:
 def fit_slope(estimates, window: tuple[float, float]) -> SlopeFit:
     """Weighted least-squares slope of -log10(p_hat) vs log10(rho).
 
-    ``window`` is an inclusive (low, high) SNR range in dB. Weights are the
+    ``window`` is a finite, inclusive (low, high) SNR range in dB. Weights are the
     inverse delta-method variances var(log10 p_hat) ~ (1-p) / (n p ln^2 10);
     the standard error comes from the weighted residuals (zero for an exact
     power law).
@@ -95,8 +94,8 @@ def fit_slope(estimates, window: tuple[float, float]) -> SlopeFit:
         leaves fewer than two.
     """
     low, high = float(window[0]), float(window[1])
-    if low > high:
-        raise ValueError(f"window low {low} exceeds high {high}")
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise OutOfRangeError(f"window must be finite with low <= high, got ({low}, {high})")
     inside = [e for e in estimates if low - 1e-9 <= e.rho_db <= high + 1e-9]
     if len(inside) < 2:
         raise InsufficientDataError(
@@ -148,8 +147,10 @@ def fit_slope(estimates, window: tuple[float, float]) -> SlopeFit:
 def compare(fit: SlopeFit, curve: DmtCurve, r: float, tol: float = 0.15) -> CompareReport:
     """Verdict on whether the fitted exponent matches the analytic value.
 
-    Passes when |d_hat - d(r)| <= tol * d(r) + 2 * stderr.
+    Passes when |d_hat - d(r)| <= tol * d(r) + 2 * stderr, for a finite tol >= 0.
     """
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise OutOfRangeError(f"tol must be finite and >= 0, got {tol}")
     d = curve.evaluate(r)
     gap = abs(fit.d_hat - d)
     if d > 0.0:

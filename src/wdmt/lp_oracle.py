@@ -13,7 +13,6 @@ indexing bug.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,11 +20,14 @@ import numpy as np
 
 from .core import (
     AntennaProfile,
+    DimensionMismatchError,
     DmtError,
     OutOfRangeError,
     TooLargeError,
     Weights,
-    _as_count,
+    check_count,
+    check_positive,
+    check_rate,
 )
 from .dmt_analytic import ExponentSolution
 
@@ -48,16 +50,14 @@ class LpInstance:
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        costs = tuple(float(x) for x in self.costs)
-        weights = tuple(float(x) for x in self.weights)
-        upper = tuple(float(x) for x in self.upper)
+        costs = tuple(check_positive("LP cost", x) for x in self.costs)
+        weights = tuple(check_positive("LP weight", x) for x in self.weights)
+        upper = tuple(check_positive("LP upper limit", x) for x in self.upper)
         if not (len(costs) == len(weights) == len(upper)) or len(costs) < 1:
-            raise ValueError("costs, weights, upper must share a length >= 1")
-        if not all(0.0 < x < math.inf for x in costs + weights + upper):
-            raise ValueError("all coefficients must be finite and strictly positive")
+            raise DimensionMismatchError("costs, weights, upper must share a length >= 1")
         b = float(self.bound)
         if not -_FEAS_EPS <= b <= 1.0 + _FEAS_EPS:  # NaN fails too
-            raise ValueError(f"bound must lie in [0, 1], got {b}")
+            raise OutOfRangeError(f"bound must lie in [0, 1], got {b}")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "upper", upper)
@@ -73,12 +73,10 @@ class LpInstance:
     ) -> "LpInstance":
         """Exponent variables alpha_i in [0, 1]: costs n_i, weights mu_i."""
         k = len(profile)
-        if not 0.0 <= r <= k:  # NaN fails too
-            raise OutOfRangeError(f"r = {r} outside [0, {k}]")
         return cls(
             costs=tuple(float(n) for n in profile.n),
             weights=weights.mu,
-            bound=1.0 - r / k,
+            bound=1.0 - check_rate(r, k) / k,
             upper=(1.0,) * k,
         )
 
@@ -167,17 +165,12 @@ def lp_grid(instance: LpInstance, resolution: int) -> float:
     minimum is identical to full enumeration, bit for bit, and independent
     of the split.
 
-    K <= 4 and an integer resolution >= 50 enforced (50.0 counts, 50.7
-    does not).
+    K <= 4 and an integer resolution >= 50 enforced (50.0 and 50.7 are not).
     """
     k = instance.k
     if k > _GRID_MAX_K:
         raise TooLargeError(f"grid search limited to K <= {_GRID_MAX_K}")
-    res = _as_count(resolution)
-    if res is None or res < _GRID_MIN_RES:
-        raise ValueError(
-            f"resolution must be an integer >= {_GRID_MIN_RES}, got {resolution!r}"
-        )
+    res = check_count("resolution", resolution, _GRID_MIN_RES)
 
     (w_a, c_a), (w_b, c_b) = _grid_tables(
         instance.costs, instance.weights, instance.upper, res

@@ -1,0 +1,181 @@
+"""The package's argument checks: every invalid number raises a ``DmtError``.
+
+``wdmt.core`` holds the three scalar checks (``check_count``, ``check_rate``
+and ``check_positive``) that the entry points below share. The property
+feeds each numeric argument of each entry point NaN, infinities, negative,
+out-of-range, non-integral and bool values and expects a ``DmtError`` and
+nothing else; valid values, drawn from bounded ranges, must pass.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wdmt
+from wdmt import (
+    AntennaProfile,
+    DmtError,
+    EffectiveGains,
+    LpInstance,
+    OutageEstimate,
+    Scenario,
+    SlopeFit,
+    compare,
+    confidence_interval,
+    dmt_different,
+    dpc_gains,
+    fit_slope,
+    lp_greedy,
+    lp_grid,
+    outage_probability,
+    sample_channel,
+    validate_gain_distribution,
+    validate_weights,
+    weighted_capacity,
+)
+
+W2 = validate_weights((0.6, 0.4))
+PROFILE = AntennaProfile((2, 1))
+CURVE = dmt_different(PROFILE, W2)  # r in [0, 2]
+ZF = Scenario(kind="bc-zf", weights=W2, m=3)
+INSTANCE = LpInstance.alpha_form(PROFILE, W2, 1.0)
+GAINS = EffectiveGains((1.0, 2.0))
+CHANNEL = sample_channel(3, 2, 0)
+FIT = SlopeFit(d_hat=2.0, stderr=0.1, window=(10.0, 30.0), points_used=3)
+ESTIMATES = [
+    OutageEstimate(rho=10.0 ** (db / 10.0), r=1.0, n_samples=10_000, n_outages=n,
+                   ci_low=0.0, ci_high=1.0)
+    for db, n in ((10.0, 1000), (20.0, 100), (30.0, 30))
+]
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NEGATIVE = st.floats(max_value=-math.ulp(0.0))
+
+
+def bad_counts(minimum):
+    # every float is rejected, integral ones (2.0) included
+    return st.one_of(NON_FINITE, st.booleans(), st.floats(), st.integers(max_value=minimum - 1))
+
+
+def bad_rates(k):
+    return st.one_of(NON_FINITE, NEGATIVE, st.floats(min_value=k, exclude_min=True))
+
+
+def estimate(**field):
+    values = dict(rho=10.0, r=1.0, n_samples=100, n_outages=10, ci_low=0.0, ci_high=1.0)
+    return OutageEstimate(**{**values, **field})
+
+
+BAD_POSITIVES = st.one_of(NON_FINITE, st.floats(max_value=0.0))
+# Valid SNRs stay below 1e300: at rho = 1e308 the capacity itself overflows.
+GOOD_RHO = st.floats(min_value=1e-300, max_value=1e300)
+
+# entry point and argument -> (call with that argument, invalid values, valid values)
+SLOTS = {
+    "AntennaProfile(n)": (
+        lambda v: AntennaProfile((2, v)), bad_counts(1), st.integers(1, 9)),
+    "Scenario(n_t)": (
+        lambda v: Scenario(kind="parallel-identical", weights=W2, n_t=v),
+        bad_counts(1), st.integers(1, 9)),
+    "Scenario(m)": (
+        lambda v: Scenario(kind="bc-dpc", weights=W2, m=v), bad_counts(2), st.integers(2, 9)),
+    "DmtCurve.evaluate(r)": (CURVE.evaluate, bad_rates(2.0), st.floats(0.0, 2.0)),
+    "lp_greedy(r)": (
+        lambda v: lp_greedy(PROFILE, W2, v), bad_rates(2.0), st.floats(0.0, 2.0)),
+    "LpInstance.alpha_form(r)": (
+        lambda v: LpInstance.alpha_form(PROFILE, W2, v), bad_rates(2.0), st.floats(0.0, 2.0)),
+    "lp_grid(resolution)": (
+        lambda v: lp_grid(INSTANCE, v), bad_counts(50), st.integers(50, 80)),
+    "sample_channel(m)": (lambda v: sample_channel(v, 2, 0), bad_counts(1), st.integers(1, 4)),
+    "sample_channel(k)": (lambda v: sample_channel(3, v, 0), bad_counts(1), st.integers(1, 4)),
+    "weighted_capacity(rho)": (
+        lambda v: weighted_capacity(GAINS, W2, v), BAD_POSITIVES, GOOD_RHO),
+    "outage_probability(r)": (
+        lambda v: outage_probability(ZF, v, 10.0, 16, 0), bad_rates(2.0), st.floats(0.0, 2.0)),
+    "outage_probability(rho)": (
+        lambda v: outage_probability(ZF, 1.0, v, 16, 0), BAD_POSITIVES, GOOD_RHO),
+    "outage_probability(n_samples)": (
+        lambda v: outage_probability(ZF, 1.0, 10.0, v, 0), bad_counts(1), st.integers(1, 64)),
+    "outage_probability(shards)": (
+        lambda v: outage_probability(ZF, 1.0, 10.0, 16, 0, shards=v),
+        bad_counts(1), st.integers(1, 32)),
+    "confidence_interval(n_outages)": (
+        lambda v: confidence_interval(v, 100),
+        st.one_of(bad_counts(0), st.integers(min_value=101)), st.integers(0, 100)),
+    "confidence_interval(n_samples)": (
+        lambda v: confidence_interval(10, v),
+        st.one_of(bad_counts(1), st.integers(1, 9)), st.integers(10, 10**6)),
+    "confidence_interval(level)": (
+        lambda v: confidence_interval(10, 100, level=v),
+        st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=1.0)),
+        st.floats(0.001, 0.999)),
+    "validate_gain_distribution(index)": (
+        lambda v: validate_gain_distribution(ZF, v, 8, 0),
+        st.one_of(bad_counts(0), st.integers(min_value=2)), st.integers(0, 1)),
+    "validate_gain_distribution(n_samples)": (
+        lambda v: validate_gain_distribution(ZF, 0, v, 0), bad_counts(2), st.integers(2, 64)),
+    "OutageEstimate(rho)": (lambda v: estimate(rho=v), BAD_POSITIVES, GOOD_RHO),
+    "OutageEstimate(r)": (
+        lambda v: estimate(r=v), st.one_of(NON_FINITE, NEGATIVE), st.floats(0.0, 1e300)),
+    "OutageEstimate(n_samples)": (
+        lambda v: estimate(n_samples=v),
+        st.one_of(bad_counts(1), st.integers(1, 9)), st.integers(10, 10**6)),
+    "OutageEstimate(n_outages)": (
+        lambda v: estimate(n_outages=v),
+        st.one_of(bad_counts(0), st.integers(min_value=101)), st.integers(0, 100)),
+    "compare(tol)": (
+        lambda v: compare(FIT, CURVE, 1.0, tol=v), st.one_of(NON_FINITE, NEGATIVE),
+        st.floats(0.0, 10.0)),
+    "fit_slope(window)": (
+        lambda v: fit_slope(ESTIMATES, v),
+        st.one_of(
+            st.tuples(NON_FINITE, st.floats(0.0, 40.0)),
+            st.tuples(st.floats(0.0, 10.0), NON_FINITE),
+            st.tuples(st.floats(30.0, 1e300), st.floats(-1e300, 29.0)),  # low > high
+        ),
+        st.tuples(st.floats(-1e300, 10.0), st.floats(30.0, 1e300))),
+    "dpc_gains(order)": (
+        lambda v: dpc_gains(CHANNEL, (v, 1 - v)),
+        st.one_of(bad_counts(0), st.integers(min_value=2)), st.integers(0, 1)),
+}
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("slot", sorted(SLOTS))
+@PROPERTY
+@given(data=st.data())
+def test_invalid_number_raises_dmt_error(slot, data):
+    call, bad, _ = SLOTS[slot]
+    value = data.draw(bad, label=slot)
+    with pytest.raises(DmtError):
+        call(value)
+
+
+@pytest.mark.parametrize("slot", sorted(SLOTS))
+@PROPERTY
+@given(data=st.data())
+def test_valid_number_passes(slot, data):
+    call, _, good = SLOTS[slot]
+    call(data.draw(good, label=slot))
+
+
+def test_dmt_error_is_a_value_error():
+    assert issubclass(DmtError, ValueError)
+
+
+def test_package_raises_no_bare_value_or_type_error():
+    # a rejected input raises a DmtError subclass (CliError in the CLI
+    # converters), never a bare ValueError or TypeError
+    offenders = []
+    for path in sorted(Path(wdmt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

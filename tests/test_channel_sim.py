@@ -252,6 +252,12 @@ class TestDpcGains:
         with pytest.raises(ValueError):
             dpc_gains(ch, (0, 0))
 
+    @pytest.mark.parametrize("order", [(0.7, 1.2), (True, False)])
+    def test_non_integer_order_entries_rejected(self, order):
+        # these used to be truncated to (0, 1) and read as (1, 0)
+        with pytest.raises(OutOfRangeError, match="encode_order entry"):
+            dpc_gains(sample_channel(3, 2, 41), order)
+
     def test_rank_deficient_detected(self):
         h = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], dtype=complex)
         with pytest.raises(RankDeficientError):

@@ -74,8 +74,15 @@ class TestParsing:
         with pytest.raises(CliError, match="empty entry"):
             parse(text)
 
+    @pytest.mark.parametrize("text", ["3090", "0:4000:1000", "-4000", "-4000:0:1000"])
+    def test_snr_grid_outside_the_float_range_rejected(self, text):
+        # 3090 dB overflows 10 ** (db / 10) and -4000 dB underflows it to 0
+        with pytest.raises(CliError, match="linear SNR"):
+            parse_snr_grid(text)
+
     def test_snr_grid_point_limit(self):
-        assert len(parse_snr_grid(f"0:{MAX_SNR_POINTS - 1}:1")) == MAX_SNR_POINTS
+        # a step of 0.1 dB keeps every point's linear SNR inside the float range
+        assert len(parse_snr_grid(f"0:{(MAX_SNR_POINTS - 1) / 10}:0.1")) == MAX_SNR_POINTS
         # a finite grid used to append points until memory ran out; it now
         # stops one point past the limit
         for text in (f"0:{MAX_SNR_POINTS}:1", "0:1e9:1e-3"):
@@ -272,6 +279,29 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE
         assert f"more than {MAX_SNR_POINTS} points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr_db", ["3090", "-4000", "0:3090:10"])
+    def test_snr_outside_the_float_range_is_usage_error(self, capsys, snr_db):
+        # 3090 dB ended in an OverflowError traceback; -4000 dB simulated the
+        # earlier points, then exited 2 with a message that named no flag
+        code = main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--k", "2",
+            "--weights", "0.5,0.5", "--r", "1", "--snr-db", snr_db, "--samples", "100",
+        ])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: argument --snr-db: linear SNR of ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        # numpy's "expected non-negative integer" used to name no flag
+        argv = [command, "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                "--samples", "100", "--seed", "-1"]
+        if command == "simulate":
+            argv += ["--r", "1", "--snr-db", "10"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: argument --seed: seed must be an integer >= 0, got -1\n"
+
     def test_missing_r_is_usage_error(self):
         code = main([
             "simulate", "--scenario", "bc-zf", "--m", "3", "--k", "2",
@@ -422,6 +452,23 @@ class TestFitCommand:
         write_power_law_table(table, 1.0, (10, 20, 30), 10**8)
         assert main(["fit", "--input", str(table), *flags]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_reversed_window_is_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "sim.csv"
+        write_power_law_table(table, 1.0, (10, 20, 30), 10**8)
+        assert main(["fit", "--input", str(table), "--window", "30:10"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: argument --window: ")
+
+    def test_row_snr_outside_the_float_range_is_usage_error(self, tmp_path, capsys):
+        # a 3090 dB row ended in an OverflowError traceback
+        table = tmp_path / "sim.csv"
+        write_power_law_table(table, 1.0, (10, 20, 30), 10**8)
+        *head, last = table.read_text().splitlines()
+        fields = last.split(",")
+        fields[5] = "3090"  # rho_db
+        table.write_text("\n".join([*head, ",".join(fields)]) + "\n")
+        assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: linear SNR of 3090 dB")
 
     def test_parallel_different_profile_round_trip(self, tmp_path, capsys):
         sim = tmp_path / "sim.csv"

@@ -8,6 +8,7 @@ from wdmt import (
     BadSumError,
     DimensionMismatchError,
     DmtCurve,
+    DmtError,
     NonPositiveWeightError,
     OutOfRangeError,
     Scenario,
@@ -222,9 +223,10 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(kind=kind, weights=validate_weights((1.0,)), m=m)
 
-    def test_integral_float_counts_accepted(self):
+    def test_integral_float_counts_rejected(self):
         w = validate_weights((1.0,))
-        assert Scenario(kind="parallel-identical", weights=w, n_t=2.0).n_t == 2
+        with pytest.raises(OutOfRangeError):  # 2.0 is a float, not a count
+            Scenario(kind="parallel-identical", weights=w, n_t=2.0)
         assert Scenario(kind="bc-zf", weights=w, m=np.int64(3)).m == 3
 
     @pytest.mark.parametrize(
@@ -242,6 +244,11 @@ class TestScenario:
     def test_rejects_antenna_field_its_kind_does_not_use(self, kind, fields):
         with pytest.raises(ValueError, match="only"):
             Scenario(kind=kind, weights=validate_weights((0.5, 0.5)), **fields)
+
+    def test_weights_must_be_a_weights(self):
+        # raw weights summing to 1.2 used to build and fail later with AttributeError
+        with pytest.raises(DmtError, match="Weights"):
+            Scenario(kind="bc-dpc", weights=(0.9, 0.3), m=3)
 
     def test_parallel_different_needs_matching_profile(self):
         w = validate_weights((0.5, 0.5))

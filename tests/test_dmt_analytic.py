@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wdmt import (
     AntennaProfile,
     DimensionMismatchError,
+    ExponentSolution,
     OutOfRangeError,
     curve_for_scenario,
     dmt_different,
@@ -208,6 +209,19 @@ class TestEvalDmt:
             curve = dmt_different(random_profile(rng, k), random_weights(rng, k))
             for r, d in curve.corners:
                 assert curve.evaluate(r) == d
+
+
+class TestExponentSolution:
+    def test_clamps_rounding_noise_into_the_box(self):
+        assert ExponentSolution((-1e-13, 1.0 + 1e-13), 2.0).alpha == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, d", [((math.nan,), 1.0), ((0.5,), math.nan), ((0.5,), math.inf), ((1.5,), 1.0)]
+    )
+    def test_rejects_non_finite_or_out_of_box_values(self, alpha, d):
+        # a NaN alpha used to be clamped to 0.0, and d = nan was kept
+        with pytest.raises(OutOfRangeError):
+            ExponentSolution(alpha, d)
 
 
 class TestLpGreedy:

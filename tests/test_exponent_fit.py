@@ -5,6 +5,7 @@ import pytest
 from wdmt import (
     InsufficientDataError,
     InsufficientEventsError,
+    OutOfRangeError,
     OutageEstimate,
     Scenario,
     SlopeFit,
@@ -143,6 +144,12 @@ class TestCompare:
         assert report.d_analytic == 2.0
         assert report.passed
         assert report.rel_error == 0.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        fit = SlopeFit(d_hat=2.0, stderr=0.0, window=(10.0, 30.0), points_used=2)
+        with pytest.raises(OutOfRangeError, match="tol"):
+            compare(fit, self.curve, 1.0, tol=tol)
 
     def test_stderr_widens_acceptance(self):
         loose = SlopeFit(d_hat=1.5, stderr=0.2, window=(10.0, 30.0), points_used=3)

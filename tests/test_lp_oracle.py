@@ -181,7 +181,8 @@ class TestLpGrid:
         )
         with pytest.raises(ValueError):
             lp_grid(inst, resolution)
-        assert lp_grid(inst, 50.0) == lp_grid(inst, 50)
+        with pytest.raises(OutOfRangeError):  # 50.0 is a float, not a count
+            lp_grid(inst, 50.0)
 
     def test_never_below_vertex_optimum(self):
         rng = np.random.default_rng(91)
