@@ -11,7 +11,8 @@ Conventions
   from channel matrices: parallel and DPC gains are independent
   Gamma(shape_i, 1) draws with the shapes of ``Scenario.gain_shapes()``,
   and ZF gains come from the Bartlett factor of the Wishart Gram matrix
-  HH* (Goodman 1963); ``_chunk_gains`` describes the draw and
+  HH* (Goodman 1963), at K = 2 two parallel channels X_1 and
+  X_0 X_1 / (X_1 + E); ``_chunk_gains`` describes the draw and
   ``_Workspace`` the buffers it reuses. The R factor of H* = QR for drawn
   K x M matrices (one stacked LAPACK call) remains as the independent
   oracle behind ``zf_gains``, ``dpc_gains`` and
@@ -67,8 +68,8 @@ __all__ = [
 ]
 
 # Samples per block of the outage kernel. One block's workspace, k + 2
-# float64 rows of this length and a bool row (0.5 MB at K = 2, 0.75 MB with
-# the bc-zf normals), stays inside a 2 MB per-core L2 cache. Repeating one
+# float64 rows of this length and a bool row (0.5 MB at K = 2; bc-zf adds
+# normals at K >= 3), stays inside a 2 MB per-core L2 cache. Repeating one
 # scenario, 2^15 and 2^16 ran up to 10% faster, but in the interleaved
 # mc-deep benchmark 2^15 gained less over the parent (BENCH_10.json).
 _BLOCK = 1 << 14
@@ -289,10 +290,10 @@ def _mu_columns(scenario: Scenario) -> np.ndarray:
 
 class _Workspace:
     """Buffers that the outage kernel reuses for every block of at most
-    ``size`` samples: the (k, n) gain rows, a spare row, the capacity
-    accumulator, the outage mask and, for bc-zf, the Bartlett normals.
-    Buffers are flat, so a shorter block's leading slice reshapes into a
-    contiguous array."""
+    ``size`` samples: the (k, n) gain rows, a spare row (bc-zf at K = 2
+    draws E there), the capacity accumulator, the outage mask and, for
+    bc-zf at K >= 3, the Bartlett normals. Buffers are flat, so a shorter
+    block's leading slice reshapes into a contiguous array."""
 
     def __init__(self, scenario: Scenario, size: int):
         k = scenario.k
@@ -300,7 +301,20 @@ class _Workspace:
         self.term = np.empty(size)
         self.acc = np.empty(size)
         self.hit = np.empty(size, dtype=bool)
-        self.normals = np.empty(k * (k - 1) * size if scenario.kind == "bc-zf" else 0)
+        self.normals = np.empty(k * (k - 1) * size if scenario.kind == "bc-zf" and k > 2 else 0)
+
+
+def _gamma_row(rng: np.random.Generator, row: np.ndarray, shape: int, scratch) -> np.ndarray:
+    """Fill ``row`` with Gamma(shape, 1) draws: shape a <= ``_ERLANG_MAX_SHAPE``
+    as -log prod_{j<a} (1 - U_j), multiplied in place through the spare row
+    ``scratch`` (unused at a = 1; the factors lie in (0, 1], so a zero
+    uniform never gives -log 0), a larger shape by ``standard_gamma``."""
+    if shape > _ERLANG_MAX_SHAPE:
+        return rng.standard_gamma(float(shape), size=row.size, out=row)
+    np.subtract(1.0, rng.random(out=row), out=row)
+    for _ in range(shape - 1):
+        row *= np.subtract(1.0, rng.random(out=scratch), out=scratch)
+    return np.negative(np.log(row, out=row), out=row)
 
 
 def _chunk_gains(
@@ -311,36 +325,32 @@ def _chunk_gains(
     ``scenario.encode_order()``.
 
     Parallel and DPC gains are independent Gamma(shape_i, 1), drawn one row
-    at a time: a row of shape a <= ``_ERLANG_MAX_SHAPE`` is
-    -log prod_{j<a} (1 - U_j) for uniforms U_j from ``rng.random``,
-    multiplied in place (the factors lie in (0, 1], so a zero uniform can
-    never give -log 0), and a row of larger shape one ``standard_gamma``
-    call. ZF gains are
-    gamma_i = 1 / [G^-1]_ii for the Gram matrix G = HH*, whose Bartlett
-    factor L (G = LL*) has independent entries: |L_ii|^2 ~ Gamma(m - i, 1),
-    drawn by the same per-shape rule, and CN(0,1) below the diagonal.
-    [G^-1]_ii is the squared norm of column i of L^-1, built row
-    by row by forward substitution in real arithmetic: each off-diagonal
-    entry of L^-1 is a pair of real (n,) arrays, and the diagonal
-    1 / |L_ii| stays real. Products accumulate over j ascending and column
-    norms over rows ascending, as in the complex (k, k, n) formulation
-    that the tests keep as the reference, so the gains equal its gains
-    bit for bit.
+    at a time by ``_gamma_row``. ZF gains are gamma_i = 1 / [G^-1]_ii for
+    the Gram matrix G = HH*, whose Bartlett factor L (G = LL*) has
+    independent entries: X_i = |L_ii|^2 ~ Gamma(m - i, 1), drawn by the same
+    rule, and CN(0,1) below the diagonal. [G^-1]_ii is the squared norm of
+    column i of L^-1. At K = 2 column 0 has (X_1 + E) / (X_0 X_1) with
+    E = |L_10|^2 ~ Exp(1), drawn third into the spare row, and column 1 has
+    1 / X_1: gamma_0 = X_0 X_1 / (X_1 + E), gamma_1 = X_1. At K >= 3, L^-1
+    is built row by row by forward substitution in real arithmetic: each
+    off-diagonal entry of L^-1 is a pair of real (n,) arrays, and the
+    diagonal 1 / |L_ii| stays real. Products accumulate over j ascending
+    and column norms over rows ascending, as in the complex (k, k, n)
+    formulation that the tests keep as the reference, so the gains equal
+    its gains bit for bit.
     """
     k = scenario.k
     zf = scenario.kind == "bc-zf"
     shapes = range(scenario.m, scenario.m - k, -1) if zf else scenario.gain_shapes()
     draws, term = work.draws[: k * n].reshape(k, n), work.term[:n]
     for row, shape in zip(draws, shapes):
-        if shape > _ERLANG_MAX_SHAPE:
-            rng.standard_gamma(float(shape), size=n, out=row)
-            continue
-        np.subtract(1.0, rng.random(out=row), out=row)
-        for _ in range(shape - 1):
-            row *= np.subtract(1.0, rng.random(out=term), out=term)
-        np.log(row, out=row)
-        np.negative(row, out=row)
+        _gamma_row(rng, row, shape, term)
     if not zf:
+        return draws
+    if k == 2:
+        x0, x1 = draws
+        np.add(_gamma_row(rng, term, 1, None), x1, out=term)  # E + X_1
+        np.divide(np.multiply(x0, x1, out=x0), term, out=x0)
         return draws
     # The draws buffer becomes 1 / |L_ii|, then the column norms, then the gains.
     inv_diag = np.sqrt(draws, out=draws)
@@ -404,7 +414,7 @@ def confidence_interval(
     check_count("n_outages", n_outages, 0)
     if n_outages > n_samples:
         raise OutOfRangeError(f"{n_outages} outages exceed {n_samples} samples")
-    if not 0.0 < level < 1.0:  # NaN fails too
+    if check_positive("confidence level", level) >= 1.0:
         raise OutOfRangeError(f"confidence level {level} outside (0, 1)")
     p = n_outages / n_samples
     if n_outages >= _MIN_NORMAL_EVENTS:

@@ -161,6 +161,16 @@ def check_positive(name: str, value) -> float:
     raise OutOfRangeError(f"{name} must be finite and > 0, got {value}")
 
 
+def check_finite(name: str, value) -> float:
+    """``value`` as a float if it is a finite number; else ``OutOfRangeError``."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise OutOfRangeError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class AntennaProfile:
     """Transmit antenna count per parallel channel (all counts >= 1)."""

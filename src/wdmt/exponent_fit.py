@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DmtCurve, DmtError, OutOfRangeError, check_count
+from .core import DmtCurve, DmtError, OutOfRangeError, check_count, check_finite
 
 __all__ = [
     "MIN_EVENTS",
@@ -93,9 +93,9 @@ def fit_slope(estimates, window: tuple[float, float]) -> SlopeFit:
         If dropping points with fewer than ``MIN_EVENTS`` outage events
         leaves fewer than two.
     """
-    low, high = float(window[0]), float(window[1])
-    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
-        raise OutOfRangeError(f"window must be finite with low <= high, got ({low}, {high})")
+    low, high = check_finite("window low", window[0]), check_finite("window high", window[1])
+    if low > high:
+        raise OutOfRangeError(f"window must have low <= high, got ({low}, {high})")
     inside = [e for e in estimates if low - 1e-9 <= e.rho_db <= high + 1e-9]
     if len(inside) < 2:
         raise InsufficientDataError(

@@ -37,6 +37,7 @@ _FEAS_EPS = 1e-12
 _VERTEX_MAX_K = 16
 _GRID_MAX_K = 4
 _GRID_MIN_RES = 50
+_GRID_MAX_POINTS = 10**6  # (res + 1)^ceil(K/2) per half-lattice; res = 200 has 40 401
 
 
 @dataclass(frozen=True)
@@ -165,12 +166,15 @@ def lp_grid(instance: LpInstance, resolution: int) -> float:
     minimum is identical to full enumeration, bit for bit, and independent
     of the split.
 
-    K <= 4 and an integer resolution >= 50 enforced (50.0 and 50.7 are not).
+    K <= 4 and an integer resolution >= 50 enforced (50.0 and 50.7 are not),
+    with at most 10^6 points per half-lattice (res <= 999 at K = 3, 4).
     """
     k = instance.k
     if k > _GRID_MAX_K:
         raise TooLargeError(f"grid search limited to K <= {_GRID_MAX_K}")
     res = check_count("resolution", resolution, _GRID_MIN_RES)
+    if (res + 1) ** ((k + 1) // 2) > _GRID_MAX_POINTS:
+        raise TooLargeError(f"resolution {res} exceeds {_GRID_MAX_POINTS} half-lattice points")
 
     (w_a, c_a), (w_b, c_b) = _grid_tables(
         instance.costs, instance.weights, instance.upper, res

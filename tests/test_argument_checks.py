@@ -54,6 +54,7 @@ ESTIMATES = [
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NEGATIVE = st.floats(max_value=-math.ulp(0.0))
+NOT_NUMBERS = st.sampled_from(["x", "a", "0.5", None, (), 1j])
 
 
 def bad_counts(minimum):
@@ -88,8 +89,9 @@ SLOTS = {
         lambda v: lp_greedy(PROFILE, W2, v), bad_rates(2.0), st.floats(0.0, 2.0)),
     "LpInstance.alpha_form(r)": (
         lambda v: LpInstance.alpha_form(PROFILE, W2, v), bad_rates(2.0), st.floats(0.0, 2.0)),
-    "lp_grid(resolution)": (
-        lambda v: lp_grid(INSTANCE, v), bad_counts(50), st.integers(50, 80)),
+    "lp_grid(resolution)": (  # K = 2: at most 10^6 points, res + 1, per half-lattice
+        lambda v: lp_grid(INSTANCE, v),
+        st.one_of(bad_counts(50), st.integers(min_value=10**6)), st.integers(50, 80)),
     "sample_channel(m)": (lambda v: sample_channel(v, 2, 0), bad_counts(1), st.integers(1, 4)),
     "sample_channel(k)": (lambda v: sample_channel(3, v, 0), bad_counts(1), st.integers(1, 4)),
     "weighted_capacity(rho)": (
@@ -111,7 +113,7 @@ SLOTS = {
         st.one_of(bad_counts(1), st.integers(1, 9)), st.integers(10, 10**6)),
     "confidence_interval(level)": (
         lambda v: confidence_interval(10, 100, level=v),
-        st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=1.0)),
+        st.one_of(NON_FINITE, NOT_NUMBERS, st.floats(max_value=0.0), st.floats(min_value=1.0)),
         st.floats(0.001, 0.999)),
     "validate_gain_distribution(index)": (
         lambda v: validate_gain_distribution(ZF, v, 8, 0),
@@ -133,8 +135,8 @@ SLOTS = {
     "fit_slope(window)": (
         lambda v: fit_slope(ESTIMATES, v),
         st.one_of(
-            st.tuples(NON_FINITE, st.floats(0.0, 40.0)),
-            st.tuples(st.floats(0.0, 10.0), NON_FINITE),
+            st.tuples(st.one_of(NON_FINITE, NOT_NUMBERS), st.floats(0.0, 40.0)),
+            st.tuples(st.floats(0.0, 10.0), st.one_of(NON_FINITE, NOT_NUMBERS)),
             st.tuples(st.floats(30.0, 1e300), st.floats(-1e300, 29.0)),  # low > high
         ),
         st.tuples(st.floats(-1e300, 10.0), st.floats(30.0, 1e300))),
@@ -162,6 +164,13 @@ def test_invalid_number_raises_dmt_error(slot, data):
 def test_valid_number_passes(slot, data):
     call, _, good = SLOTS[slot]
     call(data.draw(good, label=slot))
+
+
+def test_non_number_level_and_window_raise_dmt_error():
+    with pytest.raises(DmtError):
+        confidence_interval(1, 10, level="x")
+    with pytest.raises(DmtError):
+        fit_slope([], ("a", 1))
 
 
 def test_dmt_error_is_a_value_error():

@@ -73,11 +73,16 @@ def chunk_gains(scenario, rng, n):
 
 def reference_chunk_gains(scenario, rng, n):
     """Reference for ``_chunk_gains``, same draws in the same order: Gamma
-    rows by ``reference_gamma_rows``, and for bc-zf the forward
-    substitution on complex (k, k, n) arrays with an einsum."""
+    rows by ``reference_gamma_rows``; for bc-zf at K = 2 the rows X_0, X_1,
+    E of shapes M, M - 1, 1 and the gains (X_0 X_1 / (X_1 + E), X_1); for
+    bc-zf at K >= 3 the forward substitution on complex (k, k, n) arrays
+    with an einsum."""
     k = scenario.k
     if scenario.kind != "bc-zf":
         return reference_gamma_rows(rng, scenario.gain_shapes(), n).T
+    if k == 2:
+        x0, x1, e = reference_gamma_rows(rng, (scenario.m, scenario.m - 1, 1), n)
+        return np.stack([x0 * x1 / (x1 + e), x1]).T
     inv_diag = 1.0 / np.sqrt(reference_gamma_rows(rng, range(scenario.m, scenario.m - k, -1), n))
     z = rng.standard_normal((2, k * (k - 1) // 2, n))
     below = (z[0] + 1j * z[1]) * _SQRT_HALF
@@ -419,13 +424,13 @@ class TestGammaSampler:
     the QR matrix path (gains read off the R factor of drawn H* = QR), by
     two-sample KS tests on independent seeds. The sampler draws shapes up
     to ``_ERLANG_MAX_SHAPE`` as -log of products of uniforms and larger
-    shapes by ``standard_gamma``; the cases below use shapes 1-4, so they
-    test the products, and ``TestGammaLaw`` tests both methods. ZF gains are
-    dependent, so the joint statistics min_i gamma_i and prod_i gamma_i are
-    tested as well as each column."""
+    shapes by ``standard_gamma``; bc-zf at K = 2 runs at M = 2, 3, 6 and 7,
+    so its X_0 and X_1 rows are drawn on both sides of that cutoff. ZF gains
+    are dependent, so the joint statistics min_i gamma_i, prod_i gamma_i and
+    gamma_0 / gamma_1 are tested as well as each column."""
 
     N = 50_000
-    P_FLOOR = 1e-4  # about 30 comparisons in all
+    P_FLOOR = 1e-4  # about 50 comparisons in all
 
     @pytest.mark.parametrize(
         "kind, m, k",
@@ -433,7 +438,7 @@ class TestGammaSampler:
             ("parallel-identical", 3, 2),
             ("parallel-different", 3, 2),
             ("bc-dpc", 3, 2),
-            ("bc-zf", 3, 2),
+            *(("bc-zf", m, 2) for m in (2, 3, 6, 7)),
             ("bc-zf", 2, 1),
             ("bc-zf", 4, 3),
             ("bc-zf", 4, 4),
@@ -449,6 +454,8 @@ class TestGammaSampler:
             ("min", fast.min(axis=1), oracle.min(axis=1)),
             ("prod", fast.prod(axis=1), oracle.prod(axis=1)),
         ]
+        if k > 1:
+            joint.append(("ratio", fast[:, 0] / fast[:, 1], oracle[:, 0] / oracle[:, 1]))
         for name, a, b in columns + joint:
             p = stats.ks_2samp(a, b).pvalue
             assert p >= self.P_FLOOR, f"{kind} M={m} K={k} {name}: KS p = {p:.2e}"
@@ -547,7 +554,10 @@ class TestOutageKernel:
             out.fill(0.0)
             return out
 
-    # bc-zf is left out: a zero Bartlett diagonal is a singular Gram matrix.
+    # bc-zf is left out. At K = 2 zero uniforms give X_0 = X_1 = E = 0, so
+    # gamma_1 = 0 and gamma_0 = 0 / 0 is NaN with an invalid-value
+    # RuntimeWarning (real uniforms give X_1 = E = 0 with probability at most
+    # 2^-106); at K >= 3 a zero Bartlett diagonal is a singular Gram matrix.
     @pytest.mark.parametrize("kind", ["parallel-identical", "parallel-different", "bc-dpc"])
     def test_zero_uniform_gives_zero_gain(self, kind):
         s = gamma_scenario(kind, _ERLANG_MAX_SHAPE, 2)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from wdmt import (
     lp_vertex,
     validate_weights,
 )
-from wdmt.lp_oracle import _FEAS_EPS
+from wdmt.lp_oracle import _FEAS_EPS, _GRID_MAX_POINTS
 
 
 def random_instance(rng, k_max=4, n_max=4):
@@ -173,6 +174,21 @@ class TestLpGrid:
         )
         with pytest.raises(ValueError):
             lp_grid(inst, 49)
+
+    @pytest.mark.parametrize("k, resolution", [(4, 10**5), (4, 1000), (3, 1000), (2, 10**6)])
+    def test_resolution_beyond_point_limit_rejected_before_any_table(self, k, resolution):
+        # (resolution + 1)^ceil(K/2) points would exceed the limit; at K = 4,
+        # 10^5 would need a 74.5 GiB table, so nothing may be built first
+        assert (resolution + 1) ** ((k + 1) // 2) > _GRID_MAX_POINTS
+        inst = LpInstance(costs=(1.0,) * k, weights=(1.0 / k,) * k, bound=0.5, upper=(1.0,) * k)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError):
+                lp_grid(inst, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("resolution", [50.7, math.nan, "50"])
     def test_non_integer_resolution_rejected(self, resolution):
