@@ -292,8 +292,9 @@ class _Workspace:
     """Buffers that the outage kernel reuses for every block of at most
     ``size`` samples: the (k, n) gain rows, a spare row (bc-zf at K = 2
     draws E there), the capacity accumulator, the outage mask and, for
-    bc-zf at K >= 3, the Bartlett normals. Buffers are flat, so a shorter
-    block's leading slice reshapes into a contiguous array."""
+    bc-zf at K >= 3, the Bartlett normals, which the off-diagonal entries
+    of L^-1 overwrite in place. Buffers are flat, so a shorter block's
+    leading slice reshapes into a contiguous array."""
 
     def __init__(self, scenario: Scenario, size: int):
         k = scenario.k
@@ -332,12 +333,12 @@ def _chunk_gains(
     column i of L^-1. At K = 2 column 0 has (X_1 + E) / (X_0 X_1) with
     E = |L_10|^2 ~ Exp(1), drawn third into the spare row, and column 1 has
     1 / X_1: gamma_0 = X_0 X_1 / (X_1 + E), gamma_1 = X_1. At K >= 3, L^-1
-    is built row by row by forward substitution in real arithmetic: each
-    off-diagonal entry of L^-1 is a pair of real (n,) arrays, and the
-    diagonal 1 / |L_ii| stays real. Products accumulate over j ascending
-    and column norms over rows ascending, as in the complex (k, k, n)
-    formulation that the tests keep as the reference, so the gains equal
-    its gains bit for bit.
+    is built row by row by forward substitution in real arithmetic, in
+    place of L in the normals buffer: each off-diagonal entry is a pair of
+    real (n,) rows, and the diagonal 1 / |L_ii| stays real. Products
+    accumulate over j ascending and column norms over rows ascending, as in
+    the complex (k, k, n) formulation that the tests keep as the reference,
+    so the gains equal its gains bit for bit.
     """
     k = scenario.k
     zf = scenario.kind == "bc-zf"
@@ -358,26 +359,24 @@ def _chunk_gains(
     pairs = k * (k - 1) // 2
     z = rng.standard_normal(out=work.normals[: 2 * pairs * n].reshape(2, pairs, n))
     z *= _SQRT_HALF
-    below_re, below_im = z  # strict lower triangle of L, row by row
-    inv = {}  # (i, c) -> (real, imaginary) parts of entry (i, c < i) of L^-1
-    start = 0
-    for i in range(k):
-        l_re, l_im = below_re[start : start + i], below_im[start : start + i]
-        start += i
-        scale = -inv_diag[i]
+    # z[:, i(i - 1)/2 + c] holds the real and imaginary parts of entry
+    # (i, c < i) of L; entry (i, c) of L^-1 overwrites it, as no later entry
+    # of row i reads it.
+    l_re, l_im = z
+    for i in range(1, k):
+        row, scale = i * (i - 1) // 2, -inv_diag[i]
         for c in range(i):
-            re, im = l_re[c] * inv_diag[c], l_im[c] * inv_diag[c]
+            entry = z[:, row + c]
+            entry *= inv_diag[c]
+            re, im = entry
             for j in range(c + 1, i):
-                x_re, x_im = inv[j, c]
-                re += l_re[j] * x_re - l_im[j] * x_im
-                im += l_re[j] * x_im + l_im[j] * x_re
-            re *= scale
-            im *= scale
-            inv[i, c] = re, im
+                x = j * (j - 1) // 2 + c
+                re += l_re[row + j] * l_re[x] - l_im[row + j] * l_im[x]
+                im += l_re[row + j] * l_im[x] + l_im[row + j] * l_re[x]
+            entry *= scale
     gains = np.square(inv_diag, out=inv_diag)
-    for (_, c), (re, im) in inv.items():  # insertion order: rows ascending in each column
-        np.square(re, out=re)
-        np.square(im, out=im)
+    for slot, c in enumerate(c for i in range(k) for c in range(i)):  # rows ascending
+        re, im = np.square(z[:, slot], out=z[:, slot])
         re += im
         gains[c] += re
     np.divide(1.0, gains, out=gains)

@@ -93,7 +93,11 @@ def fit_slope(estimates, window: tuple[float, float]) -> SlopeFit:
         If dropping points with fewer than ``MIN_EVENTS`` outage events
         leaves fewer than two.
     """
-    low, high = check_finite("window low", window[0]), check_finite("window high", window[1])
+    try:
+        low, high = window
+    except (TypeError, ValueError):
+        raise OutOfRangeError(f"window must be a (low, high) pair, got {window!r}") from None
+    low, high = check_finite("window low", low), check_finite("window high", high)
     if low > high:
         raise OutOfRangeError(f"window must have low <= high, got ({low}, {high})")
     inside = [e for e in estimates if low - 1e-9 <= e.rho_db <= high + 1e-9]

@@ -138,6 +138,7 @@ SLOTS = {
             st.tuples(st.one_of(NON_FINITE, NOT_NUMBERS), st.floats(0.0, 40.0)),
             st.tuples(st.floats(0.0, 10.0), st.one_of(NON_FINITE, NOT_NUMBERS)),
             st.tuples(st.floats(30.0, 1e300), st.floats(-1e300, 29.0)),  # low > high
+            st.sampled_from([(1,), 5, (1, 2, 3), None]),  # not a pair
         ),
         st.tuples(st.floats(-1e300, 10.0), st.floats(30.0, 1e300))),
     "dpc_gains(order)": (

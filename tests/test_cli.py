@@ -5,6 +5,7 @@ import pytest
 
 import wdmt.cli
 from wdmt.cli import (
+    CSV_COLUMNS,
     EXIT_OK,
     EXIT_STAT_FAIL,
     EXIT_USAGE,
@@ -17,6 +18,7 @@ from wdmt.cli import (
     parse_r_list,
     parse_snr_grid,
     parse_weights,
+    parse_window,
 )
 
 # (flag, parser, text) of list values with an empty entry; each used to be
@@ -80,6 +82,19 @@ class TestParsing:
         with pytest.raises(CliError, match="linear SNR"):
             parse_snr_grid(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1:2", "start:stop:step"), ("0:10:0", "step must be > 0"),
+        ("0:10:-1", "step must be > 0"), ("10:0:1", "below start"),
+    ])
+    def test_malformed_snr_grid_rejected(self, text, message):
+        with pytest.raises(CliError, match=message):
+            parse_snr_grid(text)
+
+    @pytest.mark.parametrize("text", ["10", "10:20:30"])
+    def test_window_needs_two_ends(self, text):
+        with pytest.raises(CliError, match="low:high"):
+            parse_window(text)
+
     def test_snr_grid_point_limit(self):
         # a step of 0.1 dB keeps every point's linear SNR inside the float range
         assert len(parse_snr_grid(f"0:{(MAX_SNR_POINTS - 1) / 10}:0.1")) == MAX_SNR_POINTS
@@ -117,6 +132,21 @@ def test_value_flags_have_converters():
             assert (action.type is None) == untyped, (command, action.dest)
             checked += isinstance(action.default, str) and action.type is not None
     assert checked == 8  # --samples and --seed twice, --shards, --tol, --mean-tol, --var-tol
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.3,0.3"],
+     "argument --weights: weights sum to 0.6, expected 1 within 1e-9"),
+    (["curve", "--scenario", "bc-zf", "--m", "3", "--k", "3", "--weights", "0.5,0.5"],
+     "--k 3 but 2 weights given"),
+    (["curve", "--m", "3", "--weights", "0.5,0.5"], "missing --scenario"),
+    (["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5", "--r", "1"],
+     "missing --snr-db"),
+], ids=["weights-off-one", "k-vs-weights", "no-scenario", "no-snr-db"])
+def test_inconsistent_or_missing_flag_is_usage_error(capsys, argv, message):
+    # weights off 1 are rejected, not renormalized
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCurveCommand:
@@ -459,6 +489,32 @@ class TestFitCommand:
         assert main(["fit", "--input", str(table), "--window", "30:10"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: argument --window: ")
 
+    @pytest.mark.parametrize("content, message", [
+        (CSV_COLUMNS + "\n", "missing required columns"),
+        ("[]", "missing required columns"),
+        (CSV_COLUMNS + "\nbc-zf,2,3\n", "malformed row"),
+        (None, "cannot read"),
+    ], ids=["header-only-csv", "empty-json", "short-row", "unreadable"])
+    def test_unusable_table_is_usage_error(self, tmp_path, capsys, content, message):
+        table = tmp_path / "sim.csv"
+        if content is not None:
+            table.write_text(content)
+        assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_failed_fit_at_one_r_still_reports_the_others(self, tmp_path, capsys):
+        # r = 0.5 has one point with >= 20 events (100, 10 and 1 outages)
+        table = tmp_path / "sim.csv"
+        write_power_law_table(table, 1.0, (10, 20, 30), 1000, r=0.5)
+        low_events = table.read_text().splitlines()[1:]
+        write_power_law_table(table, 1.0, (10, 20, 30), 10**8)
+        table.write_text(table.read_text() + "\n".join(low_events) + "\n")
+        assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_STAT_FAIL
+        failed, passed = capsys.readouterr().out.splitlines()
+        assert failed.startswith("r=0.5: FAIL (fewer than 2 points with >= 20 outage events")
+        assert passed.startswith("r=1: d_hat=1.0000") and passed.endswith("verdict=pass")
+
     def test_row_snr_outside_the_float_range_is_usage_error(self, tmp_path, capsys):
         # a 3090 dB row ended in an OverflowError traceback
         table = tmp_path / "sim.csv"
@@ -614,6 +670,12 @@ class TestConfigFile:
         ])
         assert code == EXIT_OK
         assert read_corners(out)[0] == (0.0, 4.0)
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = bc-zf\nm 3\n")
+        assert main(["curve", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value'\n"
 
     def test_missing_config_file(self):
         assert main(["curve", "--config", "/nonexistent.cfg"]) == EXIT_USAGE

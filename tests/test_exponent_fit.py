@@ -70,6 +70,11 @@ class TestFitSlope:
         with pytest.raises(InsufficientDataError):
             fit_slope(table, (25, 35))
 
+    def test_two_points_at_one_snr(self):
+        table = [synthetic_estimate(20, 10**4, 100), synthetic_estimate(20, 10**4, 90)]
+        with pytest.raises(InsufficientDataError, match="one SNR"):
+            fit_slope(table, (10, 30))
+
     def test_low_event_points_dropped_and_reported(self):
         table = [
             synthetic_estimate(10, 10**4, 100),
@@ -144,6 +149,15 @@ class TestCompare:
         assert report.d_analytic == 2.0
         assert report.passed
         assert report.rel_error == 0.0
+
+    def test_zero_diversity_at_full_multiplexing(self):
+        # d(K) = 0: only an exact zero has a finite relative error
+        exact = SlopeFit(d_hat=0.0, stderr=0.0, window=(10.0, 30.0), points_used=2)
+        report = compare(exact, self.curve, 2.0)
+        assert (report.d_analytic, report.rel_error, report.passed) == (0.0, 0.0, True)
+        off = SlopeFit(d_hat=0.3, stderr=0.0, window=(10.0, 30.0), points_used=2)
+        report = compare(off, self.curve, 2.0)
+        assert (report.rel_error, report.passed) == (math.inf, False)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):

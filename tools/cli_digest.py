@@ -1,0 +1,120 @@
+"""Digest a fixed matrix of ``wdmt`` CLI runs, to check that two source trees
+behave byte for byte alike.
+
+Each run calls ``wdmt.cli.main`` in process, inside a fresh temporary
+directory, and prints one line::
+
+    name exit-code sha256(stdout, stderr, written file)
+
+The matrix covers ``curve``, ``simulate`` (1 and 3 shards), ``fit``,
+``validate`` and config-file runs for all four scenario kinds in CSV and
+JSON, plus a set of invalid inputs. It takes well under 30 s. Usage::
+
+    PYTHONPATH=parent/src python tools/cli_digest.py > parent.txt
+    PYTHONPATH=change/src python tools/cli_digest.py > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+from wdmt.cli import main
+
+KINDS = {
+    "parallel-identical": ["--nt", "2", "--weights", "0.6,0.4"],
+    "parallel-different": ["--profile", "2,1", "--weights", "0.6,0.4"],
+    "bc-zf": ["--m", "3", "--weights", "0.6,0.4"],
+    "bc-zf-k3": ["--m", "4", "--weights", "0.5,0.3,0.2"],
+    "bc-dpc": ["--m", "3", "--weights", "3/5,2/5"],
+}
+SIMULATE = ["--r", "0.5,1", "--snr-db", "5:20:5", "--samples", "4000", "--seed", "7"]
+
+INVALID = {
+    "weights-off-one": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.3,0.3"],
+    "empty-entry": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,,0.5"],
+    "k-vs-weights": ["curve", "--scenario", "bc-zf", "--m", "3", "--k", "3",
+                     "--weights", "0.5,0.5"],
+    "no-scenario": ["curve", "--m", "3", "--weights", "0.5,0.5"],
+    "too-many-users": ["curve", "--scenario", "bc-dpc", "--m", "1", "--weights", "0.5,0.5"],
+    "unused-antenna-flag": ["curve", "--scenario", "bc-zf", "--m", "3", "--nt", "2",
+                            "--weights", "0.5,0.5"],
+    "no-snr-db": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                  "--r", "1"],
+    "snr-grid-parts": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                       "--r", "1", "--snr-db", "1:2"],
+    "snr-overflow": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                     "--r", "1", "--snr-db", "3090"],
+    "negative-seed": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                      "--r", "1", "--snr-db", "10", "--seed", "-1"],
+    "rate-above-k": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                     "--r", "2.5", "--snr-db", "10", "--samples", "100"],
+    "fit-missing-input": ["fit", "--input", "absent.csv", "--window", "5:20"],
+    "fit-reversed-window": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "20:5"],
+    "fit-window-parts": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "5"],
+    "fit-nan-tol": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "5:20", "--tol", "nan"],
+    "config-no-equals": ["curve", "--config", "no-equals.cfg"],
+    "config-unknown-key": ["curve", "--config", "unknown-key.cfg"],
+    "config-missing": ["curve", "--config", "absent.cfg"],
+}
+
+
+def run(name: str, argv: list[str], out: str | None = None) -> None:
+    """Run ``wdmt argv`` (writing to ``out`` if given) and print its digest line."""
+    if out is not None:
+        argv = [*argv, "--out", out]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    written = Path(out).read_bytes() if out is not None and Path(out).exists() else b""
+    digest = hashlib.sha256()
+    for part in (stdout.getvalue().encode(), stderr.getvalue().encode(), written):
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    print(name, code, digest.hexdigest())
+
+
+def config_file(path: str, argv: list[str]) -> None:
+    """Write the ``--flag value`` pairs of ``argv`` as a ``key = value`` file."""
+    pairs = zip(argv[::2], argv[1::2])
+    Path(path).write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in pairs))
+
+
+def digest_all() -> None:
+    for kind, flags in KINDS.items():
+        scenario = ["--scenario", kind.removesuffix("-k3"), *flags]
+        run(f"curve-{kind}-stderr", ["curve", *scenario])
+        for fmt in ("csv", "json"):
+            run(f"curve-{kind}-{fmt}", ["curve", *scenario, "--format", fmt], f"curve-{kind}.{fmt}")
+            for shards in ("1", "3"):
+                table = f"sim-{kind}-{shards}.{fmt}"
+                run(f"simulate-{kind}-{shards}-{fmt}",
+                    ["simulate", *scenario, *SIMULATE, "--shards", shards, "--format", fmt], table)
+                run(f"fit-{kind}-{shards}-{fmt}", ["fit", "--input", table, "--window", "5:20"])
+        run(f"validate-{kind}", ["validate", *scenario, "--samples", "20000", "--seed", "3"])
+        for command, extra in (("curve", []), ("simulate", SIMULATE), ("validate", [])):
+            config_file(f"{command}-{kind}.cfg", [*scenario, *extra])
+            run(f"config-{command}-{kind}", [command, "--config", f"{command}-{kind}.cfg"],
+                None if command == "validate" else f"config-{command}-{kind}.out")
+    Path("no-equals.cfg").write_text("scenario = bc-zf\nm 3\n")
+    Path("unknown-key.cfg").write_text("scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nsample = 9\n")
+    for name, argv in INVALID.items():
+        run(f"invalid-{name}", argv)
+
+
+if __name__ == "__main__":
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            digest_all()
+        finally:
+            os.chdir(here)
