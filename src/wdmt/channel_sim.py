@@ -1,6 +1,6 @@
-"""Rayleigh channel sampling, precoder effective gains from a QR
-factorization, finite-SNR weighted sum capacity, and sharded Monte Carlo
-outage estimation.
+"""Rayleigh channel sampling, finite-SNR weighted sum capacity, sharded
+Monte Carlo outage estimation, and the QR oracle that checks the gains it
+draws.
 
 Conventions
 -----------
@@ -14,14 +14,15 @@ Conventions
   HH* (Goodman 1963), at K = 2 two parallel channels X_1 and
   X_0 X_1 / (X_1 + E); ``_chunk_gains`` describes the draw and
   ``_Workspace`` the buffers it reuses. The R factor of H* = QR for drawn
-  K x M matrices (one stacked LAPACK call) remains as the independent
-  oracle behind ``zf_gains``, ``dpc_gains`` and
-  ``validate_gain_distribution``.
+  K x M matrices (``_qr_gains``, one stacked LAPACK call) remains as the
+  independent oracle of that reduction, reached only through
+  ``validate_gain_distribution``; its ``ok`` mask drops rank-deficient
+  draws.
 * The normal quantile, the Clopper-Pearson bounds and the Gamma CDF of
   the KS distance come from ``scipy.special``; importing ``scipy.stats``
   would add about a second to every start of the CLI.
 * Capacities are in nats; SNR ``rho`` is linear here (the CLI converts
-  from dB exactly once).
+  from dB exactly once) and at most ``_MAX_RHO``.
 * The finite-SNR capacity keeps the weights inside the logarithm,
   K * sum_i mu_i log(1 + mu_i rho gamma_i), so simulations test the
   asymptotic slope claims instead of assuming them.
@@ -40,28 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import (
-    DimensionMismatchError,
-    DmtError,
-    OutOfRangeError,
-    RankDeficientError,
-    Scenario,
-    TooManyUsersError,
-    Weights,
-    check_count,
-    check_positive,
-    check_rate,
-)
+from .core import OutOfRangeError, Scenario, check_count, check_positive, check_rate
 
 __all__ = [
-    "ChannelMatrix",
-    "EffectiveGains",
     "OutageEstimate",
     "GainDistributionReport",
-    "sample_channel",
-    "zf_gains",
-    "dpc_gains",
-    "weighted_capacity",
     "outage_probability",
     "validate_gain_distribution",
     "confidence_interval",
@@ -73,6 +57,10 @@ __all__ = [
 # scenario, 2^15 and 2^16 ran up to 10% faster, but in the interleaved
 # mc-deep benchmark 2^15 gained less over the parent (BENCH_10.json).
 _BLOCK = 1 << 14
+# Largest linear SNR (3000 dB) that outage_probability accepts: the capacity
+# multiplies each gain g by mu * rho, and g mu rho must stay finite. At
+# rho = 1e308 the product already overflows for gains of order 1.
+_MAX_RHO = 1e300
 _CHUNK = 1 << 18  # channel matrices per step of validate_gain_distribution
 # Largest integer Gamma shape a drawn as -log of a product of a uniforms.
 # Per draw, that beats numpy's Marsaglia-Tsang standard_gamma at shapes 1-5
@@ -85,42 +73,6 @@ _ERLANG_MAX_SHAPE = 5
 _RANK_EPS = 1e-24
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _MIN_NORMAL_EVENTS = 20  # below this the normal CI is replaced by Clopper-Pearson
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """K x M complex fading realization; rows are the per-user channels."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.array(self.h, dtype=complex)
-        if h.ndim != 2 or h.size == 0:
-            raise DmtError(f"expected a K x M matrix, got shape {h.shape}")
-        if not np.isfinite(h).all():
-            raise OutOfRangeError("channel entries must be finite")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-
-    @property
-    def n_users(self) -> int:
-        return self.h.shape[0]
-
-
-@dataclass(frozen=True)
-class EffectiveGains:
-    """Finite, nonnegative per-channel effective power gains."""
-
-    gamma: tuple[float, ...]
-
-    def __post_init__(self):
-        g = tuple(float(x) for x in self.gamma)
-        if not all(0.0 <= x < math.inf for x in g):
-            raise OutOfRangeError(f"gains must be finite and >= 0, got {g}")
-        object.__setattr__(self, "gamma", g)
-
-    def __len__(self) -> int:
-        return len(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -168,16 +120,6 @@ class GainDistributionReport:
     ks_stat: float
 
 
-def sample_channel(m: int, k: int, rng) -> ChannelMatrix:
-    """Draw a K x M channel with i.i.d. CN(0,1) entries.
-
-    ``rng`` may be an integer seed, a SeedSequence, or a Generator; the
-    same generator state always yields the same matrix.
-    """
-    m, k = check_count("m", m, 1), check_count("k", k, 1)
-    return ChannelMatrix(_sample_rows(np.random.default_rng(rng), 1, k, m)[0])
-
-
 def _sample_rows(rng: np.random.Generator, n: int, k: int, m: int) -> np.ndarray:
     re = rng.standard_normal((n, k, m))
     im = rng.standard_normal((n, k, m))
@@ -192,16 +134,14 @@ def _sq_norm(v: np.ndarray) -> np.ndarray:
 def _qr_gains(rows: np.ndarray, zf: bool) -> tuple[np.ndarray, np.ndarray]:
     """Effective gains of stacked channels from the R factor of H* = QR.
 
-    rows: (n, k, m) -> (gains (n, k), ok (n,)). |R_ii|^2 is the squared
-    residual of row i after removing rows 0..i-1, the DPC gain when users
-    are encoded in row order. Since HH* = R*R, the ZF gain
+    rows: (n, k, m), k <= m -> (gains (n, k), ok (n,)). |R_ii|^2 is the
+    squared residual of row i after removing rows 0..i-1, the DPC gain when
+    users are encoded in row order. Since HH* = R*R, the ZF gain
     1 / [(HH*)^-1]_ii is 1 / ||row i of R^-1||^2. ``ok`` is False where
     |R_ii|^2 <= _RANK_EPS ||h_i||^2 on any row for ZF, or on any row but
     the last for DPC (no DPC gain depends on the last row's direction).
     """
-    _, k, m = rows.shape
-    if k > m:
-        raise TooManyUsersError(f"{k} users exceed {m} transmit antennas")
+    k = rows.shape[1]
     r = np.linalg.qr(rows.conj().swapaxes(1, 2), mode="r")
     diag = np.diagonal(r, axis1=1, axis2=2)
     residual = np.abs(diag) ** 2
@@ -211,44 +151,6 @@ def _qr_gains(rows: np.ndarray, zf: bool) -> tuple[np.ndarray, np.ndarray]:
     # A unit pivot keeps the inverse finite where R is singular; ok masks it.
     r[:, range(k), range(k)] = np.where(tiny, 1.0, diag)
     return 1.0 / _sq_norm(np.linalg.inv(r)), ~tiny.any(axis=1)
-
-
-def zf_gains(channel: ChannelMatrix) -> EffectiveGains:
-    """Zero-forcing effective gains of one realization.
-
-    gamma_i = 1 / [(HH*)^-1]_ii, the squared residual of row i after
-    removing the other K-1 rows, read off the R factor of H* = QR.
-
-    Raises ``RankDeficientError`` if the rows are numerically dependent
-    and ``TooManyUsersError`` if K > M.
-    """
-    gains, ok = _qr_gains(channel.h[None, :, :], zf=True)
-    if not ok[0]:
-        raise RankDeficientError("channel rows are numerically dependent")
-    return EffectiveGains(tuple(gains[0]))
-
-
-def dpc_gains(channel: ChannelMatrix, encode_order) -> EffectiveGains:
-    """Dirty-paper effective gains of one realization under ``encode_order``.
-
-    The gain of the user encoded at position j is |R_jj|^2 from H* = QR
-    with the rows in encode order: the first user keeps its full squared
-    row norm, and each later user the squared residual after removing all
-    previously encoded rows. Gains are returned indexed by user (not by
-    encode position).
-
-    Raises ``RankDeficientError`` if the previously encoded rows are
-    numerically dependent and ``TooManyUsersError`` if K > M.
-    """
-    order = [check_count("encode_order entry", i, 0) for i in encode_order]
-    if sorted(order) != list(range(channel.n_users)):
-        raise DmtError(f"encode_order must permute 0..{channel.n_users - 1}")
-    gains, ok = _qr_gains(channel.h[None, order, :], zf=False)
-    if not ok[0]:
-        raise RankDeficientError("previously encoded rows are numerically dependent")
-    gamma = np.empty(channel.n_users)
-    gamma[order] = gains[0]
-    return EffectiveGains(tuple(gamma))
 
 
 def _capacity(mu: np.ndarray, rho: float, gains: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -265,20 +167,6 @@ def _capacity(mu: np.ndarray, rho: float, gains: np.ndarray, out: np.ndarray) ->
             out += row
     out *= mu.size
     return out
-
-
-def weighted_capacity(gains: EffectiveGains, weights: Weights, rho: float) -> float:
-    """Weighted sum rate K * sum_i mu_i log(1 + mu_i rho gamma_i), in nats.
-
-    Power is allocated proportionally to the weights, which is what places
-    mu_i inside the logarithm; the leading K matches the outage definition
-    used throughout (multiplexing gain ranges over [0, K]).
-    """
-    if len(gains) != len(weights):
-        raise DimensionMismatchError(f"{len(gains)} gains vs {len(weights)} weights")
-    rho = check_positive("rho", rho)
-    column = np.array(gains.gamma)[:, None]
-    return float(_capacity(np.asarray(weights.mu), rho, column, np.empty(1))[0])
 
 
 def _mu_columns(scenario: Scenario) -> np.ndarray:
@@ -446,9 +334,12 @@ def outage_probability(
     budget is split across min(shards, n_samples) deterministic substreams
     spawned from a copy of ``seed`` (a caller's ``SeedSequence`` is never
     advanced); outage counts are summed, so the estimate is a pure function
-    of (scenario, r, rho, n_samples, seed, shards).
+    of (scenario, r, rho, n_samples, seed, shards). ``rho`` must lie in
+    (0, ``_MAX_RHO``], so that the capacity stays finite.
     """
     r, rho = check_rate(r, scenario.k), check_positive("rho", rho)
+    if rho > _MAX_RHO:
+        raise OutOfRangeError(f"rho must be at most {_MAX_RHO:g}, got {rho}")
     n_samples = check_count("n_samples", n_samples, 1)
     shards = min(check_count("shards", shards, 1), n_samples)
 

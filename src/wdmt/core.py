@@ -21,7 +21,6 @@ __all__ = [
     "DimensionMismatchError",
     "TooManyUsersError",
     "OutOfRangeError",
-    "RankDeficientError",
     "TooLargeError",
     "Weights",
     "AntennaProfile",
@@ -50,7 +49,7 @@ class BadSumError(DmtError):
 
 
 class DimensionMismatchError(DmtError):
-    """Lengths of weights / antenna profile / gain vectors disagree."""
+    """Lengths of weights / antenna profile / LP vectors disagree."""
 
 
 class TooManyUsersError(DmtError):
@@ -59,10 +58,6 @@ class TooManyUsersError(DmtError):
 
 class OutOfRangeError(DmtError):
     """A bounded argument (multiplexing gain, SNR, index) is outside its range."""
-
-
-class RankDeficientError(DmtError):
-    """Channel rows are numerically linearly dependent (measure-zero event)."""
 
 
 class TooLargeError(DmtError):

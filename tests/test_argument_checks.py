@@ -19,7 +19,6 @@ import wdmt
 from wdmt import (
     AntennaProfile,
     DmtError,
-    EffectiveGains,
     LpInstance,
     OutageEstimate,
     Scenario,
@@ -27,15 +26,12 @@ from wdmt import (
     compare,
     confidence_interval,
     dmt_different,
-    dpc_gains,
     fit_slope,
     lp_greedy,
     lp_grid,
     outage_probability,
-    sample_channel,
     validate_gain_distribution,
     validate_weights,
-    weighted_capacity,
 )
 
 W2 = validate_weights((0.6, 0.4))
@@ -43,8 +39,6 @@ PROFILE = AntennaProfile((2, 1))
 CURVE = dmt_different(PROFILE, W2)  # r in [0, 2]
 ZF = Scenario(kind="bc-zf", weights=W2, m=3)
 INSTANCE = LpInstance.alpha_form(PROFILE, W2, 1.0)
-GAINS = EffectiveGains((1.0, 2.0))
-CHANNEL = sample_channel(3, 2, 0)
 FIT = SlopeFit(d_hat=2.0, stderr=0.1, window=(10.0, 30.0), points_used=3)
 ESTIMATES = [
     OutageEstimate(rho=10.0 ** (db / 10.0), r=1.0, n_samples=10_000, n_outages=n,
@@ -72,7 +66,7 @@ def estimate(**field):
 
 
 BAD_POSITIVES = st.one_of(NON_FINITE, st.floats(max_value=0.0))
-# Valid SNRs stay below 1e300: at rho = 1e308 the capacity itself overflows.
+# outage_probability accepts rho up to 1e300, so that the capacity stays finite.
 GOOD_RHO = st.floats(min_value=1e-300, max_value=1e300)
 
 # entry point and argument -> (call with that argument, invalid values, valid values)
@@ -92,14 +86,11 @@ SLOTS = {
     "lp_grid(resolution)": (  # K = 2: at most 10^6 points, res + 1, per half-lattice
         lambda v: lp_grid(INSTANCE, v),
         st.one_of(bad_counts(50), st.integers(min_value=10**6)), st.integers(50, 80)),
-    "sample_channel(m)": (lambda v: sample_channel(v, 2, 0), bad_counts(1), st.integers(1, 4)),
-    "sample_channel(k)": (lambda v: sample_channel(3, v, 0), bad_counts(1), st.integers(1, 4)),
-    "weighted_capacity(rho)": (
-        lambda v: weighted_capacity(GAINS, W2, v), BAD_POSITIVES, GOOD_RHO),
     "outage_probability(r)": (
         lambda v: outage_probability(ZF, v, 10.0, 16, 0), bad_rates(2.0), st.floats(0.0, 2.0)),
     "outage_probability(rho)": (
-        lambda v: outage_probability(ZF, 1.0, v, 16, 0), BAD_POSITIVES, GOOD_RHO),
+        lambda v: outage_probability(ZF, 1.0, v, 16, 0),
+        st.one_of(BAD_POSITIVES, st.floats(min_value=1e300, exclude_min=True)), GOOD_RHO),
     "outage_probability(n_samples)": (
         lambda v: outage_probability(ZF, 1.0, 10.0, v, 0), bad_counts(1), st.integers(1, 64)),
     "outage_probability(shards)": (
@@ -141,9 +132,6 @@ SLOTS = {
             st.sampled_from([(1,), 5, (1, 2, 3), None]),  # not a pair
         ),
         st.tuples(st.floats(-1e300, 10.0), st.floats(30.0, 1e300))),
-    "dpc_gains(order)": (
-        lambda v: dpc_gains(CHANNEL, (v, 1 - v)),
-        st.one_of(bad_counts(0), st.integers(min_value=2)), st.integers(0, 1)),
 }
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -11,30 +11,26 @@ from scipy import special, stats
 
 from wdmt import (
     AntennaProfile,
-    ChannelMatrix,
-    DimensionMismatchError,
-    EffectiveGains,
     OutOfRangeError,
     OutageEstimate,
-    RankDeficientError,
     Scenario,
     TooManyUsersError,
     confidence_interval,
-    dpc_gains,
     outage_probability,
-    sample_channel,
     validate_gain_distribution,
     validate_weights,
-    weighted_capacity,
-    zf_gains,
 )
 from wdmt.channel_sim import (
     _BLOCK,
     _ERLANG_MAX_SHAPE,
+    _MAX_RHO,
     _SQRT_HALF,
     _Workspace,
+    _capacity,
     _chunk_gains,
     _matrix_gains,
+    _qr_gains,
+    _sample_rows,
 )
 
 
@@ -51,6 +47,23 @@ def projection_residual_sq(target, onto):
     coef, *_ = np.linalg.lstsq(onto.T, target, rcond=None)
     resid = target - onto.T @ coef
     return float(np.vdot(resid, resid).real)
+
+
+def sq_norms(rows):
+    """Squared norm of each row, summed independently of the package."""
+    return (rows.real**2 + rows.imag**2).sum(axis=-1)
+
+
+def one_matrix_gains(h, zf):
+    """``_qr_gains`` of a single K x M matrix: (gains (k,), ok)."""
+    gains, ok = _qr_gains(np.asarray(h, dtype=complex)[None], zf)
+    return gains[0], bool(ok[0])
+
+
+def capacity(mu, rho, gains):
+    """``_capacity`` of one gain vector."""
+    column = np.array(gains, dtype=float)[:, None]
+    return float(_capacity(np.asarray(mu), rho, column, np.empty(1))[0])
 
 
 def reference_gamma_rows(rng, shapes, n):
@@ -126,18 +139,18 @@ def gamma_scenario(kind, m, k):
 
 class TestSampleChannel:
     def test_same_seed_same_matrix(self):
-        a = sample_channel(4, 2, 123)
-        b = sample_channel(4, 2, 123)
-        assert np.array_equal(a.h, b.h)
+        a = _sample_rows(np.random.default_rng(123), 5, 2, 4)
+        b = _sample_rows(np.random.default_rng(123), 5, 2, 4)
+        assert np.array_equal(a, b)
 
     def test_shape_and_convention(self):
-        ch = sample_channel(5, 3, 0)
-        assert ch.h.shape == (3, 5)
-        assert ch.n_users == 3
+        # n stacked K x M channels; row i of each is user i's channel
+        rows = _sample_rows(np.random.default_rng(0), 4, 3, 5)
+        assert rows.shape == (4, 3, 5) and rows.dtype == complex
 
     def test_entry_power_is_unit(self):
-        ch = sample_channel(50_000, 2, 7)  # 1e5 entries
-        assert abs(np.mean(np.abs(ch.h) ** 2) - 1.0) < 0.02
+        rows = _sample_rows(np.random.default_rng(7), 1, 2, 50_000)  # 1e5 entries
+        assert abs(np.mean(np.abs(rows) ** 2) - 1.0) < 0.02
 
     def test_row_norm_mean_matches_antenna_count(self):
         rep = validate_gain_distribution(
@@ -159,35 +172,31 @@ class TestSampleChannel:
         )
         assert rep.ks_stat < 1.63 / math.sqrt(100_000)
 
-    def test_bad_dimensions(self):
-        with pytest.raises(ValueError):
-            sample_channel(0, 2, 1)
-
 
 class TestZfGains:
+    """ZF gains of the QR oracle, ``_qr_gains(rows, zf=True)``."""
+
     def test_single_user_keeps_full_norm(self):
-        ch = sample_channel(4, 1, 3)
-        g = zf_gains(ch)
-        assert g.gamma[0] == pytest.approx(np.vdot(ch.h[0], ch.h[0]).real, rel=1e-12)
+        rows = _sample_rows(np.random.default_rng(3), 50, 1, 4)
+        gains, ok = _qr_gains(rows, zf=True)
+        assert ok.all()
+        np.testing.assert_allclose(gains, sq_norms(rows), rtol=1e-12)
 
     def test_orthogonal_rows_unchanged(self):
-        h = np.zeros((2, 3), dtype=complex)
-        h[0, 0] = 1 + 2j
-        h[1, 1] = 3 - 1j
-        g = zf_gains(ChannelMatrix(h))
-        assert g.gamma == pytest.approx((5.0, 10.0), rel=1e-12)
+        gains, ok = one_matrix_gains([[1 + 2j, 0, 0], [0, 3 - 1j, 0]], zf=True)
+        assert ok and gains == pytest.approx((5.0, 10.0), rel=1e-12)
 
     def test_matches_least_squares_oracle(self):
         rng = np.random.default_rng(17)
-        for _ in range(50):
-            k = int(rng.integers(1, 5))
-            m = int(rng.integers(k, k + 3))
-            ch = sample_channel(m, k, rng)
-            g = zf_gains(ch)
-            for i in range(k):
-                others = np.delete(ch.h, i, axis=0)
-                expected = projection_residual_sq(ch.h[i], others)
-                assert abs(g.gamma[i] - expected) <= 1e-10 * max(expected, 1.0)
+        for k in range(1, 5):
+            for m in range(k, k + 3):
+                rows = _sample_rows(rng, 10, k, m)
+                gains, ok = _qr_gains(rows, zf=True)
+                assert ok.all()
+                for h, g in zip(rows, gains):
+                    for i in range(k):
+                        expected = projection_residual_sq(h[i], np.delete(h, i, axis=0))
+                        assert abs(g[i] - expected) <= 1e-10 * max(expected, 1.0), (k, m)
 
     def test_mean_gain_is_residual_dimension(self):
         # M=3, K=2 leaves one complex dimension free: Gamma(2,1), mean 2
@@ -196,15 +205,17 @@ class TestZfGains:
             rep = validate_gain_distribution(s, index, 1_000_000, seed=19 + index)
             assert abs(rep.mean - 2.0) < 0.01
 
-    def test_rank_deficient_detected(self):
-        h = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-        with pytest.raises(RankDeficientError):
-            zf_gains(ChannelMatrix(h))
+    def test_too_many_users(self):
+        # the oracle sees only a Scenario's K x M draws, and Scenario refuses K > M
+        with pytest.raises(TooManyUsersError):
+            Scenario(kind="bc-zf", weights=validate_weights((0.4, 0.3, 0.3)), m=2)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
-    def test_non_finite_channel_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            ChannelMatrix([[bad, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    def test_rank_deficient_detected(self):
+        # ok masks the singular draw only, not the regular one stacked after it
+        singular = [[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        gains, ok = _qr_gains(np.array([singular, np.eye(3)], dtype=complex), zf=True)
+        assert ok.tolist() == [False, True]
+        assert np.isfinite(gains).all() and gains[1].tolist() == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize(
         "h",
@@ -212,38 +223,38 @@ class TestZfGains:
         ids=["near-zero-pivot", "exact-zero-pivot"],
     )
     def test_collinear_pair_rank_deficient(self, h):
-        # each interferer set is a single nonzero row, yet H itself is singular
-        with pytest.raises(RankDeficientError):
-            zf_gains(ChannelMatrix(np.array(h, dtype=complex)))
-
-    def test_too_many_users(self):
-        with pytest.raises(TooManyUsersError):
-            zf_gains(sample_channel(2, 3, 5))
+        # each interferer set is a single nonzero row, yet H itself is
+        # singular; the unit pivot keeps the inverse (and the gains) finite
+        gains, ok = one_matrix_gains(h, zf=True)
+        assert not ok and np.isfinite(gains).all()
 
 
 class TestDpcGains:
+    """DPC gains of the QR oracle, ``_qr_gains(rows, zf=False)`` with the
+    rows in encode order; gain j belongs to the user encoded j-th."""
+
     def test_first_user_keeps_full_norm(self):
-        ch = sample_channel(4, 3, 23)
-        g = dpc_gains(ch, (1, 0, 2))
-        assert g.gamma[1] == pytest.approx(np.vdot(ch.h[1], ch.h[1]).real, rel=1e-12)
+        rows = _sample_rows(np.random.default_rng(23), 50, 3, 4)
+        gains, ok = _qr_gains(rows[:, [1, 0, 2]], zf=False)
+        assert ok.all()
+        np.testing.assert_allclose(gains[:, 0], sq_norms(rows[:, 1]), rtol=1e-12)
 
     def test_orthogonal_square_system_unchanged(self):
-        h = np.diag([1 + 1j, 2.0, 3j]).astype(complex)
-        g = dpc_gains(ChannelMatrix(h), (0, 1, 2))
-        assert g.gamma == pytest.approx((2.0, 4.0, 9.0), rel=1e-12)
+        gains, ok = one_matrix_gains(np.diag([1 + 1j, 2.0, 3j]), zf=False)
+        assert ok and gains == pytest.approx((2.0, 4.0, 9.0), rel=1e-12)
 
     def test_matches_least_squares_oracle(self):
         rng = np.random.default_rng(29)
-        for _ in range(50):
-            k = int(rng.integers(1, 5))
-            m = int(rng.integers(k, k + 3))
-            ch = sample_channel(m, k, rng)
-            order = tuple(rng.permutation(k))
-            g = dpc_gains(ch, order)
-            for pos, user in enumerate(order):
-                prior = ch.h[list(order[:pos])]
-                expected = projection_residual_sq(ch.h[user], prior)
-                assert abs(g.gamma[user] - expected) <= 1e-10 * max(expected, 1.0)
+        for k in range(1, 5):
+            for m in range(k, k + 3):
+                rows = _sample_rows(rng, 10, k, m)
+                order = list(rng.permutation(k))
+                gains, ok = _qr_gains(rows[:, order], zf=False)
+                assert ok.all()
+                for h, g in zip(rows, gains):
+                    for pos, user in enumerate(order):
+                        expected = projection_residual_sq(h[user], h[order[:pos]])
+                        assert abs(g[pos] - expected) <= 1e-10 * max(expected, 1.0), (k, m)
 
     def test_mean_gains_shrink_along_encode_order(self):
         s = Scenario(kind="bc-dpc", weights=validate_weights((0.5, 0.5)), m=3)
@@ -252,65 +263,43 @@ class TestDpcGains:
         assert abs(rep0.mean - 3.0) < 0.015
         assert abs(rep1.mean - 2.0) < 0.01
 
-    def test_bad_order_rejected(self):
-        ch = sample_channel(3, 2, 41)
-        with pytest.raises(ValueError):
-            dpc_gains(ch, (0, 0))
-
-    @pytest.mark.parametrize("order", [(0.7, 1.2), (True, False)])
-    def test_non_integer_order_entries_rejected(self, order):
-        # these used to be truncated to (0, 1) and read as (1, 0)
-        with pytest.raises(OutOfRangeError, match="encode_order entry"):
-            dpc_gains(sample_channel(3, 2, 41), order)
-
     def test_rank_deficient_detected(self):
-        h = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], dtype=complex)
-        with pytest.raises(RankDeficientError):
-            dpc_gains(ChannelMatrix(h), (1, 2, 0))
+        # encode order (1, 2, 0): the second-encoded row repeats the first's direction
+        h = np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+        gains, ok = one_matrix_gains(h[[1, 2, 0]], zf=False)
+        assert not ok and np.isfinite(gains).all()
 
     def test_collinear_last_row_keeps_zero_gain(self):
         # the last-encoded row is never projected against, so its ~0 gain stands
-        h = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [2.0, 4.0, 0.0]], dtype=complex)
-        g = dpc_gains(ChannelMatrix(h), (0, 1, 2))
-        assert g.gamma[:2] == pytest.approx((5.0, 1.0), rel=1e-12)
-        assert g.gamma[2] == pytest.approx(0.0, abs=1e-20)
+        h = [[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [2.0, 4.0, 0.0]]
+        gains, ok = one_matrix_gains(h, zf=False)
+        assert ok
+        assert gains[:2] == pytest.approx((5.0, 1.0), rel=1e-12)
+        assert gains[2] == pytest.approx(0.0, abs=1e-20)
 
 
 class TestWeightedCapacity:
+    """Closed forms of K * sum_i mu_i log(1 + mu_i rho gamma_i) on
+    ``_capacity``, and the SNR range that keeps it finite."""
+
     def test_one_nat_identity(self):
-        cap = weighted_capacity(
-            EffectiveGains((1.0,)), validate_weights((1.0,)), math.e - 1.0
-        )
-        assert cap == pytest.approx(1.0, abs=1e-15)
+        assert capacity((1.0,), math.e - 1.0, (1.0,)) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_gains_zero_rate(self):
-        cap = weighted_capacity(
-            EffectiveGains((0.0, 0.0)), validate_weights((0.5, 0.5)), 10.0
-        )
-        assert cap == 0.0
+        assert capacity((0.5, 0.5), 10.0, (0.0, 0.0)) == 0.0
 
     def test_uniform_pair_closed_form(self):
-        cap = weighted_capacity(
-            EffectiveGains((1.0, 1.0)), validate_weights((0.5, 0.5)), 10.0
+        assert capacity((0.5, 0.5), 10.0, (1.0, 1.0)) == pytest.approx(
+            2.0 * math.log(6.0), rel=1e-14
         )
-        assert cap == pytest.approx(2.0 * math.log(6.0), rel=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            weighted_capacity(EffectiveGains((1.0,)), validate_weights((0.5, 0.5)), 1.0)
 
     def test_bad_snr(self):
-        with pytest.raises(OutOfRangeError):
-            weighted_capacity(EffectiveGains((1.0,)), validate_weights((1.0,)), 0.0)
-
-    def test_nan_snr(self):
-        with pytest.raises(OutOfRangeError):
-            weighted_capacity(EffectiveGains((1.0,)), validate_weights((1.0,)), math.nan)
-
-    @pytest.mark.parametrize("gamma", [(math.inf, 1.0), (math.nan,), (-1.0,)])
-    def test_bad_gains_rejected(self, gamma):
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            EffectiveGains(gamma)
+        # outage_probability, the one caller of _capacity, checks rho; rho =
+        # 1e308 would overflow the capacity
+        scalar = Scenario(kind="parallel-identical", weights=validate_weights((1.0,)), n_t=1)
+        for rho in (0.0, -1.0, np.nextafter(_MAX_RHO, math.inf), 1e308):
+            with pytest.raises(OutOfRangeError):
+                outage_probability(scalar, r=0.5, rho=rho, n_samples=10, seed=1)
 
 
 class TestOutageProbability:
@@ -396,6 +385,20 @@ class TestOutageProbability:
     def test_infinite_snr_rejected(self):
         with pytest.raises(OutOfRangeError):
             outage_probability(self.scalar, r=0.5, rho=math.inf, n_samples=10, seed=1)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            gamma_scenario("bc-zf", 3, 2),
+            gamma_scenario("bc-dpc", 40, 2),
+            gamma_scenario("parallel-identical", 61, 2),  # n_t = 60
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_capacity_finite_at_snr_bound(self, scenario):
+        # pytest turns a RuntimeWarning (an overflow) into an error
+        est = outage_probability(scenario, r=1.0, rho=_MAX_RHO, n_samples=20_000, seed=3)
+        assert est.n_outages == 0
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_rejected(self, r):

@@ -321,6 +321,19 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: argument --snr-db: linear SNR of ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("snr_db", ["3080", "2990:3010:10"])
+    def test_snr_above_the_library_bound_is_usage_error(self, capsys, tmp_path, snr_db):
+        # 3080 dB is a finite linear SNR, 1e308, but it would overflow the capacity
+        out_path = tmp_path / "sim.csv"
+        code = main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--k", "2",
+            "--weights", "0.5,0.5", "--r", "1", "--snr-db", snr_db, "--samples", "100",
+            "--out", str(out_path),
+        ])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == "" and not out_path.exists()
+        assert err.startswith("error: rho must be at most 1e+300") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_negative_seed_is_usage_error(self, capsys, command):
         # numpy's "expected non-negative integer" used to name no flag

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -47,9 +48,9 @@ def paper_corners(counts, mu):
 
 
 @st.composite
-def antennas_and_weights(draw):
-    """(m, weights) with K = 1..5 users and m = K..K+3 antennas."""
-    k = draw(st.integers(1, 5))
+def antennas_and_weights(draw, min_k=1, max_k=5):
+    """(m, weights) with K = min_k..max_k users and m = K..K+3 antennas."""
+    k = draw(st.integers(min_k, max_k))
     m = draw(st.integers(k, k + 3))
     raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
     total = math.fsum(raw)
@@ -355,6 +356,23 @@ class TestCurveProperties:
         dpc, zf = broadcast("bc-dpc", m, w.mu), broadcast("bc-zf", m, w.mu)
         for r in sorted({c[0] for c in dpc.corners + zf.corners}):
             assert dpc.evaluate(r) >= zf.evaluate(r), (m, w.mu, r)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(antennas_and_weights(min_k=2, max_k=4))
+    def test_dpc_decreasing_weight_order_is_optimal(self, case):
+        # the paper's encode order (decreasing weight) against all K! orders:
+        # the user encoded j-th gets m - j antennas, and no order beats the
+        # curve that curve_for_scenario builds, at any of 201 rates
+        m, w = case
+        k = len(w)
+        curve = broadcast("bc-dpc", m, w.mu)
+        profile = AntennaProfile(tuple(range(m, m - k, -1)))
+        rates = np.linspace(0.0, k, 201)
+        best = [curve.evaluate(float(r)) for r in rates]
+        for order in itertools.permutations(w.mu):
+            other = dmt_different(profile, Weights(order))
+            for r, d in zip(rates, best):
+                assert other.evaluate(float(r)) <= d + 1e-12, (m, w.mu, order, r)
 
     def test_curve_for_scenario_dispatch(self):
         # every kind is the closed form over its gain shapes, with the

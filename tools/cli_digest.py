@@ -50,6 +50,8 @@ INVALID = {
                        "--r", "1", "--snr-db", "1:2"],
     "snr-overflow": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
                      "--r", "1", "--snr-db", "3090"],
+    "snr-3080": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                 "--r", "1", "--snr-db", "3080"],
     "negative-seed": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
                       "--r", "1", "--snr-db", "10", "--seed", "-1"],
     "rate-above-k": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
