@@ -181,8 +181,9 @@ class _Workspace:
     ``size`` samples: the (k, n) gain rows, a spare row (bc-zf at K = 2
     draws E there), the capacity accumulator, the outage mask and, for
     bc-zf at K >= 3, the Bartlett normals, which the off-diagonal entries
-    of L^-1 overwrite in place. Buffers are flat, so a shorter block's
-    leading slice reshapes into a contiguous array."""
+    of L^-1 overwrite in place. A block holds whole pieces of one or more
+    shards side by side, each in its own columns. Buffers are flat, so a
+    shorter block's leading slice reshapes into a contiguous array."""
 
     def __init__(self, scenario: Scenario, size: int):
         k = scenario.k
@@ -193,25 +194,35 @@ class _Workspace:
         self.normals = np.empty(k * (k - 1) * size if scenario.kind == "bc-zf" and k > 2 else 0)
 
 
-def _gamma_row(rng: np.random.Generator, row: np.ndarray, shape: int, scratch) -> np.ndarray:
-    """Fill ``row`` with Gamma(shape, 1) draws: shape a <= ``_ERLANG_MAX_SHAPE``
-    as -log prod_{j<a} (1 - U_j), multiplied in place through the spare row
-    ``scratch`` (unused at a = 1; the factors lie in (0, 1], so a zero
-    uniform never gives -log 0), a larger shape by ``standard_gamma``."""
+def _gamma_row(segments, row: np.ndarray, shape: int, scratch) -> np.ndarray:
+    """Fill ``row`` with Gamma(shape, 1) draws, each generator of the
+    (generator, slice) ``segments`` into its own slice of the row: shape
+    a <= ``_ERLANG_MAX_SHAPE`` as -log prod_{j<a} (1 - U_j), multiplied in
+    place through the spare row ``scratch`` (unused at a = 1; the factors
+    lie in (0, 1], so a zero uniform never gives -log 0), a larger shape by
+    ``standard_gamma``. Only the draws run per segment; the products and
+    the log run once over the whole row."""
     if shape > _ERLANG_MAX_SHAPE:
-        return rng.standard_gamma(float(shape), size=row.size, out=row)
-    np.subtract(1.0, rng.random(out=row), out=row)
+        for rng, part in segments:
+            rng.standard_gamma(float(shape), out=row[part])
+        return row
+    for rng, part in segments:
+        rng.random(out=row[part])
+    np.subtract(1.0, row, out=row)
     for _ in range(shape - 1):
-        row *= np.subtract(1.0, rng.random(out=scratch), out=scratch)
+        for rng, part in segments:
+            rng.random(out=scratch[part])
+        row *= np.subtract(1.0, scratch, out=scratch)
     return np.negative(np.log(row, out=row), out=row)
 
 
-def _chunk_gains(
-    scenario: Scenario, rng: np.random.Generator, n: int, work: _Workspace
-) -> np.ndarray:
-    """Draw n effective-gain vectors from the equivalent parallel model into
-    ``work`` and return them as a (k, n) view, rows in
-    ``scenario.encode_order()``.
+def _chunk_gains(scenario: Scenario, segments, work: _Workspace) -> np.ndarray:
+    """Draw one block of effective-gain vectors from the equivalent parallel
+    model into ``work`` and return them as a (k, n) view, rows in
+    ``scenario.encode_order()``. ``segments`` lists (generator, slice)
+    pairs whose slices tile the block's n columns in order; each generator
+    fills its own columns with exactly the draws, in the same order, that a
+    block of its columns alone would take from it.
 
     Parallel and DPC gains are independent Gamma(shape_i, 1), drawn one row
     at a time by ``_gamma_row``. ZF gains are gamma_i = 1 / [G^-1]_ii for
@@ -231,21 +242,24 @@ def _chunk_gains(
     k = scenario.k
     zf = scenario.kind == "bc-zf"
     shapes = range(scenario.m, scenario.m - k, -1) if zf else scenario.gain_shapes()
+    n = segments[-1][1].stop
     draws, term = work.draws[: k * n].reshape(k, n), work.term[:n]
     for row, shape in zip(draws, shapes):
-        _gamma_row(rng, row, shape, term)
+        _gamma_row(segments, row, shape, term)
     if not zf:
         return draws
     if k == 2:
         x0, x1 = draws
-        np.add(_gamma_row(rng, term, 1, None), x1, out=term)  # E + X_1
+        np.add(_gamma_row(segments, term, 1, None), x1, out=term)  # E + X_1
         np.divide(np.multiply(x0, x1, out=x0), term, out=x0)
         return draws
     # The draws buffer becomes 1 / |L_ii|, then the column norms, then the gains.
     inv_diag = np.sqrt(draws, out=draws)
     np.divide(1.0, inv_diag, out=inv_diag)
     pairs = k * (k - 1) // 2
-    z = rng.standard_normal(out=work.normals[: 2 * pairs * n].reshape(2, pairs, n))
+    z = work.normals[: 2 * pairs * n].reshape(2, pairs, n)
+    for rng, part in segments:  # a generator fills only a contiguous array
+        z[:, :, part] = rng.standard_normal((2, pairs, part.stop - part.start))
     z *= _SQRT_HALF
     # z[:, i(i - 1)/2 + c] holds the real and imaginary parts of entry
     # (i, c < i) of L; entry (i, c) of L^-1 overwrites it, as no later entry
@@ -317,6 +331,32 @@ def confidence_interval(
     return low, high
 
 
+def _blocks(root: np.random.SeedSequence, shards: int, n_samples: int):
+    """Yield the kernel's blocks as lists of (generator, slice) segments.
+
+    Shard i draws its quota, n_samples // shards plus one for the first
+    n_samples % shards shards, from ``default_rng`` of the i-th child of
+    ``root``, in pieces of at most ``_BLOCK`` samples. Consecutive pieces
+    share a block while their sum stays at most ``_BLOCK``. Only a shard's
+    last piece can be shorter than ``_BLOCK``, so no block holds two pieces
+    of one generator, and each generator meets its pieces in order.
+    """
+    quota, extra = divmod(n_samples, shards)
+    block, size = [], 0
+    for shard_index, child in enumerate(root.spawn(shards)):
+        rng = np.random.default_rng(child)
+        remaining = quota + (1 if shard_index < extra else 0)
+        while remaining > 0:
+            n = min(_BLOCK, remaining)
+            remaining -= n
+            if size + n > _BLOCK:
+                yield block
+                block, size = [], 0
+            block.append((rng, slice(size, size + n)))
+            size += n
+    yield block
+
+
 def outage_probability(
     scenario: Scenario,
     r: float,
@@ -329,13 +369,17 @@ def outage_probability(
 
     Gains are drawn from the equivalent parallel model by
     ``_chunk_gains``, so no draw is ever rank deficient and
-    ``n_discarded`` is always 0. Samples are drawn and reduced in blocks
-    of at most ``_BLOCK`` inside one ``_Workspace`` per call. The sample
-    budget is split across min(shards, n_samples) deterministic substreams
-    spawned from a copy of ``seed`` (a caller's ``SeedSequence`` is never
-    advanced); outage counts are summed, so the estimate is a pure function
-    of (scenario, r, rho, n_samples, seed, shards). ``rho`` must lie in
-    (0, ``_MAX_RHO``], so that the capacity stays finite.
+    ``n_discarded`` is always 0. The sample budget is split across
+    min(shards, n_samples) deterministic substreams spawned from a copy of
+    ``seed`` (a caller's ``SeedSequence`` is never advanced), and each
+    substream draws its share in pieces of at most ``_BLOCK`` samples. One
+    ``_Workspace`` per call holds blocks of at most ``_BLOCK`` samples, each
+    made of whole pieces of one or more shards side by side (``_blocks``):
+    each piece gets the same draws as in a block of its own, and the
+    capacity, comparison and count run once per block. Outage counts are
+    summed, so the estimate is a pure function of (scenario, r, rho,
+    n_samples, seed, shards). ``rho`` must lie in (0, ``_MAX_RHO``], so that
+    the capacity stays finite.
     """
     r, rho = check_rate(r, scenario.k), check_positive("rho", rho)
     if rho > _MAX_RHO:
@@ -349,19 +393,14 @@ def outage_probability(
         root = copy.copy(seed)  # spawning must not advance the caller's object
     else:
         root = np.random.SeedSequence(seed)
-    quota, extra = divmod(n_samples, shards)
 
-    work = _Workspace(scenario, min(_BLOCK, quota + (1 if extra else 0)))
+    work = _Workspace(scenario, min(_BLOCK, n_samples))
     outages = 0
-    for shard_index, child in enumerate(root.spawn(shards)):
-        remaining = quota + (1 if shard_index < extra else 0)
-        rng = np.random.default_rng(child)
-        while remaining > 0:
-            n = min(_BLOCK, remaining)
-            remaining -= n
-            capacity = _capacity(mu, rho, _chunk_gains(scenario, rng, n, work), work.acc[:n])
-            hit = np.less_equal(capacity, threshold, out=work.hit[:n])
-            outages += int(np.count_nonzero(hit))
+    for block in _blocks(root, shards, n_samples):
+        n = block[-1][1].stop
+        capacity = _capacity(mu, rho, _chunk_gains(scenario, block, work), work.acc[:n])
+        hit = np.less_equal(capacity, threshold, out=work.hit[:n])
+        outages += int(np.count_nonzero(hit))
 
     ci_low, ci_high = confidence_interval(outages, n_samples)
     return OutageEstimate(

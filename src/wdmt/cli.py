@@ -38,6 +38,7 @@ from .core import (
 )
 from .dmt_analytic import curve_for_scenario
 from .channel_sim import (
+    _MAX_RHO,
     OutageEstimate,
     outage_probability,
     validate_gain_distribution,
@@ -262,15 +263,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("missing --r")
     if args.snr_db is None:
         raise CliError("missing --snr-db")
+    rhos = [_snr_linear(db) for db in args.snr_db]
+    if rhos[-1] > _MAX_RHO:  # the grid ascends: its last point bounds them all
+        raise CliError(f"rho must be at most {_MAX_RHO:g}, got {rhos[-1]} "
+                       f"at --snr-db {args.snr_db[-1]:g}")
     m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
     rows = []
     for i_r, r in enumerate(args.r):
-        for i_db, db in enumerate(args.snr_db):
+        for i_db, (db, rho) in enumerate(zip(args.snr_db, rhos)):
             est = outage_probability(
                 scenario,
                 r=r,
-                rho=_snr_linear(db),
+                rho=rho,
                 n_samples=args.samples,
                 seed=np.random.SeedSequence((args.seed, i_r, i_db)),
                 shards=args.shards,

@@ -81,7 +81,7 @@ def reference_gamma_rows(rng, shapes, n):
 
 def chunk_gains(scenario, rng, n):
     """``_chunk_gains`` in a workspace of its own, as an (n, k) array."""
-    return _chunk_gains(scenario, rng, n, _Workspace(scenario, n)).T
+    return _chunk_gains(scenario, [(rng, slice(0, n))], _Workspace(scenario, n)).T
 
 
 def reference_chunk_gains(scenario, rng, n):
@@ -507,6 +507,23 @@ class TestSamplerMatchesReference:
                 # both leave the stream at the same place
                 assert rng_fast.random() == rng_ref.random()
 
+    @pytest.mark.parametrize("kind", ["parallel-identical", "parallel-different", "bc-dpc", "bc-zf"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_segments_equal_separate_draws(self, kind, k):
+        # one block of several generators' segments, as _blocks packs shards
+        lengths = (1, 7, 1000, 1, 2)
+        stops = np.cumsum(lengths)
+        for m in (k, k + 2):
+            s = gamma_scenario(kind, m, k)
+            seeds = [(k, m, i) for i in range(len(lengths))]
+            packed = [np.random.default_rng(seed) for seed in seeds]
+            segments = [(rng, slice(stop - n, stop)) for rng, n, stop in zip(packed, lengths, stops)]
+            block = _chunk_gains(s, segments, _Workspace(s, int(stops[-1]))).T
+            for rng, seed, n, (_, part) in zip(packed, seeds, lengths, segments):
+                alone = np.random.default_rng(seed)
+                assert np.array_equal(block[part], chunk_gains(s, alone, n)), (m, n)
+                assert rng.random() == alone.random()
+
 
 class TestOutageKernel:
     """The blocked, in-place outage kernel against a rebuild of its count
@@ -538,6 +555,42 @@ class TestOutageKernel:
                 near += int(close.sum())
         est = outage_probability(s, r, rho, n_samples, seed, shards)
         assert 0 < below and below <= est.n_outages <= below + near
+
+    # Counts recorded before one block held pieces of several shards. The
+    # (n_samples, shards) pairs put four shards in one block, pack pieces
+    # into several blocks, split shards longer than a block, and give each
+    # sample its own shard. parallel-different and bc-dpc share shapes
+    # (3, 2) and weight order here, so their counts agree.
+    @pytest.mark.parametrize(
+        "kind, k, n_samples, shards, expected",
+        [
+            ("parallel-identical", 2, 5000, 4, 755),
+            ("parallel-identical", 2, 40001, 5, 6073),
+            ("parallel-identical", 2, 3 * (_BLOCK + 777) + 2, 3, 7818),
+            ("parallel-identical", 2, 100, 100, 15),
+            ("parallel-different", 2, 5000, 4, 198),
+            ("parallel-different", 2, 40001, 5, 1503),
+            ("parallel-different", 2, 3 * (_BLOCK + 777) + 2, 3, 2037),
+            ("parallel-different", 2, 100, 100, 5),
+            ("bc-zf", 2, 5000, 4, 874),
+            ("bc-zf", 2, 40001, 5, 6854),
+            ("bc-zf", 2, 3 * (_BLOCK + 777) + 2, 3, 9062),
+            ("bc-zf", 2, 100, 100, 21),
+            ("bc-dpc", 2, 5000, 4, 198),
+            ("bc-dpc", 2, 40001, 5, 1503),
+            ("bc-dpc", 2, 3 * (_BLOCK + 777) + 2, 3, 2037),
+            ("bc-dpc", 2, 100, 100, 5),
+            ("bc-zf", 3, 5000, 4, 1509),
+            ("bc-zf", 3, 40001, 5, 12340),
+            ("bc-zf", 3, 3 * (_BLOCK + 777) + 2, 3, 15885),
+            ("bc-zf", 3, 100, 100, 32),
+        ],
+    )
+    def test_counts_pinned(self, kind, k, n_samples, shards, expected):
+        s = gamma_scenario(kind, k + 1, k)
+        est = outage_probability(s, r=0.75 * k, rho=10.0, n_samples=n_samples, seed=109,
+                                 shards=shards)
+        assert est.n_outages == expected
 
     def test_peak_memory_is_one_workspace(self):
         # one block's buffers, not 2^20-sample temporaries (18 MB before blocking)

@@ -334,6 +334,18 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE and out == "" and not out_path.exists()
         assert err.startswith("error: rho must be at most 1e+300") and err.count("\n") == 1
 
+    def test_snr_bound_checked_before_any_point(self, capsys, monkeypatch):
+        # the grid's last point decides; 2990 and 3000 dB used to be simulated first
+        calls = []
+        monkeypatch.setattr(wdmt.cli, "outage_probability", lambda *a, **kw: calls.append(a))
+        code = main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--k", "2",
+            "--weights", "0.5,0.5", "--r", "1", "--snr-db", "2990:3010:10", "--samples", "100",
+        ])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == "" and calls == []
+        assert err == "error: rho must be at most 1e+300, got 1e+301 at --snr-db 3010\n"
+
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_negative_seed_is_usage_error(self, capsys, command):
         # numpy's "expected non-negative integer" used to name no flag

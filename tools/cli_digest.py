@@ -6,7 +6,8 @@ directory, and prints one line::
 
     name exit-code sha256(stdout, stderr, written file)
 
-The matrix covers ``curve``, ``simulate`` (1 and 3 shards), ``fit``,
+The matrix covers ``curve``, ``simulate`` (1 and 3 shards, and 40001
+samples in 5 shards, whose pieces fill three kernel blocks), ``fit``,
 ``validate`` and config-file runs for all four scenario kinds in CSV and
 JSON, plus a set of invalid inputs. It takes well under 30 s. Usage::
 
@@ -34,6 +35,8 @@ KINDS = {
     "bc-dpc": ["--m", "3", "--weights", "3/5,2/5"],
 }
 SIMULATE = ["--r", "0.5,1", "--snr-db", "5:20:5", "--samples", "4000", "--seed", "7"]
+# Shards of 8001 and 8000 samples: shards 0-1 and 2-3 share a block each, shard 4 has its own.
+PACKED = ["--r", "1", "--snr-db", "10:20:10", "--samples", "40001", "--shards", "5"]
 
 INVALID = {
     "weights-off-one": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.3,0.3"],
@@ -101,6 +104,7 @@ def digest_all() -> None:
                 run(f"simulate-{kind}-{shards}-{fmt}",
                     ["simulate", *scenario, *SIMULATE, "--shards", shards, "--format", fmt], table)
                 run(f"fit-{kind}-{shards}-{fmt}", ["fit", "--input", table, "--window", "5:20"])
+        run(f"simulate-{kind}-packed", ["simulate", *scenario, *PACKED])
         run(f"validate-{kind}", ["validate", *scenario, "--samples", "20000", "--seed", "3"])
         for command, extra in (("curve", []), ("simulate", SIMULATE), ("validate", [])):
             config_file(f"{command}-{kind}.cfg", [*scenario, *extra])
