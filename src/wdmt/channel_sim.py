@@ -22,7 +22,7 @@ Conventions
   the KS distance come from ``scipy.special``; importing ``scipy.stats``
   would add about a second to every start of the CLI.
 * Capacities are in nats; SNR ``rho`` is linear here (the CLI converts
-  from dB exactly once) and at most ``_MAX_RHO``.
+  from dB exactly once) and at most 1e300 (``core.check_rho``).
 * The finite-SNR capacity keeps the weights inside the logarithm,
   K * sum_i mu_i log(1 + mu_i rho gamma_i), so simulations test the
   asymptotic slope claims instead of assuming them.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import OutOfRangeError, Scenario, check_count, check_positive, check_rate
+from .core import OutOfRangeError, Scenario, check_count, check_positive, check_rate, check_rho
 
 __all__ = [
     "OutageEstimate",
@@ -57,10 +57,6 @@ __all__ = [
 # scenario, 2^15 and 2^16 ran up to 10% faster, but in the interleaved
 # mc-deep benchmark 2^15 gained less over the parent (BENCH_10.json).
 _BLOCK = 1 << 14
-# Largest linear SNR (3000 dB) that outage_probability accepts: the capacity
-# multiplies each gain g by mu * rho, and g mu rho must stay finite. At
-# rho = 1e308 the product already overflows for gains of order 1.
-_MAX_RHO = 1e300
 _CHUNK = 1 << 18  # channel matrices per step of validate_gain_distribution
 # Largest integer Gamma shape a drawn as -log of a product of a uniforms.
 # Per draw, that beats numpy's Marsaglia-Tsang standard_gamma at shapes 1-5
@@ -73,6 +69,7 @@ _ERLANG_MAX_SHAPE = 5
 _RANK_EPS = 1e-24
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _MIN_NORMAL_EVENTS = 20  # below this the normal CI is replaced by Clopper-Pearson
+_CI_LEVEL = 0.95  # two-sided level of confidence_interval
 
 
 @dataclass(frozen=True)
@@ -88,12 +85,9 @@ class OutageEstimate:
     n_discarded: int = 0
 
     def __post_init__(self):
-        check_count("n_samples", self.n_samples, 1)
-        check_count("n_outages", self.n_outages, 0)
+        _check_counts(self.n_outages, self.n_samples)
         check_positive("rho", self.rho)
         check_rate(self.r, math.inf)  # the estimate does not know K
-        if self.n_outages > self.n_samples:
-            raise OutOfRangeError(f"{self.n_outages} outages exceed {self.n_samples} samples")
         if not self.ci_low - 1e-12 <= self.p_hat <= self.ci_high + 1e-12:
             raise OutOfRangeError("confidence interval does not cover the estimate")
 
@@ -301,27 +295,26 @@ def _matrix_gains(
     return _qr_gains(rows, zf=scenario.kind == "bc-zf")
 
 
-def confidence_interval(
-    n_outages: int, n_samples: int, level: float = 0.95
-) -> tuple[float, float]:
-    """Binomial CI for the outage probability.
+def _check_counts(n_outages, n_samples) -> None:
+    """Integers n_samples >= 1 and 0 <= n_outages <= n_samples, else ``OutOfRangeError``."""
+    check_count("n_samples", n_samples, 1)
+    if check_count("n_outages", n_outages, 0) > n_samples:
+        raise OutOfRangeError(f"{n_outages} outages exceed {n_samples} samples")
+
+
+def confidence_interval(n_outages: int, n_samples: int) -> tuple[float, float]:
+    """95% binomial CI for the outage probability.
 
     Normal approximation on the count; exact Clopper-Pearson whenever
     fewer than 20 outages were observed. ``n_samples`` must be an integer
-    >= 1, ``n_outages`` an integer in [0, n_samples], and ``level`` must
-    lie strictly between 0 and 1.
+    >= 1 and ``n_outages`` an integer in [0, n_samples].
     """
-    check_count("n_samples", n_samples, 1)
-    check_count("n_outages", n_outages, 0)
-    if n_outages > n_samples:
-        raise OutOfRangeError(f"{n_outages} outages exceed {n_samples} samples")
-    if check_positive("confidence level", level) >= 1.0:
-        raise OutOfRangeError(f"confidence level {level} outside (0, 1)")
+    _check_counts(n_outages, n_samples)
     p = n_outages / n_samples
     if n_outages >= _MIN_NORMAL_EVENTS:
-        half = float(special.ndtri(0.5 + level / 2)) * math.sqrt(p * (1.0 - p) / n_samples)
+        half = float(special.ndtri(0.5 + _CI_LEVEL / 2)) * math.sqrt(p * (1.0 - p) / n_samples)
         return max(0.0, p - half), min(1.0, p + half)
-    alpha = 1.0 - level
+    alpha = 1.0 - _CI_LEVEL
     low = 0.0
     if n_outages > 0:
         low = float(special.betaincinv(n_outages, n_samples - n_outages + 1, alpha / 2))
@@ -378,12 +371,10 @@ def outage_probability(
     each piece gets the same draws as in a block of its own, and the
     capacity, comparison and count run once per block. Outage counts are
     summed, so the estimate is a pure function of (scenario, r, rho,
-    n_samples, seed, shards). ``rho`` must lie in (0, ``_MAX_RHO``], so that
-    the capacity stays finite.
+    n_samples, seed, shards). ``rho`` must lie in (0, 1e300], so that the
+    capacity stays finite.
     """
-    r, rho = check_rate(r, scenario.k), check_positive("rho", rho)
-    if rho > _MAX_RHO:
-        raise OutOfRangeError(f"rho must be at most {_MAX_RHO:g}, got {rho}")
+    r, rho = check_rate(r, scenario.k), check_rho(rho)
     n_samples = check_count("n_samples", n_samples, 1)
     shards = min(check_count("shards", shards, 1), n_samples)
 

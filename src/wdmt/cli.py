@@ -21,28 +21,18 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from .core import (
-    SCENARIO_KINDS,
-    AntennaProfile,
-    DmtError,
-    Scenario,
-    Weights,
-    check_count,
-    check_positive,
-    validate_weights,
+    SCENARIO_KINDS, WEIGHT_SUM_TOL, AntennaProfile, DmtError, Scenario, Weights, check_count,
+    check_nonnegative, check_positive, check_rho, check_window, validate_weights,
 )
 from .dmt_analytic import curve_for_scenario
-from .channel_sim import (
-    _MAX_RHO,
-    OutageEstimate,
-    outage_probability,
-    validate_gain_distribution,
-)
+from .channel_sim import OutageEstimate, outage_probability, validate_gain_distribution
 from .exponent_fit import compare, fit_slope
 
 EXIT_OK = 0
@@ -104,7 +94,7 @@ def parse_weights(text: str) -> Weights:
     """
     parts = [_parse_fraction(tok) for tok in _entries(text)]
     total = sum(parts)
-    if abs(total - 1) > Fraction(1, 10**9):
+    if abs(total - 1) > WEIGHT_SUM_TOL:
         raise CliError(f"weights sum to {float(total)}, expected 1 within 1e-9")
     return validate_weights([float(p / total) for p in parts])
 
@@ -159,18 +149,12 @@ def parse_window(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise CliError(f"window must be 'low:high' in dB, got {text!r}")
-    low, high = float(parts[0]), float(parts[1])
-    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
-        raise CliError(f"window bounds must be finite with low <= high, got {text!r}")
-    return low, high
+    return check_window(float(parts[0]), float(parts[1]))
 
 
 @_converter
 def parse_tolerance(text: str) -> float:
-    tol = float(text)
-    if not 0.0 <= tol < math.inf:
-        raise CliError(f"tolerance must be finite and >= 0, got {text!r}")
-    return tol
+    return check_nonnegative("tolerance", float(text))
 
 
 @_converter
@@ -264,9 +248,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.snr_db is None:
         raise CliError("missing --snr-db")
     rhos = [_snr_linear(db) for db in args.snr_db]
-    if rhos[-1] > _MAX_RHO:  # the grid ascends: its last point bounds them all
-        raise CliError(f"rho must be at most {_MAX_RHO:g}, got {rhos[-1]} "
-                       f"at --snr-db {args.snr_db[-1]:g}")
+    try:
+        check_rho(rhos[-1])  # the grid ascends: its last point bounds them all
+    except DmtError as exc:
+        raise CliError(f"{exc} at --snr-db {args.snr_db[-1]:g}") from exc
     m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
     rows = []
@@ -458,6 +443,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     for p in (parser, *sub.choices.values()):
         p.exit_on_error = False  # main reports a bad value in one line
+        # a value such as -10:0:5 or -0.5,1.5 is a value, not an unknown flag
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser, sub.choices
 
 

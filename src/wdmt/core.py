@@ -166,6 +166,37 @@ def check_finite(name: str, value) -> float:
     raise OutOfRangeError(f"{name} must be finite, got {value}")
 
 
+def check_nonnegative(name: str, value) -> float:
+    """``value`` as a float if it is finite and >= 0; else ``OutOfRangeError``."""
+    try:
+        if 0.0 <= value < math.inf:
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise OutOfRangeError(f"{name} must be finite and >= 0, got {value}")
+
+
+def check_window(low, high) -> tuple[float, float]:
+    """A fit window's ends as floats if both are finite and low <= high."""
+    low, high = check_finite("window low", low), check_finite("window high", high)
+    if low > high:
+        raise OutOfRangeError(f"window must have low <= high, got ({low}, {high})")
+    return low, high
+
+
+# Largest linear SNR (3000 dB) that check_rho accepts: the capacity multiplies each
+# gain g by mu * rho, and at rho = 1e308 that overflows for gains of order 1.
+_MAX_RHO = 1e300
+
+
+def check_rho(rho) -> float:
+    """Linear SNR ``rho`` as a float if it lies in (0, ``_MAX_RHO``]."""
+    rho = check_positive("rho", rho)
+    if rho > _MAX_RHO:
+        raise OutOfRangeError(f"rho must be at most {_MAX_RHO:g}, got {rho}")
+    return rho
+
+
 @dataclass(frozen=True)
 class AntennaProfile:
     """Transmit antenna count per parallel channel (all counts >= 1)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DmtCurve, DmtError, OutOfRangeError, check_count, check_finite
+from .core import DmtCurve, DmtError, OutOfRangeError, check_count, check_nonnegative, check_window
 
 __all__ = [
     "MIN_EVENTS",
@@ -97,9 +97,7 @@ def fit_slope(estimates, window: tuple[float, float]) -> SlopeFit:
         low, high = window
     except (TypeError, ValueError):
         raise OutOfRangeError(f"window must be a (low, high) pair, got {window!r}") from None
-    low, high = check_finite("window low", low), check_finite("window high", high)
-    if low > high:
-        raise OutOfRangeError(f"window must have low <= high, got ({low}, {high})")
+    low, high = check_window(low, high)
     inside = [e for e in estimates if low - 1e-9 <= e.rho_db <= high + 1e-9]
     if len(inside) < 2:
         raise InsufficientDataError(
@@ -153,8 +151,7 @@ def compare(fit: SlopeFit, curve: DmtCurve, r: float, tol: float = 0.15) -> Comp
 
     Passes when |d_hat - d(r)| <= tol * d(r) + 2 * stderr, for a finite tol >= 0.
     """
-    if not 0.0 <= tol < math.inf:  # NaN fails too
-        raise OutOfRangeError(f"tol must be finite and >= 0, got {tol}")
+    tol = check_nonnegative("tol", tol)
     d = curve.evaluate(r)
     gap = abs(fit.d_hat - d)
     if d > 0.0:
@@ -167,6 +164,6 @@ def compare(fit: SlopeFit, curve: DmtCurve, r: float, tol: float = 0.15) -> Comp
         stderr=fit.stderr,
         d_analytic=d,
         rel_error=rel,
-        tol=float(tol),
+        tol=tol,
         passed=gap <= tol * d + 2.0 * fit.stderr,
     )

@@ -81,20 +81,6 @@ class LpInstance:
             upper=(1.0,) * k,
         )
 
-    @classmethod
-    def x_form(
-        cls, profile: AntennaProfile, weights: Weights, r: float
-    ) -> "LpInstance":
-        """Substituted variables x_i = n_i alpha_i in [0, n_i]: unit costs,
-        weights mu_i / n_i."""
-        a = cls.alpha_form(profile, weights, r)
-        return cls(
-            costs=a.upper,
-            weights=tuple(m / n for m, n in zip(a.weights, a.costs)),
-            bound=a.bound,
-            upper=a.costs,
-        )
-
 
 def lp_vertex(instance: LpInstance) -> ExponentSolution:
     """Exact optimum by vertex enumeration.
@@ -106,8 +92,8 @@ def lp_vertex(instance: LpInstance) -> ExponentSolution:
     candidates, K <= 16 enforced.
 
     Returns the solution with ``alpha = z / u`` (so alpha is the exponent
-    vector for both the alpha-form and x-form instances) and
-    ``d = sum_i c_i z_i``.
+    vector also for an instance in the substituted variables
+    x_i = n_i alpha_i in [0, n_i]) and ``d = sum_i c_i z_i``.
     """
     k = instance.k
     if k > _VERTEX_MAX_K:

@@ -1,7 +1,8 @@
 """The package's argument checks: every invalid number raises a ``DmtError``.
 
-``wdmt.core`` holds the three scalar checks (``check_count``, ``check_rate``
-and ``check_positive``) that the entry points below share. The property
+``wdmt.core`` holds the checks (``check_count``, ``check_rate``,
+``check_positive``, ``check_nonnegative``, ``check_window`` and ``check_rho``)
+that the entry points below and the CLI's converters share. The property
 feeds each numeric argument of each entry point NaN, infinities, negative,
 out-of-range, non-integral and bool values and expects a ``DmtError`` and
 nothing else; valid values, drawn from bounded ranges, must pass.
@@ -102,10 +103,6 @@ SLOTS = {
     "confidence_interval(n_samples)": (
         lambda v: confidence_interval(10, v),
         st.one_of(bad_counts(1), st.integers(1, 9)), st.integers(10, 10**6)),
-    "confidence_interval(level)": (
-        lambda v: confidence_interval(10, 100, level=v),
-        st.one_of(NON_FINITE, NOT_NUMBERS, st.floats(max_value=0.0), st.floats(min_value=1.0)),
-        st.floats(0.001, 0.999)),
     "validate_gain_distribution(index)": (
         lambda v: validate_gain_distribution(ZF, v, 8, 0),
         st.one_of(bad_counts(0), st.integers(min_value=2)), st.integers(0, 1)),
@@ -121,7 +118,7 @@ SLOTS = {
         lambda v: estimate(n_outages=v),
         st.one_of(bad_counts(0), st.integers(min_value=101)), st.integers(0, 100)),
     "compare(tol)": (
-        lambda v: compare(FIT, CURVE, 1.0, tol=v), st.one_of(NON_FINITE, NEGATIVE),
+        lambda v: compare(FIT, CURVE, 1.0, tol=v), st.one_of(NON_FINITE, NEGATIVE, NOT_NUMBERS),
         st.floats(0.0, 10.0)),
     "fit_slope(window)": (
         lambda v: fit_slope(ESTIMATES, v),
@@ -155,9 +152,7 @@ def test_valid_number_passes(slot, data):
     call(data.draw(good, label=slot))
 
 
-def test_non_number_level_and_window_raise_dmt_error():
-    with pytest.raises(DmtError):
-        confidence_interval(1, 10, level="x")
+def test_non_number_window_raises_dmt_error():
     with pytest.raises(DmtError):
         fit_slope([], ("a", 1))
 

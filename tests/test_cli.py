@@ -149,6 +149,32 @@ def test_inconsistent_or_missing_flag_is_usage_error(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# argparse on its own takes -10:0:5 and -0.5,1.5 for unknown flags and exits
+# with "expected one argument"; build_parser overrides its private pattern for
+# negative numbers, so these tests fail if an argparse release drops it.
+def test_negative_snr_grid_is_a_value(capsys):
+    sim = ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5", "--r", "1",
+           "--samples", "1000"]
+    assert main([*sim, "--snr-db", "-10:0:5"]) == EXIT_OK
+    spaced = capsys.readouterr()
+    assert main([*sim, "--snr-db=-10:0:5"]) == EXIT_OK
+    assert capsys.readouterr() == spaced and spaced.out.count("\n") == 4
+
+
+@pytest.mark.parametrize("text", ["-0.5,1.5", "-.5,1.5"])
+def test_negative_weights_reach_their_converter(capsys, text):
+    assert main(["curve", "--scenario", "bc-zf", "--m", "3", "--weights", text]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: argument --weights: all weights must be > 0, got (-0.5, 1.5)\n"
+    )
+
+
+def test_dash_letter_value_is_still_a_flag(capsys):
+    argv = ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5", "--out", "-x"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: argument --out: expected one argument\n"
+
+
 class TestCurveCommand:
     def test_dpc_corner_output(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -507,6 +533,20 @@ class TestFitCommand:
         write_power_law_table(table, 1.0, (10, 20, 30), 10**8)
         assert main(["fit", "--input", str(table), *flags]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", "30:10"], "--window: window must have low <= high, got (30.0, 10.0)"),
+        (["--window", "nan:30"], "--window: window low must be finite, got nan"),
+        (["--window", "10:30", "--tol", "-0.1"],
+         "--tol: tolerance must be finite and >= 0, got -0.1"),
+    ])
+    def test_window_and_tolerance_messages_are_the_library_checks(
+        self, tmp_path, capsys, flags, message
+    ):
+        table = tmp_path / "sim.csv"
+        write_power_law_table(table, 1.0, (10, 20, 30), 10**8)
+        assert main(["fit", "--input", str(table), *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: argument {message}\n"
 
     def test_reversed_window_is_usage_error(self, tmp_path, capsys):
         table = tmp_path / "sim.csv"

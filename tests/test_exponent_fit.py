@@ -165,6 +165,10 @@ class TestCompare:
         with pytest.raises(OutOfRangeError, match="tol"):
             compare(fit, self.curve, 1.0, tol=tol)
 
+    def test_nan_stderr_rejected(self):
+        with pytest.raises(OutOfRangeError, match="stderr"):
+            SlopeFit(d_hat=1.0, stderr=math.nan, window=(0, 1), points_used=2)
+
     def test_stderr_widens_acceptance(self):
         loose = SlopeFit(d_hat=1.5, stderr=0.2, window=(10.0, 30.0), points_used=3)
         tight = SlopeFit(d_hat=1.5, stderr=0.0, window=(10.0, 30.0), points_used=3)

@@ -6,6 +6,7 @@ import pytest
 
 from wdmt import (
     AntennaProfile,
+    DimensionMismatchError,
     DmtError,
     LpInstance,
     OutOfRangeError,
@@ -26,6 +27,18 @@ def random_instance(rng, k_max=4, n_max=4):
     return profile, weights
 
 
+def x_form(profile, weights, r):
+    """The instance in the substituted variables x_i = n_i alpha_i in [0, n_i]:
+    unit costs, weights mu_i / n_i and upper limits n_i."""
+    a = LpInstance.alpha_form(profile, weights, r)
+    return LpInstance(
+        costs=a.upper,
+        weights=tuple(m / n for m, n in zip(a.weights, a.costs)),
+        bound=a.bound,
+        upper=a.costs,
+    )
+
+
 class TestLpInstance:
     def test_alpha_form_fields(self):
         inst = LpInstance.alpha_form(
@@ -36,14 +49,6 @@ class TestLpInstance:
         assert inst.bound == 0.5
         assert inst.upper == (1.0, 1.0)
 
-    def test_x_form_fields(self):
-        inst = LpInstance.x_form(
-            AntennaProfile((2, 1)), validate_weights((0.5, 0.5)), 1.0
-        )
-        assert inst.costs == (1.0, 1.0)
-        assert inst.weights == (0.25, 0.5)
-        assert inst.upper == (2.0, 1.0)
-
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
             LpInstance(costs=(1.0, 0.0), weights=(0.5, 0.5), bound=0.5, upper=(1.0, 1.0))
@@ -51,6 +56,10 @@ class TestLpInstance:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             LpInstance(costs=(1.0,), weights=(1.0,), bound=1.5, upper=(1.0,))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            LpInstance((1.0, 2.0), (0.2,), 0.5, (1.0, 1.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_coefficients_and_bound(self, bad):
@@ -61,7 +70,7 @@ class TestLpInstance:
         with pytest.raises(ValueError):
             LpInstance(**{**ok, "bound": bad})
 
-    @pytest.mark.parametrize("form", [LpInstance.alpha_form, LpInstance.x_form])
+    @pytest.mark.parametrize("form", [LpInstance.alpha_form])
     def test_nan_rate_rejected(self, form):
         with pytest.raises(OutOfRangeError):
             form(AntennaProfile((2, 1)), validate_weights((0.5, 0.5)), math.nan)
@@ -104,13 +113,19 @@ class TestLpVertex:
                 )
             )
 
+    def test_infeasible_bound(self):
+        # the weights sum to 0.6 < 0.9, so no point of the box meets the bound
+        inst = LpInstance((1.0, 2.0, 1.0), (0.2, 0.3, 0.1), 0.9, (1.0, 1.0, 1.0))
+        with pytest.raises(DmtError, match="no feasible vertex"):
+            lp_vertex(inst)
+
     def test_alpha_and_x_forms_agree(self):
         rng = np.random.default_rng(81)
         for _ in range(200):
             profile, weights = random_instance(rng)
             r = float(rng.uniform(0, len(profile)))
             a = lp_vertex(LpInstance.alpha_form(profile, weights, r))
-            b = lp_vertex(LpInstance.x_form(profile, weights, r))
+            b = lp_vertex(x_form(profile, weights, r))
             assert abs(a.d - b.d) <= 1e-9
 
     def test_complementary_slackness(self):
@@ -259,7 +274,7 @@ class TestLpGridMatchesFullLattice:
     def assert_same(self, inst):
         assert lp_grid(inst, self.RES) == full_lattice_minimum(inst, self.RES)
 
-    @pytest.mark.parametrize("form", [LpInstance.alpha_form, LpInstance.x_form])
+    @pytest.mark.parametrize("form", [LpInstance.alpha_form, x_form])
     def test_random_instances(self, form):
         rng = np.random.default_rng(93)
         for _ in range(25):

@@ -9,7 +9,8 @@ directory, and prints one line::
 The matrix covers ``curve``, ``simulate`` (1 and 3 shards, and 40001
 samples in 5 shards, whose pieces fill three kernel blocks), ``fit``,
 ``validate`` and config-file runs for all four scenario kinds in CSV and
-JSON, plus a set of invalid inputs. It takes well under 30 s. Usage::
+JSON, plus a set of invalid inputs and of values that start with ``-``. It
+takes well under 30 s. Usage::
 
     PYTHONPATH=parent/src python tools/cli_digest.py > parent.txt
     PYTHONPATH=change/src python tools/cli_digest.py > change.txt
@@ -63,9 +64,22 @@ INVALID = {
     "fit-reversed-window": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "20:5"],
     "fit-window-parts": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "5"],
     "fit-nan-tol": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "5:20", "--tol", "nan"],
+    "fit-nan-window": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "nan:20"],
+    "fit-negative-tol": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "5:20",
+                         "--tol", "-0.1"],
+    "validate-nan-mean-tol": ["validate", "--scenario", "bc-zf", "--m", "3",
+                              "--weights", "0.5,0.5", "--mean-tol", "nan"],
     "config-no-equals": ["curve", "--config", "no-equals.cfg"],
     "config-unknown-key": ["curve", "--config", "unknown-key.cfg"],
     "config-missing": ["curve", "--config", "absent.cfg"],
+}
+# Values that start with "-" and a digit; "snr-db" and "snr-db-equals" give one output.
+NEGATIVE = {
+    "snr-db": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+               "--r", "1", "--snr-db", "-10:0:5", "--samples", "4000"],
+    "snr-db-equals": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                      "--r", "1", "--snr-db=-10:0:5", "--samples", "4000"],
+    "weights": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "-0.5,1.5"],
 }
 
 
@@ -114,6 +128,8 @@ def digest_all() -> None:
     Path("unknown-key.cfg").write_text("scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nsample = 9\n")
     for name, argv in INVALID.items():
         run(f"invalid-{name}", argv)
+    for name, argv in NEGATIVE.items():
+        run(f"negative-{name}", argv)
 
 
 if __name__ == "__main__":
