@@ -5,14 +5,14 @@ Subcommands: ``curve`` (analytic corner points plus a dense sampling),
 against the analytic curve), and ``validate`` (gain distribution checks).
 Exit codes: 0 success, 2 invalid input, 3 statistical failure.
 
-Each value flag's text is converted once, by its argparse ``type``; the
+Each value flag's text is converted once, by its argparse ``type``. The
 entries of a ``key = value`` config file (``--config PATH`` for ``curve``,
-``simulate`` and ``validate``) become parser defaults, so the same converters
-read them and flags override them. A key that names no flag of any command
-exits 2; a key of another command's flag is ignored. An empty list entry
-(``0.5,,0.5``) and an antenna flag that the scenario kind does not use exit
-2 too. Every rejection is one ``error:`` line; a value that its converter
-rejects is named by its flag.
+``simulate`` and ``validate``) fill the flags that the command line did not
+give, each through its flag's own ``type``, so flags override them. A key
+that names no flag of any command exits 2; a key of another command's flag
+is ignored. An empty list entry (``0.5,,0.5``) and an antenna flag that the
+scenario kind does not use exit 2 too. Every rejection is one ``error:``
+line; a value that its converter rejects is named by its flag.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ MAX_SNR_POINTS = 10_000  # simulate runs one estimate per point and r
 class CliError(DmtError, argparse.ArgumentTypeError):
     """Invalid command-line or config-file input. When a flag's ``type``
     converter raises it, argparse reports it as ``argument --flag: ...``."""
+
+
+class _Store(argparse.Action):
+    """argparse's ``store`` that also adds the flag's dest to
+    ``namespace.given``: config entries fill only the flags not given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.dest}
 
 
 def _converter(parse):
@@ -398,6 +407,14 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """The parser of command ``name``; its flags store through :class:`_Store`."""
+    parser = sub.add_parser(name, help=help)
+    parser.register("action", None, _Store)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The ``wdmt`` parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
@@ -407,12 +424,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_curve = sub.add_parser("curve", help="emit analytic DMT corner points and a dense sampling")
+    p_curve = _add_command(sub, "curve", cmd_curve,
+                           "emit analytic DMT corner points and a dense sampling")
     _add_scenario_flags(p_curve)
     _add_output_flags(p_curve)
-    p_curve.set_defaults(func=cmd_curve)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo outage probability table")
+    p_sim = _add_command(sub, "simulate", cmd_simulate, "Monte Carlo outage probability table")
     _add_scenario_flags(p_sim)
     _add_output_flags(p_sim)
     add = p_sim.add_argument
@@ -422,24 +439,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add("--samples", type=int, default="100000", help="Monte Carlo samples per (r, SNR) point")
     add("--seed", type=parse_seed, default="0", help="base random seed")
     add("--shards", type=int, default="1", help="independent substreams per point")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_fit = sub.add_parser("fit", help="fit diversity slopes from a simulate table")
+    p_fit = _add_command(sub, "fit", cmd_fit, "fit diversity slopes from a simulate table")
     add = p_fit.add_argument
     add("--input", required=True, help="table written by simulate")
     add("--window", type=parse_window, required=True, help="fit window low:high in dB")
     add("--tol", type=parse_tolerance, default="0.15",
         help="relative tolerance on d (default 0.15)")
-    p_fit.set_defaults(func=cmd_fit)
 
-    p_val = sub.add_parser("validate", help="check effective gain distributions")
+    p_val = _add_command(sub, "validate", cmd_validate, "check effective gain distributions")
     _add_scenario_flags(p_val)
     add = p_val.add_argument
     add("--samples", type=int, default="100000", help="draws per gain index")
     add("--seed", type=parse_seed, default="0", help="base random seed")
     add("--mean-tol", type=parse_tolerance, default="0.01")
     add("--var-tol", type=parse_tolerance, default="0.03")
-    p_val.set_defaults(func=cmd_validate)
 
     for p in (parser, *sub.choices.values()):
         p.exit_on_error = False  # main reports a bad value in one line
@@ -457,11 +471,13 @@ def main(argv=None) -> int:
             known = {a.dest for p in commands.values() for a in p._actions} - {"help"}
             if unknown := sorted(entries.keys() - known):
                 raise CliError(f"{args.config}: no wdmt command has a flag {', '.join(unknown)}")
-            # File entries become defaults, so flags win; keys that belong
-            # to another command's flags are ignored.
-            flags = vars(args).keys() - {"command", "config", "func"}
-            commands[args.command].set_defaults(**{k: v for k, v in entries.items() if k in flags})
-            args = parser.parse_args(argv)
+            # Flags win; keys that belong to another command's flags are
+            # ignored. Each entry goes through its flag's `type`, as a
+            # string default would, so a bad one is named by its flag.
+            command = commands[args.command]
+            for action in command._actions:
+                if action.dest in entries.keys() - args.given:
+                    setattr(args, action.dest, command._get_value(action, entries[action.dest]))
         return args.func(args)
     except (ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

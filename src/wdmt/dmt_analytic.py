@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     AntennaProfile,
@@ -132,6 +133,7 @@ def optimal_weights(profile: AntennaProfile) -> Weights:
     return validate_weights(tuple(n / total for n in profile.n))
 
 
+@lru_cache(maxsize=128)
 def curve_for_scenario(scenario: Scenario) -> DmtCurve:
     """Analytic DMT curve for any scenario kind.
 
@@ -140,6 +142,9 @@ def curve_for_scenario(scenario: Scenario) -> DmtCurve:
     into ``scenario.encode_order()``. For bc-zf that is K channels of
     m - K + 1 antennas; for bc-dpc the user encoded j-th (0-based) gets
     m - j antennas.
+
+    Cached by the frozen scenario, so a sweep over the rate builds its curve
+    once and equal scenarios share one (immutable) curve.
     """
     mu = scenario.weights.mu
     return dmt_different(

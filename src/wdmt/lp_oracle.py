@@ -89,7 +89,14 @@ def lp_vertex(instance: LpInstance) -> ExponentSolution:
     every coordinate sits on a box bound except at most one, which
     saturates the inequality. All 2^K box patterns are enumerated, each
     combined with every choice of fractional coordinate: O(K 2^K)
-    candidates, K <= 16 enforced.
+    candidates, K <= 16 enforced. Every candidate is scored, in one pass.
+
+    The candidates are laid out in this order: the 2^K box vertices by
+    pattern, then for each fractional coordinate f = 0, ..., K-1 the 2^K
+    patterns again. A candidate that breaks the bound or its box, or whose
+    pattern already sets coordinate f to 1, scores +inf. The first
+    candidate of least score wins, so a tie goes to a box vertex, then to
+    the lower f, then to the lower pattern.
 
     Returns the solution with ``alpha = z / u`` (so alpha is the exponent
     vector also for an instance in the substituted variables
@@ -98,45 +105,50 @@ def lp_vertex(instance: LpInstance) -> ExponentSolution:
     k = instance.k
     if k > _VERTEX_MAX_K:
         raise TooLargeError(f"vertex enumeration limited to K <= {_VERTEX_MAX_K}")
-    c = np.asarray(instance.costs)
-    w = np.asarray(instance.weights)
-    u = np.asarray(instance.upper)
+    c, w, u = np.array((instance.costs, instance.weights, instance.upper))
     b = instance.bound
-
-    masks = np.arange(1 << k, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(k)) & 1).astype(float)  # (2^k, k)
+    bits, free = _vertex_table(k)
     vertex_w = bits @ (w * u)
     vertex_c = bits @ (c * u)
 
-    best_obj = np.inf
-    best = None  # (mask_row, frac_index, frac_value)
+    score = np.empty((k + 1, 1 << k))
+    score[0] = vertex_c
+    # row f + 1: coordinate f takes the fractional value (b - vertex_w) / w_f
+    frac = score[1:]
+    np.subtract(b, vertex_w, out=frac)
+    frac /= w[:, None]
+    ok = np.empty(score.shape, dtype=bool)
+    np.greater_equal(vertex_w, b - _FEAS_EPS, out=ok[0])
+    np.greater(frac, _FEAS_EPS, out=ok[1:])
+    ok[1:] &= free
+    ok[1:] &= frac <= (u + _FEAS_EPS)[:, None]
+    np.minimum(frac, u[:, None], out=frac)
+    frac *= c[:, None]
+    frac += vertex_c
+    np.copyto(score, np.inf, where=~ok)
 
-    feasible = vertex_w >= b - _FEAS_EPS
-    if feasible.any():
-        i = int(np.flatnonzero(feasible)[np.argmin(vertex_c[feasible])])
-        best_obj = float(vertex_c[i])
-        best = (i, None, 0.0)
-
-    for f in range(k):
-        z_f = (b - vertex_w) / w[f]
-        ok = (bits[:, f] == 0.0) & (z_f > _FEAS_EPS) & (z_f <= u[f] + _FEAS_EPS)
-        if not ok.any():
-            continue
-        obj = vertex_c[ok] + c[f] * np.minimum(z_f[ok], u[f])
-        j = int(np.argmin(obj))
-        if obj[j] < best_obj:
-            best_obj = float(obj[j])
-            row = int(np.flatnonzero(ok)[j])
-            best = (row, f, float(min(z_f[row], u[f])))
-
-    if best is None:
+    best = int(np.argmin(score))
+    if score.flat[best] == np.inf:
         raise DmtError("no feasible vertex; bound exceeds the box capacity")
-
-    row, f, z_frac = best
+    f, row = divmod(best, 1 << k)
     z = bits[row] * u
-    if f is not None:
-        z[f] = z_frac
-    return ExponentSolution(tuple(z / u), float(z @ c))
+    if f:
+        f -= 1
+        z[f] = min((b - vertex_w[row]) / w[f], u[f])
+    return ExponentSolution(tuple((z / u).tolist()), float(z @ c))
+
+
+@lru_cache(maxsize=_VERTEX_MAX_K)
+def _vertex_table(k):
+    """Row j of ``bits`` is box pattern j as 0.0/1.0 (bit i of j is
+    coordinate i); ``free[f, j]`` says coordinate f is 0 in pattern j, so
+    it can take the fractional value. Both are read-only: they are cached
+    and shared by every call at this K."""
+    bits = (np.arange(1 << k, dtype=np.uint32)[:, None] >> np.arange(k, dtype=np.uint32)) & 1
+    free = np.ascontiguousarray(bits.T == 0)
+    bits = bits.astype(float)
+    bits.flags.writeable = free.flags.writeable = False
+    return bits, free
 
 
 def lp_grid(instance: LpInstance, resolution: int) -> float:
@@ -183,6 +195,9 @@ def _grid_tables(costs, weights, upper, resolution):
     are monotone, so a dominating half-A point needs no heavier half-B
     partner and its sum is no larger; and the first half-B staircase point
     heavy enough costs exactly the least of all half-B points heavy enough.
+    The staircase keeps, of points tied in weight, only the tie's least
+    cost, so it does not depend on how the sort orders ties: its stable
+    sort gives the same arrays as any other sort would.
     """
     k = len(costs)
     levels = np.arange(resolution + 1) / resolution
@@ -203,8 +218,13 @@ def _grid_tables(costs, weights, upper, resolution):
 def _staircase(wsum, csum):
     """The points of a half-lattice table that no other point dominates
     (weight at least as large and cost at most as large), by strictly
-    ascending weight and so strictly ascending cost."""
-    order = np.argsort(wsum)[::-1]  # heaviest first
+    ascending weight and so strictly ascending cost.
+
+    The result does not depend on the order of points tied in weight: of a
+    tie, only the cheapest can survive, with the tie's weight and least
+    cost. So a stable sort is exact, and it runs in O(n log runs): a table
+    of :func:`_grid_tables` is res + 1 ascending runs laid end to end."""
+    order = np.argsort(wsum, kind="stable")[::-1]  # heaviest first
     cmin = np.minimum.accumulate(csum[order])
     # the points that lower the running minimum, lightest first; within a
     # tie in weight the cheapest comes first, and the others are dominated

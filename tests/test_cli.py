@@ -119,9 +119,10 @@ def test_empty_list_entry_is_usage_error(capsys, flag, parse, text):
 
 
 def test_value_flags_have_converters():
-    # argparse runs `type` on string defaults, and config entries become string
-    # defaults, so flags and config entries share one converter. Only choice
-    # options (checked by the command) and paths stay strings.
+    # argparse runs `type` on string defaults, and main runs each config entry
+    # through its flag's `type`, so flags, defaults and config entries share one
+    # converter. Only choice options (checked by the command) and paths stay
+    # strings.
     _, commands = build_parser()
     checked = 0
     for command, parser in commands.items():
@@ -694,6 +695,37 @@ class TestConfigFile:
         cfg.write_text(f"scenario = bc-zf\nm = 3\nweights = 0.5,0.5\n{entry}\n")
         assert main(["curve", "--config", str(cfg)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_bad_config_entry_is_named_by_its_flag_unless_a_flag_overrides_it(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = bc-zf\nm = 3\nweights = 0.3,0.3\n")
+        assert main(["curve", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: argument --weights: weights sum to 0.6, expected 1 within 1e-9\n"
+        )
+        assert main(["curve", "--config", str(cfg), "--weights", "0.5,0.5"]) == EXIT_OK
+
+    def test_config_run_converts_each_value_once(self, tmp_path, monkeypatch):
+        # argv is parsed once, so a flag's grid (up to MAX_SNR_POINTS points)
+        # is built once, and a config entry only when no flag overrides it
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_snr_grid(text)
+
+        monkeypatch.setattr(wdmt.cli, "parse_snr_grid", counting)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nr = 1\nsnr-db = 0:10:5\nsamples = 100\n"
+        )
+        out = str(tmp_path / "out.csv")
+        for flags, converted in (([], ["0:10:5"]), (["--snr-db", "20"], ["20"])):
+            calls.clear()
+            assert main(["simulate", "--config", str(cfg), "--out", out, *flags]) == EXIT_OK
+            assert calls == converted
 
     def test_config_keys_of_other_commands_are_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

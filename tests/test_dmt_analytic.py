@@ -386,6 +386,13 @@ class TestCurveProperties:
             for r, d in zip(rates, best):
                 assert other.evaluate(float(r)) <= d + 1e-12, (m, w.mu, order, r)
 
+    def test_equal_scenarios_share_one_cached_curve(self):
+        a, b = (Scenario(kind="bc-dpc", weights=validate_weights((0.3, 0.7)), m=3)
+                for _ in range(2))
+        assert a is not b and a == b
+        assert curve_for_scenario(b) is curve_for_scenario(a)
+        assert curve_for_scenario.cache_info().maxsize == 128
+
     def test_curve_for_scenario_dispatch(self):
         # every kind is the closed form over its gain shapes, with the
         # weights in encode order (bc-dpc encodes the larger weight first)

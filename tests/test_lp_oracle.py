@@ -8,6 +8,7 @@ from wdmt import (
     AntennaProfile,
     DimensionMismatchError,
     DmtError,
+    ExponentSolution,
     LpInstance,
     OutOfRangeError,
     TooLargeError,
@@ -16,7 +17,7 @@ from wdmt import (
     lp_vertex,
     validate_weights,
 )
-from wdmt.lp_oracle import _FEAS_EPS, _GRID_MAX_POINTS
+from wdmt.lp_oracle import _FEAS_EPS, _GRID_MAX_POINTS, _staircase, _vertex_table
 
 
 def random_instance(rng, k_max=4, n_max=4):
@@ -151,6 +152,163 @@ class TestLpVertex:
                 greedy = lp_greedy(profile, weights, float(r))
                 vertex = lp_vertex(LpInstance.alpha_form(profile, weights, float(r)))
                 assert abs(greedy.d - vertex.d) <= 1e-9
+
+
+def reference_lp_vertex(instance):
+    """lp_vertex as a loop over the fractional coordinate: the box vertices
+    first, then each f in turn, a later candidate winning only when it is
+    strictly cheaper."""
+    k = instance.k
+    c = np.asarray(instance.costs)
+    w = np.asarray(instance.weights)
+    u = np.asarray(instance.upper)
+    b = instance.bound
+
+    masks = np.arange(1 << k, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(k)) & 1).astype(float)  # (2^k, k)
+    vertex_w = bits @ (w * u)
+    vertex_c = bits @ (c * u)
+
+    best_obj = np.inf
+    best = None  # (mask_row, frac_index, frac_value)
+
+    feasible = vertex_w >= b - _FEAS_EPS
+    if feasible.any():
+        i = int(np.flatnonzero(feasible)[np.argmin(vertex_c[feasible])])
+        best_obj = float(vertex_c[i])
+        best = (i, None, 0.0)
+
+    for f in range(k):
+        z_f = (b - vertex_w) / w[f]
+        ok = (bits[:, f] == 0.0) & (z_f > _FEAS_EPS) & (z_f <= u[f] + _FEAS_EPS)
+        if not ok.any():
+            continue
+        obj = vertex_c[ok] + c[f] * np.minimum(z_f[ok], u[f])
+        j = int(np.argmin(obj))
+        if obj[j] < best_obj:
+            best_obj = float(obj[j])
+            row = int(np.flatnonzero(ok)[j])
+            best = (row, f, float(min(z_f[row], u[f])))
+
+    if best is None:
+        raise DmtError("no feasible vertex; bound exceeds the box capacity")
+
+    row, f, z_frac = best
+    z = bits[row] * u
+    if f is not None:
+        z[f] = z_frac
+    return ExponentSolution(tuple(z / u), float(z @ c))
+
+
+def tie_instances():
+    """Instances built to tie: equal c_i u_i, equal w_i u_i, bounds that land
+    exactly on a vertex weight, and the bounds 0 and 1."""
+    for k in (2, 3, 4, 5):
+        for costs, upper in (((2.0,) * k, (1.0,) * k), ((1.0, 2.0, 4.0, 0.5, 1.0)[:k],
+                                                       (2.0, 1.0, 0.5, 4.0, 2.0)[:k])):
+            cu = [ci * ui for ci, ui in zip(costs, upper)]
+            assert len(set(cu)) == 1  # equal c_i u_i
+            for weights in ((1.0 / k,) * k, tuple(0.5 / (k * ui) for ui in upper)):
+                wu = [wi * ui for wi, ui in zip(weights, upper)]
+                # every partial sum of the w_i u_i is a vertex weight
+                for bound in {0.0, 1.0, *(float(sum(wu[:j])) for j in range(k + 1))}:
+                    if bound <= 1.0:
+                        yield LpInstance(costs, weights, bound, upper)
+        dyadic = tuple(float(2 ** -(i % 3 + 1)) for i in range(k))
+        for bound in (0.0, 0.25, 0.5, 0.75, 1.0):
+            yield LpInstance(dyadic, tuple(x / sum(dyadic) for x in dyadic), bound, (1.0,) * k)
+
+
+class TestLpVertexMatchesReference:
+    """The one-pass lp_vertex returns what the per-f loop returns, bit for
+    bit, ties included."""
+
+    @staticmethod
+    def assert_same(inst):
+        try:
+            expected = reference_lp_vertex(inst)
+        except DmtError:
+            with pytest.raises(DmtError, match="no feasible vertex"):
+                lp_vertex(inst)
+            return
+        got = lp_vertex(inst)
+        assert got.alpha == expected.alpha and got.d == expected.d, inst
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_random_instances(self, k):
+        rng = np.random.default_rng(200 + k)
+        for _ in range(40):
+            upper = tuple(rng.uniform(0.3, 4.0, k))
+            weights = tuple(rng.uniform(0.05, 1.0, k) / (k * max(upper)))
+            costs = tuple(rng.uniform(0.1, 3.0, k))
+            for bound in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3)):
+                self.assert_same(LpInstance(costs, weights, float(bound), upper))
+            profile = AntennaProfile(tuple(int(n) for n in rng.integers(1, 5, k)))
+            raw = rng.random(k) + 0.02
+            mu = validate_weights(tuple(raw / raw.sum()))
+            for r in np.linspace(0.0, k, 5):
+                self.assert_same(LpInstance.alpha_form(profile, mu, float(r)))
+                self.assert_same(x_form(profile, mu, float(r)))
+
+    def test_k16_instance(self):
+        rng = np.random.default_rng(216)
+        k = 16
+        inst = LpInstance(tuple(rng.uniform(0.1, 3.0, k)), tuple(rng.uniform(0.01, 0.1, k)),
+                          0.4, tuple(rng.uniform(0.5, 2.0, k)))
+        self.assert_same(inst)
+
+    def test_tied_instances(self):
+        for inst in tie_instances():
+            self.assert_same(inst)
+
+    def test_k16_peak_memory_below_twice_the_reference(self):
+        k = 16
+        inst = LpInstance(tuple(np.linspace(1.0, 2.0, k)), (1.0 / k,) * k, 0.5, (1.0,) * k)
+
+        def peak(solve):
+            tracemalloc.start()
+            try:
+                solve(inst)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _vertex_table.cache_clear()  # the first call at a K builds its table too
+        assert peak(lp_vertex) < 2 * peak(reference_lp_vertex)
+
+    def test_cached_tables_refuse_writes(self):
+        bits, free = _vertex_table(3)
+        with pytest.raises(ValueError):
+            bits[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            free[0, 0] = False
+        assert _vertex_table(3)[0] is bits
+
+
+def dominance_filter(wsum, csum):
+    """_staircase by brute force: each distinct (weight, cost) pair that no
+    other pair beats in both (weight at least, cost at most), by weight."""
+    pairs = set(zip(wsum.tolist(), csum.tolist()))
+    kept = sorted(
+        (w, c) for w, c in pairs
+        if not any(w2 >= w and c2 <= c and (w2, c2) != (w, c) for w2, c2 in pairs)
+    )
+    return np.array([w for w, _ in kept]), np.array([c for _, c in kept])
+
+
+class TestStaircase:
+    def test_matches_dominance_filter_with_repeated_weights(self):
+        rng = np.random.default_rng(95)
+        for n in (1, 2, 5, 30, 200):
+            for _ in range(20):
+                wsum = rng.integers(0, 6, n) / 4  # few distinct weights: many ties
+                csum = rng.integers(0, 5, n) / 2
+                w, c = _staircase(wsum, csum)
+                w_ref, c_ref = dominance_filter(wsum, csum)
+                assert np.array_equal(w, w_ref) and np.array_equal(c, c_ref)
+                perm = rng.permutation(n)
+                w_perm, c_perm = _staircase(wsum[perm], csum[perm])
+                assert np.array_equal(w_perm, w) and np.array_equal(c_perm, c)
 
 
 class TestLpGrid:
