@@ -5,14 +5,17 @@ Subcommands: ``curve`` (analytic corner points plus a dense sampling),
 against the analytic curve), and ``validate`` (gain distribution checks).
 Exit codes: 0 success, 2 invalid input, 3 statistical failure.
 
-Each value flag's text is converted once, by its argparse ``type``. The
-entries of a ``key = value`` config file (``--config PATH`` for ``curve``,
-``simulate`` and ``validate``) fill the flags that the command line did not
-give, each through its flag's own ``type``, so flags override them. A key
-that names no flag of any command exits 2; a key of another command's flag
-is ignored. An empty list entry (``0.5,,0.5``) and an antenna flag that the
-scenario kind does not use exit 2 too. Every rejection is one ``error:``
-line; a value that its converter rejects is named by its flag.
+Each value flag's text is converted once, by its argparse ``type``. A
+look-ahead parse finds the ``key = value`` file of ``--config PATH`` (for
+``curve``, ``simulate`` and ``validate``) and reads it before the main parse,
+so a fault of the file is reported first, even with ``-h``. Its entries
+become string defaults: argparse runs each through its flag's own ``type``
+only when no flag gives that value. A key that names no flag of any command
+exits 2; a key of another command's flag is ignored. An empty list entry
+(``0.5,,0.5``) and an antenna flag that the scenario kind does not use exit
+2 too. Every rejection, argparse's own (an unknown or missing flag or
+command) included, is one ``error:`` line; a value that its converter
+rejects is named by its flag.
 """
 
 from __future__ import annotations
@@ -52,13 +55,16 @@ class CliError(DmtError, argparse.ArgumentTypeError):
     converter raises it, argparse reports it as ``argument --flag: ...``."""
 
 
-class _Store(argparse.Action):
-    """argparse's ``store`` that also adds the flag's dest to
-    ``namespace.given``: config entries fill only the flags not given."""
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose rejections raise :class:`CliError`."""
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = {*getattr(namespace, "given", ()), self.dest}
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -10:0:5 or -0.5,1.5 is a value, not an unknown flag
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _converter(parse):
@@ -408,16 +414,15 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
-    """The parser of command ``name``; its flags store through :class:`_Store`."""
+    """The parser of command ``name``, which runs ``func``."""
     parser = sub.add_parser(name, help=help)
-    parser.register("action", None, _Store)
     parser.set_defaults(func=func)
     return parser
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The ``wdmt`` parser and its subparsers by command name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wdmt",
         description="Diversity-multiplexing tradeoff curves and outage simulation "
         "for weighted parallel and broadcast fading channels.",
@@ -454,32 +459,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add("--seed", type=parse_seed, default="0", help="base random seed")
     add("--mean-tol", type=parse_tolerance, default="0.01")
     add("--var-tol", type=parse_tolerance, default="0.03")
-
-    for p in (parser, *sub.choices.values()):
-        p.exit_on_error = False  # main reports a bad value in one line
-        # a value such as -10:0:5 or -0.5,1.5 is a value, not an unknown flag
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    lookahead = _Parser(add_help=False)  # knows only --config and converts nothing
+    lookahead.add_argument("--config")
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            entries = _read_config_file(args.config)
+        if path := lookahead.parse_known_args(argv)[0].config:
+            entries = _read_config_file(path)
             known = {a.dest for p in commands.values() for a in p._actions} - {"help"}
             if unknown := sorted(entries.keys() - known):
-                raise CliError(f"{args.config}: no wdmt command has a flag {', '.join(unknown)}")
-            # Flags win; keys that belong to another command's flags are
-            # ignored. Each entry goes through its flag's `type`, as a
-            # string default would, so a bad one is named by its flag.
-            command = commands[args.command]
-            for action in command._actions:
-                if action.dest in entries.keys() - args.given:
-                    setattr(args, action.dest, command._get_value(action, entries[action.dest]))
+                raise CliError(f"{path}: no wdmt command has a flag {', '.join(unknown)}")
+            # argparse converts a string default by its flag's `type` only when no
+            # flag gives it; a command never reads other commands' entries
+            for command in commands.values():
+                command.set_defaults(**entries)
+        args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, argparse.ArgumentError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wdmt.cli
 from wdmt.cli import (
@@ -776,3 +780,139 @@ class TestConfigFile:
 
     def test_missing_config_file(self):
         assert main(["curve", "--config", "/nonexistent.cfg"]) == EXIT_USAGE
+
+
+BC_ZF = ["--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["curve", *BC_ZF, "--bogus", "1"], "--bogus"),
+    (["fit", "--window", "5:20"], "--input"),
+    ([], "command"),
+    (["frobnicate"], "frobnicate"),
+], ids=["unknown-flag", "fit-without-input", "no-command", "unknown-command"])
+def test_argparse_rejection_is_one_line(capsys, argv, names):
+    # argparse's own rejections take the same route as the program's: no usage text
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert names in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: wdmt curve") and "--weights" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "-h"],
+    ["fit", "--input", "table.csv", "--window", "5:20"],
+], ids=["help", "fit"])
+def test_config_file_is_read_before_the_main_parse(tmp_path, capsys, argv):
+    # the look-ahead reads the file first: a missing file is reported even
+    # where the main parse would print help or reject --config
+    missing = str(tmp_path / "missing.cfg")
+    assert main([*argv, "--config", missing]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {missing}: ")
+    assert err.count("\n") == 1
+
+
+def test_config_does_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("weights = 0.5,0.5\n")
+    curve = ["curve", "--scenario", "bc-zf", "--m", "3"]
+    assert main([*curve, "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(curve) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: missing --weights\n"
+
+
+# The words that the CLI property draws argv from: each flag with a valid and
+# an invalid value, each flag bare, and stray values. A drawn argv starts with
+# a command and a whole valid set of its flags, or none, so that the words
+# often reach the command itself. Paths name files in the property's own
+# directory; "{dir}" is filled in per run.
+FLAG_VALUES = {
+    "--scenario": (["bc-dpc"], ["foo"]),
+    "--k": (["2"], ["x", "0"]),
+    "--m": (["3"], ["-1"]),
+    "--nt": (["2"], ["2.5"]),
+    "--profile": (["2,1"], ["2,,1"]),
+    "--weights": (["0.5,0.5", "3/5,2/5"], ["0.3,0.3", "-0.5,1.5"]),
+    "--config": (["{dir}/run.cfg"], ["{dir}/missing.cfg", "{dir}/bad-key.cfg"]),
+    "--out": (["{dir}/out.txt"], ["{dir}/no-dir/out.txt"]),
+    "--format": (["json", "csv"], ["xml"]),
+    "--r": (["0.5,1"], ["1,,1", "9"]),
+    "--snr-db": (["5:15:5", "-10:0:5"], ["1:2", "3090", "0:nan:1"]),
+    "--samples": (["10", "1"], ["0", "abc"]),
+    "--seed": (["7"], ["-1"]),
+    "--shards": (["2"], ["0"]),
+    "--input": (["{dir}/table.csv"], ["{dir}/absent.csv", "{dir}/run.cfg"]),
+    "--window": (["5:15"], ["20:5", "5"]),
+    "--tol": (["0.15"], ["nan"]),
+    "--mean-tol": (["0.5"], ["-1"]),
+    "--var-tol": (["0.5"], ["x"]),
+}
+CLI_WORDS = [
+    *([flag, value] for flag, values in FLAG_VALUES.items() for value in sum(values, [])),
+    *([flag] for flag in FLAG_VALUES),
+    ["1"], ["0.5,0.5"], ["x"],
+]
+SCENARIO_RUNS = [
+    ["--scenario", "parallel-identical", "--nt", "2", "--weights", "0.6,0.4"],
+    ["--scenario", "parallel-different", "--profile", "2,1", "--weights", "0.6,0.4"],
+    BC_ZF,
+    ["--scenario", "bc-dpc", "--m", "3", "--weights", "3/5,2/5"],
+]
+# (command, flags) pairs that a drawn argv starts from
+CLI_RUNS = [
+    ([], []),
+    (["frobnicate"], []),
+    *((["fit"], run) for run in ([], ["--input", "{dir}/table.csv", "--window", "5:15"])),
+    *((["curve"], run) for run in [[], *SCENARIO_RUNS]),
+    *((["simulate"], [*run, "--r", "0.5,1", "--snr-db", "5:15:5"])
+      for run in [[], *SCENARIO_RUNS]),
+    *((["validate"], run) for run in [[], *SCENARIO_RUNS]),
+]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """A directory holding a simulate table, a config file and a config file
+    with a key of no flag."""
+    path = tmp_path_factory.mktemp("cli-property")
+    (path / "run.cfg").write_text(
+        "scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nr = 1\nsnr-db = 5:15:5\nsamples = 10\n"
+    )
+    (path / "bad-key.cfg").write_text("scenario = bc-zf\nsample = 10\n")
+    argv = ["simulate", *BC_ZF, "--r", "1", "--snr-db", "5:15:5", "--samples", "10",
+            "--out", str(path / "table.csv")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    command_run=st.sampled_from(CLI_RUNS),
+    words=st.lists(st.sampled_from(CLI_WORDS), max_size=4),
+)
+def test_cli_exits_with_a_code_and_one_error_line(cli_dir, command_run, words):
+    command, run = command_run
+    # simulate and validate get --samples 10 first, so a later word may
+    # override it only with a value of at most 10
+    argv = [*command, *(["--samples", "10"] if command in (["simulate"], ["validate"]) else [])]
+    argv += [token.format(dir=cli_dir) for word in [run, *words] for token in word]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_STAT_FAIL), argv
+    if code == EXIT_USAGE:
+        err = stderr.getvalue()
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv

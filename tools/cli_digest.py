@@ -9,8 +9,8 @@ directory, and prints one line::
 The matrix covers ``curve``, ``simulate`` (1 and 3 shards, and 40001
 samples in 5 shards, whose pieces fill three kernel blocks), ``fit``,
 ``validate`` and config-file runs for all four scenario kinds in CSV and
-JSON, plus a set of invalid inputs and of values that start with ``-``. It
-takes well under 30 s. Usage::
+JSON, plus a set of invalid inputs (argparse's own rejections among them)
+and of values that start with ``-``. It takes well under 30 s. Usage::
 
     PYTHONPATH=parent/src python tools/cli_digest.py > parent.txt
     PYTHONPATH=change/src python tools/cli_digest.py > change.txt
@@ -72,6 +72,10 @@ INVALID = {
     "config-no-equals": ["curve", "--config", "no-equals.cfg"],
     "config-unknown-key": ["curve", "--config", "unknown-key.cfg"],
     "config-missing": ["curve", "--config", "absent.cfg"],
+    "unknown-flag": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                     "--bogus", "1"],
+    "fit-without-input": ["fit", "--window", "5:20"],
+    "no-command": [],
 }
 # Values that start with "-" and a digit; "snr-db" and "snr-db-equals" give one output.
 NEGATIVE = {
@@ -91,7 +95,7 @@ def run(name: str, argv: list[str], out: str | None = None) -> None:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's own usage errors
+        except SystemExit as exc:  # argparse's usage errors, in versions whose main let them out
             code = exc.code
     written = Path(out).read_bytes() if out is not None and Path(out).exists() else b""
     digest = hashlib.sha256()
