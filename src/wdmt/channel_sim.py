@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import OutOfRangeError, Scenario, check_count, check_positive, check_rate, check_rho
+from .core import OutOfRangeError, Scenario, check_count, check_real, check_rho
 
 __all__ = [
     "OutageEstimate",
@@ -86,10 +86,12 @@ class OutageEstimate:
 
     def __post_init__(self):
         _check_counts(self.n_outages, self.n_samples)
-        check_positive("rho", self.rho)
-        check_rate(self.r, math.inf)  # the estimate does not know K
-        if not self.ci_low - 1e-12 <= self.p_hat <= self.ci_high + 1e-12:
-            raise OutOfRangeError("confidence interval does not cover the estimate")
+        p = self.p_hat
+        object.__setattr__(self, "rho", check_real("linear SNR rho", self.rho, 0.0, open_low=True))
+        object.__setattr__(self, "r", check_real("r", self.r, 0.0))  # the estimate does not know K
+        # the confidence interval covers the estimate
+        object.__setattr__(self, "ci_low", check_real("ci_low", self.ci_low, high=p + 1e-12))
+        object.__setattr__(self, "ci_high", check_real("ci_high", self.ci_high, p - 1e-12))
 
     @property
     def p_hat(self) -> float:
@@ -374,7 +376,7 @@ def outage_probability(
     n_samples, seed, shards). ``rho`` must lie in (0, 1e300], so that the
     capacity stays finite.
     """
-    r, rho = check_rate(r, scenario.k), check_rho(rho)
+    r, rho = check_real("r", r, 0.0, scenario.k), check_rho(rho)
     n_samples = check_count("n_samples", n_samples, 1)
     shards = min(check_count("shards", shards, 1), n_samples)
 

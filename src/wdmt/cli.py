@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    SCENARIO_KINDS, WEIGHT_SUM_TOL, AntennaProfile, DmtError, Scenario, Weights, check_count,
-    check_nonnegative, check_positive, check_rho, check_window, validate_weights,
+    SCENARIO_KINDS, AntennaProfile, DmtError, Scenario, Weights, check_count, check_real,
+    check_rho, check_weight_sum, check_window, validate_weights,
 )
 from .dmt_analytic import curve_for_scenario
 from .channel_sim import OutageEstimate, outage_probability, validate_gain_distribution
@@ -109,8 +109,7 @@ def parse_weights(text: str) -> Weights:
     """
     parts = [_parse_fraction(tok) for tok in _entries(text)]
     total = sum(parts)
-    if abs(total - 1) > WEIGHT_SUM_TOL:
-        raise CliError(f"weights sum to {float(total)}, expected 1 within 1e-9")
+    check_weight_sum(total)  # exactly, on the Fraction total
     return validate_weights([float(p / total) for p in parts])
 
 
@@ -125,18 +124,18 @@ def parse_r_list(text: str) -> tuple[float, ...]:
 
 
 def _snr_linear(db: float) -> float:
-    """Linear SNR of ``db`` decibels; ``OutOfRangeError`` unless finite and > 0."""
+    """Linear SNR of ``db`` decibels: ``inf`` from about 3083 dB on, where the
+    power overflows, and 0 at -4000 dB, where it underflows."""
     try:
-        rho = 10.0 ** (db / 10.0)
-    except OverflowError:  # from about 3083 dB on; -4000 dB underflows to 0
-        rho = math.inf
-    return check_positive(f"linear SNR of {db:g} dB", rho)
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @_converter
 def parse_snr_grid(text: str) -> tuple[float, ...]:
     """SNR grid in dB: a single value or finite ``start:stop:step`` with step > 0,
-    at most ``MAX_SNR_POINTS`` points and a finite linear SNR > 0 at each."""
+    at most ``MAX_SNR_POINTS`` points, each with a linear SNR that ``check_rho`` accepts."""
     parts = text.split(":")
     if len(parts) == 1:
         parts = [text, text, "1"]
@@ -155,7 +154,7 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
             raise CliError(f"SNR grid {text!r} has more than {MAX_SNR_POINTS} points")
         grid.append(value)
     for db in (grid[0], grid[-1]):  # the grid ascends, so its ends bound every point
-        _snr_linear(db)
+        check_rho(_snr_linear(db))
     return tuple(grid)
 
 
@@ -169,7 +168,7 @@ def parse_window(text: str) -> tuple[float, float]:
 
 @_converter
 def parse_tolerance(text: str) -> float:
-    return check_nonnegative("tolerance", float(text))
+    return check_real("tolerance", float(text), 0.0)
 
 
 @_converter
@@ -263,10 +262,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.snr_db is None:
         raise CliError("missing --snr-db")
     rhos = [_snr_linear(db) for db in args.snr_db]
-    try:
-        check_rho(rhos[-1])  # the grid ascends: its last point bounds them all
-    except DmtError as exc:
-        raise CliError(f"{exc} at --snr-db {args.snr_db[-1]:g}") from exc
     m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
     rows = []
@@ -415,7 +410,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
     """The parser of command ``name``, which runs ``func``."""
-    parser = sub.add_parser(name, help=help)
+    parser = sub.add_parser(name, help=help, description=help)
     parser.set_defaults(func=func)
     return parser
 
@@ -452,7 +447,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add("--tol", type=parse_tolerance, default="0.15",
         help="relative tolerance on d (default 0.15)")
 
-    p_val = _add_command(sub, "validate", cmd_validate, "check effective gain distributions")
+    p_val = _add_command(sub, "validate", cmd_validate,
+                         "check each effective gain's marginal Gamma law (not the joint "
+                         "law of the gains, which sets the bc-zf exponent)")
     _add_scenario_flags(p_val)
     add = p_val.add_argument
     add("--samples", type=int, default="100000", help="draws per gain index")
@@ -467,7 +464,7 @@ def main(argv=None) -> int:
     lookahead = _Parser(add_help=False)  # knows only --config and converts nothing
     lookahead.add_argument("--config")
     try:
-        if path := lookahead.parse_known_args(argv)[0].config:
+        if (path := lookahead.parse_known_args(argv)[0].config) is not None:
             entries = _read_config_file(path)
             known = {a.dest for p in commands.values() for a in p._actions} - {"help"}
             if unknown := sorted(entries.keys() - known):

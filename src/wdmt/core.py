@@ -57,7 +57,8 @@ class TooManyUsersError(DmtError):
 
 
 class OutOfRangeError(DmtError):
-    """A bounded argument (multiplexing gain, SNR, index) is outside its range."""
+    """A bounded argument (multiplexing gain, SNR, index) is outside its range or
+    is not a real number."""
 
 
 class TooLargeError(DmtError):
@@ -75,19 +76,25 @@ class Weights:
     mu: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(float(x) for x in self.mu))
-        if len(self.mu) < 1:
-            raise BadSumError("weight vector must have at least one entry")
-        if not all(x > 0.0 for x in self.mu):  # NaN fails too
-            raise NonPositiveWeightError(f"all weights must be > 0, got {self.mu}")
         try:
-            total = math.fsum(self.mu)
+            mu = tuple(self.mu)
+            for x in mu:
+                math.isnan(x)  # a TypeError unless x is a real number, though float() takes "0.5"
+            mu = tuple(map(float, mu))
+        except (TypeError, ValueError, OverflowError):
+            raise OutOfRangeError(
+                f"weights must be real numbers in the float range, got {self.mu!r}"
+            ) from None
+        object.__setattr__(self, "mu", mu)
+        if len(mu) < 1:
+            raise BadSumError("weight vector must have at least one entry")
+        if not all(x > 0.0 for x in mu):  # NaN fails too
+            raise NonPositiveWeightError(f"all weights must be > 0, got {mu}")
+        try:
+            total = math.fsum(mu)
         except OverflowError:  # finite entries whose sum overflows
             total = math.inf
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            raise BadSumError(
-                f"weights sum to {total!r}; expected 1 within {WEIGHT_SUM_TOL}"
-            )
+        check_weight_sum(total)
 
     def __len__(self) -> int:
         return len(self.mu)
@@ -103,6 +110,8 @@ def validate_weights(raw) -> Weights:
 
     Raises
     ------
+    OutOfRangeError
+        If ``raw`` is not a sequence of real numbers.
     NonPositiveWeightError
         If any entry is <= 0 or NaN.
     BadSumError
@@ -126,6 +135,13 @@ def validate_weights(raw) -> Weights:
     return Weights(mu)
 
 
+def check_weight_sum(total) -> None:
+    """``BadSumError`` unless the weight total, a float or an exact ``Fraction``,
+    lies within ``WEIGHT_SUM_TOL`` of 1 (NaN fails too)."""
+    if not abs(total - 1) <= WEIGHT_SUM_TOL:
+        raise BadSumError(f"weights sum to {float(total)!r}; expected 1 within {WEIGHT_SUM_TOL}")
+
+
 def check_count(name: str, value, minimum: int) -> int:
     """``value`` as an int if it is an integer (not a bool) >= ``minimum``, else
     ``OutOfRangeError``; 2.0, 2.5, ``True`` and ``"2"`` are not counts."""
@@ -134,51 +150,26 @@ def check_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def check_rate(r, k) -> float:
-    """Multiplexing gain ``r`` as a float if it is finite and 0 <= r <= k;
-    else ``OutOfRangeError`` (NaN and non-numbers included)."""
+def check_real(name: str, value, low=-math.inf, high=math.inf, *, open_low=False) -> float:
+    """``value`` as a float if it is a finite real number in [low, high], or in
+    (low, high] with ``open_low``; else ``OutOfRangeError``. A string, a complex,
+    a multi-element array, NaN, an infinity and an int past the float range fail."""
     try:
-        if math.isfinite(r) and 0.0 <= r <= k:
-            return float(r)
-    except (TypeError, OverflowError):
-        pass
-    raise OutOfRangeError(f"r = {r} outside [0, {k}]")
-
-
-def check_positive(name: str, value) -> float:
-    """``value`` as a float if it is finite and > 0; else ``OutOfRangeError``
-    (NaN and non-numbers included)."""
-    try:
-        if 0.0 < value < math.inf:
+        if math.isfinite(value) and (low < value if open_low else low <= value) and value <= high:
             return float(value)
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise OutOfRangeError(f"{name} must be finite and > 0, got {value}")
-
-
-def check_finite(name: str, value) -> float:
-    """``value`` as a float if it is a finite number; else ``OutOfRangeError``."""
-    try:
-        if math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):
-        pass
-    raise OutOfRangeError(f"{name} must be finite, got {value}")
-
-
-def check_nonnegative(name: str, value) -> float:
-    """``value`` as a float if it is finite and >= 0; else ``OutOfRangeError``."""
-    try:
-        if 0.0 <= value < math.inf:
-            return float(value)
-    except (TypeError, OverflowError):
-        pass
-    raise OutOfRangeError(f"{name} must be finite and >= 0, got {value}")
+    left = "(" if open_low or low == -math.inf else "["
+    right = ")" if high == math.inf else "]"
+    raise OutOfRangeError(
+        f"{name} must be a finite number in {left}{float(low)!r}, {float(high)!r}{right}, "
+        f"got {value!r}"
+    )
 
 
 def check_window(low, high) -> tuple[float, float]:
     """A fit window's ends as floats if both are finite and low <= high."""
-    low, high = check_finite("window low", low), check_finite("window high", high)
+    low, high = check_real("window low", low), check_real("window high", high)
     if low > high:
         raise OutOfRangeError(f"window must have low <= high, got ({low}, {high})")
     return low, high
@@ -191,10 +182,7 @@ _MAX_RHO = 1e300
 
 def check_rho(rho) -> float:
     """Linear SNR ``rho`` as a float if it lies in (0, ``_MAX_RHO``]."""
-    rho = check_positive("rho", rho)
-    if rho > _MAX_RHO:
-        raise OutOfRangeError(f"rho must be at most {_MAX_RHO:g}, got {rho}")
-    return rho
+    return check_real("linear SNR rho", rho, 0.0, _MAX_RHO, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -273,11 +261,9 @@ class DmtCurve:
     corners: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pts = tuple((float(r), float(d)) for r, d in self.corners)
+        pts = tuple((check_real("corner r", r), check_real("corner d", d)) for r, d in self.corners)
         if len(pts) < 2:
             raise DmtError("a DMT curve needs at least two corners")
-        if not all(math.isfinite(v) for p in pts for v in p):
-            raise DmtError(f"corners must be finite: {pts}")
         if pts[0][0] != 0.0:
             raise DmtError(f"first corner must be at r = 0, got {pts[0]}")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
@@ -304,7 +290,7 @@ class DmtCurve:
         Exact at the corner abscissae. Raises ``OutOfRangeError`` outside
         [0, max_rate].
         """
-        r = check_rate(r, self.max_rate)
+        r = check_real("r", r, 0.0, self.max_rate)
         rates = [c[0] for c in self.corners]
         i = bisect_right(rates, r) - 1
         r0, d0 = self.corners[i]

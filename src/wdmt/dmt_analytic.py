@@ -27,10 +27,9 @@ from functools import lru_cache
 from .core import (
     AntennaProfile,
     DmtCurve,
-    OutOfRangeError,
     Scenario,
     Weights,
-    check_rate,
+    check_real,
     ordering,
     validate_weights,
 )
@@ -53,12 +52,9 @@ class ExponentSolution:
     d: float
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.alpha)
-        if not (all(-1e-12 <= x <= 1.0 + 1e-12 for x in a) and math.isfinite(self.d)):
-            raise OutOfRangeError(f"need exponents in [0, 1] and a finite d, got {a}, {self.d}")
-        a = tuple(min(1.0, max(0.0, x)) for x in a)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "d", float(self.d))
+        a = tuple(check_real("alpha", x, -1e-12, 1.0 + 1e-12) for x in self.alpha)
+        object.__setattr__(self, "alpha", tuple(min(1.0, max(0.0, x)) for x in a))
+        object.__setattr__(self, "d", check_real("d", self.d))
 
 
 def _corner_rates(k: int, mu_desc) -> list[float]:
@@ -108,7 +104,7 @@ def lp_greedy(profile: AntennaProfile, weights: Weights, r: float) -> ExponentSo
     """
     order = ordering(weights, profile)
     k = len(profile)
-    r = check_rate(r, k)
+    r = check_real("r", r, 0.0, k)
     if r == 0.0:
         return ExponentSolution((1.0,) * k, float(profile.total_diversity()))
     mu, n = weights.mu, profile.n

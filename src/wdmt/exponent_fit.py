@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DmtCurve, DmtError, OutOfRangeError, check_count, check_nonnegative, check_window
+from .core import DmtCurve, DmtError, OutOfRangeError, check_count, check_real, check_window
 
 __all__ = [
     "MIN_EVENTS",
@@ -60,8 +60,8 @@ class SlopeFit:
 
     def __post_init__(self):
         check_count("points_used", self.points_used, 2)
-        if not self.stderr >= 0.0:  # NaN fails too
-            raise OutOfRangeError(f"stderr must be >= 0, got {self.stderr}")
+        object.__setattr__(self, "d_hat", check_real("d_hat", self.d_hat))
+        object.__setattr__(self, "stderr", check_real("stderr", self.stderr, 0.0))
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def compare(fit: SlopeFit, curve: DmtCurve, r: float, tol: float = 0.15) -> Comp
 
     Passes when |d_hat - d(r)| <= tol * d(r) + 2 * stderr, for a finite tol >= 0.
     """
-    tol = check_nonnegative("tol", tol)
+    tol = check_real("tolerance", tol, 0.0)
     d = curve.evaluate(r)
     gap = abs(fit.d_hat - d)
     if d > 0.0:

@@ -22,12 +22,10 @@ from .core import (
     AntennaProfile,
     DimensionMismatchError,
     DmtError,
-    OutOfRangeError,
     TooLargeError,
     Weights,
     check_count,
-    check_positive,
-    check_rate,
+    check_real,
 )
 from .dmt_analytic import ExponentSolution
 
@@ -51,18 +49,17 @@ class LpInstance:
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        costs = tuple(check_positive("LP cost", x) for x in self.costs)
-        weights = tuple(check_positive("LP weight", x) for x in self.weights)
-        upper = tuple(check_positive("LP upper limit", x) for x in self.upper)
+        costs = tuple(check_real("LP cost", x, 0.0, open_low=True) for x in self.costs)
+        weights = tuple(check_real("LP weight", x, 0.0, open_low=True) for x in self.weights)
+        upper = tuple(check_real("LP upper limit", x, 0.0, open_low=True) for x in self.upper)
         if not (len(costs) == len(weights) == len(upper)) or len(costs) < 1:
             raise DimensionMismatchError("costs, weights, upper must share a length >= 1")
-        b = float(self.bound)
-        if not -_FEAS_EPS <= b <= 1.0 + _FEAS_EPS:  # NaN fails too
-            raise OutOfRangeError(f"bound must lie in [0, 1], got {b}")
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "bound", b)
+        object.__setattr__(
+            self, "bound", check_real("LP bound", self.bound, -_FEAS_EPS, 1.0 + _FEAS_EPS)
+        )
 
     @property
     def k(self) -> int:
@@ -77,7 +74,7 @@ class LpInstance:
         return cls(
             costs=tuple(float(n) for n in profile.n),
             weights=weights.mu,
-            bound=1.0 - check_rate(r, k) / k,
+            bound=1.0 - check_real("r", r, 0.0, k) / k,
             upper=(1.0,) * k,
         )
 

@@ -1,17 +1,21 @@
 """The package's argument checks: every invalid number raises a ``DmtError``.
 
-``wdmt.core`` holds the checks (``check_count``, ``check_rate``,
-``check_positive``, ``check_nonnegative``, ``check_window`` and ``check_rho``)
-that the entry points below and the CLI's converters share. The property
-feeds each numeric argument of each entry point NaN, infinities, negative,
-out-of-range, non-integral and bool values and expects a ``DmtError`` and
-nothing else; valid values, drawn from bounded ranges, must pass.
+``wdmt.core`` holds the checks that the entry points and value classes below
+and the CLI's converters share: ``check_real`` (a finite real number within
+the bounds its caller passes), ``check_count`` (an integer >= a minimum),
+``check_window`` and ``check_rho``, both built on ``check_real``, and
+``check_weight_sum``. The property feeds each numeric argument NaN,
+infinities, negative, out-of-range, non-integral and bool values, and each
+real-valued one also non-numbers, an int past the float range and a
+two-element array, and expects a ``DmtError`` and nothing else; valid
+values, drawn from bounded ranges, must pass.
 """
 
 import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +23,14 @@ from hypothesis import strategies as st
 import wdmt
 from wdmt import (
     AntennaProfile,
+    DmtCurve,
     DmtError,
+    ExponentSolution,
     LpInstance,
     OutageEstimate,
     Scenario,
     SlopeFit,
+    Weights,
     compare,
     confidence_interval,
     dmt_different,
@@ -50,6 +57,9 @@ ESTIMATES = [
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NEGATIVE = st.floats(max_value=-math.ulp(0.0))
 NOT_NUMBERS = st.sampled_from(["x", "a", "0.5", None, (), 1j])
+# not a real number within the float range: what check_real rejects before any bound
+NOT_REALS = st.one_of(NOT_NUMBERS, st.just(10**400), st.just(np.array([1.0, 2.0])))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def bad_counts(minimum):
@@ -61,9 +71,13 @@ def bad_rates(k):
     return st.one_of(NON_FINITE, NEGATIVE, st.floats(min_value=k, exclude_min=True))
 
 
-def estimate(**field):
+def estimate(**field):  # p_hat = 0.1
     values = dict(rho=10.0, r=1.0, n_samples=100, n_outages=10, ci_low=0.0, ci_high=1.0)
     return OutageEstimate(**{**values, **field})
+
+
+def slope_fit(**field):
+    return SlopeFit(**{**dict(d_hat=2.0, stderr=0.1, window=(10.0, 30.0), points_used=3), **field})
 
 
 BAD_POSITIVES = st.one_of(NON_FINITE, st.floats(max_value=0.0))
@@ -80,6 +94,30 @@ SLOTS = {
     "Scenario(m)": (
         lambda v: Scenario(kind="bc-dpc", weights=W2, m=v), bad_counts(2), st.integers(2, 9)),
     "DmtCurve.evaluate(r)": (CURVE.evaluate, bad_rates(2.0), st.floats(0.0, 2.0)),
+    "DmtCurve(corner r)": (
+        lambda v: DmtCurve(((0.0, 2.0), (v, 0.0))), st.one_of(NON_FINITE, NOT_REALS),
+        st.floats(1e-300, 1e300)),
+    "DmtCurve(corner d)": (
+        lambda v: DmtCurve(((0.0, v), (2.0, 0.0))), st.one_of(NON_FINITE, NOT_REALS),
+        st.floats(0.0, 1e300)),
+    "LpInstance(bound)": (  # [0, 1] with a 1e-12 feasibility slack
+        lambda v: LpInstance((2.0, 1.0), (0.6, 0.4), v, (1.0, 1.0)),
+        st.one_of(NON_FINITE, NOT_REALS, st.floats(max_value=-1e-11),
+                  st.floats(min_value=1.0 + 1e-11)),
+        st.floats(0.0, 1.0)),
+    "ExponentSolution(alpha)": (
+        lambda v: ExponentSolution((v, 0.5), 1.0),
+        st.one_of(NON_FINITE, NOT_REALS, st.floats(max_value=-1e-11),
+                  st.floats(min_value=1.0 + 1e-11)),
+        st.floats(0.0, 1.0)),
+    "ExponentSolution(d)": (
+        lambda v: ExponentSolution((0.5,), v), st.one_of(NON_FINITE, NOT_REALS), FINITE),
+    "SlopeFit(d_hat)": (lambda v: slope_fit(d_hat=v), st.one_of(NON_FINITE, NOT_REALS), FINITE),
+    "SlopeFit(stderr)": (
+        lambda v: slope_fit(stderr=v), st.one_of(NON_FINITE, NEGATIVE, NOT_REALS),
+        st.floats(0.0, 1e300)),
+    "Weights(entry)": (  # one entry: it must lie within 1e-9 of 1
+        lambda v: Weights((v,)), st.one_of(NON_FINITE, NOT_REALS), st.floats(1 - 1e-10, 1 + 1e-10)),
     "lp_greedy(r)": (
         lambda v: lp_greedy(PROFILE, W2, v), bad_rates(2.0), st.floats(0.0, 2.0)),
     "LpInstance.alpha_form(r)": (
@@ -91,7 +129,9 @@ SLOTS = {
         lambda v: outage_probability(ZF, v, 10.0, 16, 0), bad_rates(2.0), st.floats(0.0, 2.0)),
     "outage_probability(rho)": (
         lambda v: outage_probability(ZF, 1.0, v, 16, 0),
-        st.one_of(BAD_POSITIVES, st.floats(min_value=1e300, exclude_min=True)), GOOD_RHO),
+        st.one_of(BAD_POSITIVES, st.floats(min_value=1e300, exclude_min=True),
+                  st.just(np.array([1.0, 2.0]))),
+        GOOD_RHO),
     "outage_probability(n_samples)": (
         lambda v: outage_probability(ZF, 1.0, 10.0, v, 0), bad_counts(1), st.integers(1, 64)),
     "outage_probability(shards)": (
@@ -111,6 +151,12 @@ SLOTS = {
     "OutageEstimate(rho)": (lambda v: estimate(rho=v), BAD_POSITIVES, GOOD_RHO),
     "OutageEstimate(r)": (
         lambda v: estimate(r=v), st.one_of(NON_FINITE, NEGATIVE), st.floats(0.0, 1e300)),
+    "OutageEstimate(ci_low)": (  # at most p_hat + 1e-12
+        lambda v: estimate(ci_low=v),
+        st.one_of(NON_FINITE, NOT_REALS, st.floats(min_value=0.1 + 1e-11)), st.floats(-1.0, 0.1)),
+    "OutageEstimate(ci_high)": (  # at least p_hat - 1e-12
+        lambda v: estimate(ci_high=v),
+        st.one_of(NON_FINITE, NOT_REALS, st.floats(max_value=0.1 - 1e-11)), st.floats(0.1, 2.0)),
     "OutageEstimate(n_samples)": (
         lambda v: estimate(n_samples=v),
         st.one_of(bad_counts(1), st.integers(1, 9)), st.integers(10, 10**6)),
@@ -118,7 +164,8 @@ SLOTS = {
         lambda v: estimate(n_outages=v),
         st.one_of(bad_counts(0), st.integers(min_value=101)), st.integers(0, 100)),
     "compare(tol)": (
-        lambda v: compare(FIT, CURVE, 1.0, tol=v), st.one_of(NON_FINITE, NEGATIVE, NOT_NUMBERS),
+        lambda v: compare(FIT, CURVE, 1.0, tol=v),
+        st.one_of(NON_FINITE, NEGATIVE, NOT_NUMBERS, st.just(np.array([1.0, 2.0]))),
         st.floats(0.0, 10.0)),
     "fit_slope(window)": (
         lambda v: fit_slope(ESTIMATES, v),
@@ -155,6 +202,13 @@ def test_valid_number_passes(slot, data):
 def test_non_number_window_raises_dmt_error():
     with pytest.raises(DmtError):
         fit_slope([], ("a", 1))
+
+
+@pytest.mark.parametrize("mu", [1.0, None, 5, "0.5", ("0.5", "0.5")])
+def test_weights_need_a_sequence_of_real_numbers(mu):
+    # ("0.5", "0.5") was accepted, and 1.0 and None escaped as TypeError
+    with pytest.raises(DmtError):
+        Weights(mu)
 
 
 def test_dmt_error_is_a_value_error():

@@ -8,6 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wdmt.cli
+from wdmt import (
+    AntennaProfile, DmtError, Scenario, SlopeFit, Weights, compare, dmt_different, fit_slope,
+    outage_probability, validate_weights,
+)
 from wdmt.cli import (
     CSV_COLUMNS,
     EXIT_OK,
@@ -24,6 +28,8 @@ from wdmt.cli import (
     parse_weights,
     parse_window,
 )
+
+CURVE_2 = dmt_different(AntennaProfile((2, 1)), validate_weights((0.6, 0.4)))  # r in [0, 2]
 
 # (flag, parser, text) of list values with an empty entry; each used to be
 # read as a shorter list
@@ -141,7 +147,7 @@ def test_value_flags_have_converters():
 
 @pytest.mark.parametrize("argv, message", [
     (["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.3,0.3"],
-     "argument --weights: weights sum to 0.6, expected 1 within 1e-9"),
+     "argument --weights: weights sum to 0.6; expected 1 within 1e-09"),
     (["curve", "--scenario", "bc-zf", "--m", "3", "--k", "3", "--weights", "0.5,0.5"],
      "--k 3 but 2 weights given"),
     (["curve", "--m", "3", "--weights", "0.5,0.5"], "missing --scenario"),
@@ -350,7 +356,10 @@ class TestSimulateCommand:
         ])
         out, err = capsys.readouterr()
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: argument --snr-db: linear SNR of ") and err.count("\n") == 1
+        assert err.startswith(
+            "error: argument --snr-db: linear SNR rho must be a finite number in (0.0, 1e+300], "
+            "got "
+        ) and err.count("\n") == 1
 
     @pytest.mark.parametrize("snr_db", ["3080", "2990:3010:10"])
     def test_snr_above_the_library_bound_is_usage_error(self, capsys, tmp_path, snr_db):
@@ -363,7 +372,10 @@ class TestSimulateCommand:
         ])
         out, err = capsys.readouterr()
         assert code == EXIT_USAGE and out == "" and not out_path.exists()
-        assert err.startswith("error: rho must be at most 1e+300") and err.count("\n") == 1
+        assert err.startswith(
+            "error: argument --snr-db: linear SNR rho must be a finite number in (0.0, 1e+300], "
+            "got "
+        ) and err.count("\n") == 1
 
     def test_snr_bound_checked_before_any_point(self, capsys, monkeypatch):
         # the grid's last point decides; 2990 and 3000 dB used to be simulated first
@@ -375,7 +387,10 @@ class TestSimulateCommand:
         ])
         out, err = capsys.readouterr()
         assert code == EXIT_USAGE and out == "" and calls == []
-        assert err == "error: rho must be at most 1e+300, got 1e+301 at --snr-db 3010\n"
+        assert err == (
+            "error: argument --snr-db: linear SNR rho must be a finite number in (0.0, 1e+300], "
+            "got 1e+301\n"
+        )
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_negative_seed_is_usage_error(self, capsys, command):
@@ -541,9 +556,10 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("flags, message", [
         (["--window", "30:10"], "--window: window must have low <= high, got (30.0, 10.0)"),
-        (["--window", "nan:30"], "--window: window low must be finite, got nan"),
+        (["--window", "nan:30"],
+         "--window: window low must be a finite number in (-inf, inf), got nan"),
         (["--window", "10:30", "--tol", "-0.1"],
-         "--tol: tolerance must be finite and >= 0, got -0.1"),
+         "--tol: tolerance must be a finite number in [0.0, inf), got -0.1"),
     ])
     def test_window_and_tolerance_messages_are_the_library_checks(
         self, tmp_path, capsys, flags, message
@@ -594,7 +610,9 @@ class TestFitCommand:
         fields[5] = "3090"  # rho_db
         table.write_text("\n".join([*head, ",".join(fields)]) + "\n")
         assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: linear SNR of 3090 dB")
+        assert capsys.readouterr().err.startswith(
+            "error: linear SNR rho must be a finite number in (0.0, inf), got inf"
+        )
 
     def test_parallel_different_profile_round_trip(self, tmp_path, capsys):
         sim = tmp_path / "sim.csv"
@@ -707,7 +725,7 @@ class TestConfigFile:
         cfg.write_text("scenario = bc-zf\nm = 3\nweights = 0.3,0.3\n")
         assert main(["curve", "--config", str(cfg)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "error: argument --weights: weights sum to 0.6, expected 1 within 1e-9\n"
+            "error: argument --weights: weights sum to 0.6; expected 1 within 1e-09\n"
         )
         assert main(["curve", "--config", str(cfg), "--weights", "0.5,0.5"]) == EXIT_OK
 
@@ -781,8 +799,42 @@ class TestConfigFile:
     def test_missing_config_file(self):
         assert main(["curve", "--config", "/nonexistent.cfg"]) == EXIT_USAGE
 
+    def test_empty_config_path_is_usage_error(self, capsys):
+        # an empty path was taken for no --config at all, and the run exited 0
+        code = main(["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                     "--config", ""])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot read config file : ") and err.count("\n") == 1
+
 
 BC_ZF = ["--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5"]
+
+
+def library_message(call) -> str:
+    with pytest.raises(DmtError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.6"],
+     lambda: Weights((0.5, 0.6))),
+    (["simulate", *BC_ZF, "--r", "1", "--snr-db", "3050"],
+     lambda: outage_probability(Scenario("bc-zf", validate_weights((0.5, 0.5)), m=3),
+                                1.0, 10.0 ** 305, 16, 0)),
+    (["fit", "--input", "absent.csv", "--window", "10:30", "--tol", "-1"],
+     lambda: compare(SlopeFit(2.0, 0.1, (10.0, 30.0), 3), CURVE_2, 1.0, tol=-1.0)),
+    (["fit", "--input", "absent.csv", "--window", "nan:1"],
+     lambda: fit_slope([], (math.nan, 1.0))),
+], ids=["weights", "snr-db", "tol", "window"])
+def test_cli_rejects_a_value_with_the_library_message(capsys, argv, call):
+    # the weight sum and the SNR bound had their own CLI checks and messages;
+    # argparse converts each flag before fit opens its input
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.endswith(f": {library_message(call)}\n")
 
 
 @pytest.mark.parametrize("argv, names", [

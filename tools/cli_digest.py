@@ -56,6 +56,8 @@ INVALID = {
                      "--r", "1", "--snr-db", "3090"],
     "snr-3080": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
                  "--r", "1", "--snr-db", "3080"],
+    "snr-grid-above-bound": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights",
+                             "0.5,0.5", "--r", "1", "--snr-db", "2990:3010:10"],
     "negative-seed": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
                       "--r", "1", "--snr-db", "10", "--seed", "-1"],
     "rate-above-k": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
@@ -72,6 +74,8 @@ INVALID = {
     "config-no-equals": ["curve", "--config", "no-equals.cfg"],
     "config-unknown-key": ["curve", "--config", "unknown-key.cfg"],
     "config-missing": ["curve", "--config", "absent.cfg"],
+    "config-empty": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                     "--config", ""],
     "unknown-flag": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
                      "--bogus", "1"],
     "fit-without-input": ["fit", "--window", "5:20"],
