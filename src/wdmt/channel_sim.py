@@ -17,7 +17,8 @@ Conventions
   K x M matrices (``_qr_gains``, one stacked LAPACK call) remains as the
   independent oracle of that reduction, reached only through
   ``validate_gain_distribution``; its ``ok`` mask drops rank-deficient
-  draws.
+  draws. The oracle draws through the kernel's ``_blocks``, in pieces of
+  ``_BLOCK`` matrices from the seed's first child.
 * The normal quantile, the Clopper-Pearson bounds and the Gamma CDF of
   the KS distance come from ``scipy.special``; importing ``scipy.stats``
   would add about a second to every start of the CLI.
@@ -57,7 +58,6 @@ __all__ = [
 # scenario, 2^15 and 2^16 ran up to 10% faster, but in the interleaved
 # mc-deep benchmark 2^15 gained less over the parent (BENCH_10.json).
 _BLOCK = 1 << 14
-_CHUNK = 1 << 18  # channel matrices per step of validate_gain_distribution
 # Largest integer Gamma shape a drawn as -log of a product of a uniforms.
 # Per draw, that beats numpy's Marsaglia-Tsang standard_gamma at shapes 1-5
 # and is no faster from shape 6 on, since its cost grows with the shape and
@@ -326,6 +326,13 @@ def confidence_interval(n_outages: int, n_samples: int) -> tuple[float, float]:
     return low, high
 
 
+def _root(seed) -> np.random.SeedSequence:
+    """``seed`` as a ``SeedSequence``; a caller's is copied, so spawning never advances it."""
+    if isinstance(seed, np.random.SeedSequence):
+        return copy.copy(seed)
+    return np.random.SeedSequence(seed)
+
+
 def _blocks(root: np.random.SeedSequence, shards: int, n_samples: int):
     """Yield the kernel's blocks as lists of (generator, slice) segments.
 
@@ -365,13 +372,11 @@ def outage_probability(
     Gains are drawn from the equivalent parallel model by
     ``_chunk_gains``, so no draw is ever rank deficient and
     ``n_discarded`` is always 0. The sample budget is split across
-    min(shards, n_samples) deterministic substreams spawned from a copy of
-    ``seed`` (a caller's ``SeedSequence`` is never advanced), and each
-    substream draws its share in pieces of at most ``_BLOCK`` samples. One
-    ``_Workspace`` per call holds blocks of at most ``_BLOCK`` samples, each
-    made of whole pieces of one or more shards side by side (``_blocks``):
-    each piece gets the same draws as in a block of its own, and the
-    capacity, comparison and count run once per block. Outage counts are
+    min(shards, n_samples) deterministic substreams spawned from
+    ``_root(seed)``, whose pieces ``_blocks`` packs into blocks of at most
+    ``_BLOCK`` samples, held by one ``_Workspace`` per call. Each piece
+    gets the same draws as in a block of its own, and the capacity,
+    comparison and count run once per block. Outage counts are
     summed, so the estimate is a pure function of (scenario, r, rho,
     n_samples, seed, shards). ``rho`` must lie in (0, 1e300], so that the
     capacity stays finite.
@@ -382,14 +387,9 @@ def outage_probability(
 
     threshold = r * math.log(rho)
     mu = _mu_columns(scenario)
-    if isinstance(seed, np.random.SeedSequence):
-        root = copy.copy(seed)  # spawning must not advance the caller's object
-    else:
-        root = np.random.SeedSequence(seed)
-
     work = _Workspace(scenario, min(_BLOCK, n_samples))
     outages = 0
-    for block in _blocks(root, shards, n_samples):
+    for block in _blocks(_root(seed), shards, n_samples):
         n = block[-1][1].stop
         capacity = _capacity(mu, rho, _chunk_gains(scenario, block, work), work.acc[:n])
         hit = np.less_equal(capacity, threshold, out=work.hit[:n])
@@ -414,22 +414,20 @@ def validate_gain_distribution(
     ``index`` selects the gain column in encode order (for bc-dpc, position
     0 is the first-encoded, largest-weight user). Gains come from drawn
     channel matrices through the R factor of H* = QR, so this checks the
-    Gamma reduction that ``outage_probability`` samples from. Reports
-    relative errors of mean and variance plus the Kolmogorov-Smirnov
-    distance.
+    Gamma reduction that ``outage_probability`` samples from. They are
+    drawn through ``_blocks`` as one shard, in ``_BLOCK``-matrix pieces
+    from the first child of ``_root(seed)``, so memory holds one piece plus
+    the kept sample. Reports relative errors of mean and variance plus the
+    Kolmogorov-Smirnov distance.
     """
     check_count("index", index, 0)
     if index >= scenario.k:
         raise OutOfRangeError(f"index {index} outside 0..{scenario.k - 1}")
     check_count("n_samples", n_samples, 2)
     shape = scenario.gain_shapes()[index]
-    rng = np.random.default_rng(seed)
     parts = []
-    remaining = n_samples
-    while remaining > 0:
-        n = min(_CHUNK, remaining)
-        remaining -= n
-        gains, ok = _matrix_gains(scenario, rng, n)
+    for [(rng, piece)] in _blocks(_root(seed), 1, n_samples):  # one piece per block
+        gains, ok = _matrix_gains(scenario, rng, piece.stop - piece.start)
         parts.append(gains[ok, index])
     sample = np.concatenate(parts)
     mean = float(sample.mean())

@@ -158,6 +158,20 @@ def parse_snr_grid(text: str) -> tuple[float, ...]:
     return tuple(grid)
 
 
+def _choice(choices) -> dict:
+    """The ``type`` and ``metavar`` of a flag that takes one of ``choices``.
+    Unlike ``choices=``, the ``type`` also checks a config-file default, with
+    argparse's own message."""
+
+    def convert(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise CliError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
+
+    return {"type": convert, "metavar": "{" + ",".join(choices) + "}"}
+
+
 @_converter
 def parse_window(text: str) -> tuple[float, float]:
     parts = text.split(":")
@@ -209,10 +223,8 @@ def _write_output(args: argparse.Namespace, payload, csv_lines: list[str]) -> No
     says, to ``--out`` or else stdout."""
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        text = "\n".join(csv_lines) + "\n"
     else:
-        raise CliError(f"unknown format {args.format!r}")
+        text = "\n".join(csv_lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -261,6 +273,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("missing --r")
     if args.snr_db is None:
         raise CliError("missing --snr-db")
+    for r in args.r:  # the rates' bound is K, which no flag's converter knows
+        try:
+            check_real("r", r, 0.0, scenario.k)
+        except DmtError as exc:
+            raise CliError(f"argument --r: {exc}") from exc
     rhos = [_snr_linear(db) for db in args.snr_db]
     m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
@@ -394,7 +411,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     add = parser.add_argument
-    add("--scenario", choices=SCENARIO_KINDS)
+    add("--scenario", **_choice(SCENARIO_KINDS))
     add("--k", type=int, help="number of channels / users")
     add("--m", type=int, help="transmit antennas (broadcast kinds)")
     add("--nt", type=int, help="antennas per channel (parallel-identical)")
@@ -405,7 +422,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (stdout if omitted)")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--format", **_choice(("csv", "json")), default="csv")
 
 
 def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:

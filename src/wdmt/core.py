@@ -76,8 +76,8 @@ class Weights:
     mu: tuple[float, ...]
 
     def __post_init__(self):
+        mu = check_sequence("weights", self.mu)
         try:
-            mu = tuple(self.mu)
             for x in mu:
                 math.isnan(x)  # a TypeError unless x is a real number, though float() takes "0.5"
             mu = tuple(map(float, mu))
@@ -139,7 +139,24 @@ def check_weight_sum(total) -> None:
     """``BadSumError`` unless the weight total, a float or an exact ``Fraction``,
     lies within ``WEIGHT_SUM_TOL`` of 1 (NaN fails too)."""
     if not abs(total - 1) <= WEIGHT_SUM_TOL:
-        raise BadSumError(f"weights sum to {float(total)!r}; expected 1 within {WEIGHT_SUM_TOL}")
+        try:
+            shown = float(total)
+        except OverflowError:  # a Fraction total past the float range
+            shown = math.inf if total > 0 else -math.inf
+        raise BadSumError(f"weights sum to {shown!r}; expected 1 within {WEIGHT_SUM_TOL}")
+
+
+def check_sequence(name: str, value, size: int | None = None) -> tuple:
+    """The items of ``value`` as a tuple if it is iterable and, when ``size``
+    is given, holds exactly ``size`` items; else ``OutOfRangeError``."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or size not in (None, len(items)):
+        length = "" if size is None else f" of {size} items"
+        raise OutOfRangeError(f"{name} must be a sequence{length}, got {value!r}")
+    return items
 
 
 def check_count(name: str, value, minimum: int) -> int:
@@ -192,7 +209,8 @@ class AntennaProfile:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(check_count("antenna count", x, 1) for x in self.n)
+        counts = check_sequence("antenna counts", self.n)
+        counts = tuple(check_count("antenna count", x, 1) for x in counts)
         if len(counts) < 1:
             raise DmtError("antenna profile must have at least one channel")
         object.__setattr__(self, "n", counts)
@@ -261,7 +279,8 @@ class DmtCurve:
     corners: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pts = tuple((check_real("corner r", r), check_real("corner d", d)) for r, d in self.corners)
+        pairs = [check_sequence("corner", c, 2) for c in check_sequence("corners", self.corners)]
+        pts = tuple((check_real("corner r", r), check_real("corner d", d)) for r, d in pairs)
         if len(pts) < 2:
             raise DmtError("a DMT curve needs at least two corners")
         if pts[0][0] != 0.0:

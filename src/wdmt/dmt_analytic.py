@@ -30,6 +30,7 @@ from .core import (
     Scenario,
     Weights,
     check_real,
+    check_sequence,
     ordering,
     validate_weights,
 )
@@ -52,7 +53,8 @@ class ExponentSolution:
     d: float
 
     def __post_init__(self):
-        a = tuple(check_real("alpha", x, -1e-12, 1.0 + 1e-12) for x in self.alpha)
+        alpha = check_sequence("alpha", self.alpha)
+        a = tuple(check_real("alpha", x, -1e-12, 1.0 + 1e-12) for x in alpha)
         object.__setattr__(self, "alpha", tuple(min(1.0, max(0.0, x)) for x in a))
         object.__setattr__(self, "d", check_real("d", self.d))
 

@@ -26,6 +26,7 @@ from .core import (
     Weights,
     check_count,
     check_real,
+    check_sequence,
 )
 from .dmt_analytic import ExponentSolution
 
@@ -49,9 +50,12 @@ class LpInstance:
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        costs = tuple(check_real("LP cost", x, 0.0, open_low=True) for x in self.costs)
-        weights = tuple(check_real("LP weight", x, 0.0, open_low=True) for x in self.weights)
-        upper = tuple(check_real("LP upper limit", x, 0.0, open_low=True) for x in self.upper)
+        costs = tuple(check_real("LP cost", x, 0.0, open_low=True)
+                      for x in check_sequence("LP costs", self.costs))
+        weights = tuple(check_real("LP weight", x, 0.0, open_low=True)
+                        for x in check_sequence("LP weights", self.weights))
+        upper = tuple(check_real("LP upper limit", x, 0.0, open_low=True)
+                      for x in check_sequence("LP upper limits", self.upper))
         if not (len(costs) == len(weights) == len(upper)) or len(costs) < 1:
             raise DimensionMismatchError("costs, weights, upper must share a length >= 1")
         object.__setattr__(self, "costs", costs)

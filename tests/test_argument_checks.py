@@ -13,6 +13,7 @@ values, drawn from bounded ranges, must pass.
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,12 @@ from hypothesis import strategies as st
 import wdmt
 from wdmt import (
     AntennaProfile,
+    BadSumError,
     DmtCurve,
     DmtError,
     ExponentSolution,
     LpInstance,
+    OutOfRangeError,
     OutageEstimate,
     Scenario,
     SlopeFit,
@@ -41,6 +44,7 @@ from wdmt import (
     validate_gain_distribution,
     validate_weights,
 )
+from wdmt.core import check_weight_sum
 
 W2 = validate_weights((0.6, 0.4))
 PROFILE = AntennaProfile((2, 1))
@@ -209,6 +213,31 @@ def test_weights_need_a_sequence_of_real_numbers(mu):
     # ("0.5", "0.5") was accepted, and 1.0 and None escaped as TypeError
     with pytest.raises(DmtError):
         Weights(mu)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: DmtCurve(5), "corners"),
+    (lambda: DmtCurve(((0.0, 1.0, 2.0), (1.0, 0.0))), "corner"),
+    (lambda: DmtCurve(((0.0, 1.0), (1.0,))), "corner"),
+    (lambda: ExponentSolution(0.5, 1.0), "alpha"),
+    (lambda: LpInstance(1.0, (1.0,), 0.5, (1.0,)), "LP costs"),
+    (lambda: LpInstance((1.0,), 1.0, 0.5, (1.0,)), "LP weights"),
+    (lambda: LpInstance((1.0,), (1.0,), 0.5, 1.0), "LP upper limits"),
+    (lambda: AntennaProfile(5), "antenna counts"),
+    (lambda: AntennaProfile(None), "antenna counts"),
+], ids=["curve-number", "corner-triple", "corner-single", "alpha-number", "lp-costs",
+        "lp-weights", "lp-upper", "profile-number", "profile-none"])
+def test_malformed_sequence_is_named_by_its_field(call, field):
+    # each escaped as a bare TypeError or ValueError from the iteration
+    with pytest.raises(OutOfRangeError, match=f"^{field} must be a sequence"):
+        call()
+
+
+def test_weight_sum_past_the_float_range_reads_inf():
+    # the exact Fraction total of --weights 1e400,1 escaped as an OverflowError
+    with pytest.raises(BadSumError) as info:
+        check_weight_sum(Fraction(10**400) + 1)
+    assert str(info.value) == "weights sum to inf; expected 1 within 1e-09"
 
 
 def test_dmt_error_is_a_value_error():

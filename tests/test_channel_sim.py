@@ -25,6 +25,7 @@ from wdmt.channel_sim import (
     _ERLANG_MAX_SHAPE,
     _SQRT_HALF,
     _Workspace,
+    _blocks,
     _capacity,
     _chunk_gains,
     _matrix_gains,
@@ -692,12 +693,38 @@ class TestValidateGainDistribution:
     @pytest.mark.parametrize("kind", ["parallel-different", "bc-dpc", "bc-zf"])
     def test_statistics_equal_scipy_stats_reference(self, kind):
         s = gamma_scenario(kind, 3, 2)
+        n = 2 * _BLOCK + 5000  # three blocks, the last one short
         for index in range(2):
-            rep = validate_gain_distribution(s, index, 5000, seed=17)
-            gains, ok = _matrix_gains(s, np.random.default_rng(17), 5000)
-            sample = gains[ok, index]
+            rep = validate_gain_distribution(s, index, n, seed=17)
+            parts = []
+            for [(rng, piece)] in _blocks(np.random.SeedSequence(17), 1, n):
+                gains, ok = _matrix_gains(s, rng, piece.stop - piece.start)
+                parts.append(gains[ok, index])
+            sample = np.concatenate(parts)
             assert rep.mean == sample.mean() and rep.variance == sample.var()
             assert rep.ks_stat == stats.kstest(sample, stats.gamma(rep.shape).cdf).statistic
+
+    def test_peak_memory_is_one_block_plus_the_sample(self):
+        # 2^17 matrices were drawn in one step (48 MB traced); one block of
+        # 2^14 and the kept sample take about 7 MB
+        s = gamma_scenario("bc-zf", 3, 2)
+        tracemalloc.start()
+        try:
+            validate_gain_distribution(s, 0, 1 << 17, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_seed_rule_is_the_kernel_rule(self):
+        # a caller's SeedSequence is copied, not advanced, and a plain seed
+        # gives the report of its SeedSequence
+        s = gamma_scenario("bc-zf", 3, 2)
+        seq = np.random.SeedSequence(5)
+        first = validate_gain_distribution(s, 0, 1000, seq)
+        assert seq.n_children_spawned == 0
+        assert validate_gain_distribution(s, 0, 1000, seq) == first
+        assert validate_gain_distribution(s, 0, 1000, 5) == first
 
     def test_index_out_of_range(self):
         s = Scenario(kind="bc-zf", weights=validate_weights((0.5, 0.5)), m=3)

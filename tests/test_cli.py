@@ -131,18 +131,20 @@ def test_empty_list_entry_is_usage_error(capsys, flag, parse, text):
 def test_value_flags_have_converters():
     # argparse runs `type` on string defaults, and main runs each config entry
     # through its flag's `type`, so flags, defaults and config entries share one
-    # converter. Only choice options (checked by the command) and paths stay
-    # strings.
+    # converter. Only paths stay strings; a choice flag's `type` checks the
+    # choice, which argparse's `choices` would not do for a default.
     _, commands = build_parser()
     checked = 0
     for command, parser in commands.items():
         for action in parser._actions:
             if action.dest == "help":
                 continue
-            untyped = action.choices is not None or action.dest in ("config", "out", "input")
+            untyped = action.dest in ("config", "out", "input")
             assert (action.type is None) == untyped, (command, action.dest)
+            assert action.choices is None, (command, action.dest)
             checked += isinstance(action.default, str) and action.type is not None
-    assert checked == 8  # --samples and --seed twice, --shards, --tol, --mean-tol, --var-tol
+    # --samples, --seed and --format twice, --shards, --tol, --mean-tol, --var-tol
+    assert checked == 10
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -391,6 +393,35 @@ class TestSimulateCommand:
             "error: argument --snr-db: linear SNR rho must be a finite number in (0.0, 1e+300], "
             "got 1e+301\n"
         )
+
+    @pytest.mark.parametrize("flags, entry, message", [
+        (["--r", "1,2.5"], "",
+         "argument --r: r must be a finite number in [0.0, 2.0], got 2.5"),
+        ([], "format = xml", "argument --format: invalid choice: 'xml' (choose from 'csv', "
+         "'json')"),
+        ([], "scenario = foo", "argument --scenario: invalid choice: 'foo' (choose from "
+         "'parallel-identical', 'parallel-different', 'bc-zf', 'bc-dpc')"),
+    ], ids=["rate-above-k", "config-format", "config-scenario"])
+    def test_every_value_checked_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                                  flags, entry, message):
+        # the r = 1 points used to be simulated first; argparse checks choices
+        # only on the command line, so a config entry was checked only when used
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return outage_probability(*args, **kwargs)
+
+        monkeypatch.setattr(wdmt.cli, "outage_probability", counting)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nr = 1\nsnr-db = 10\nsamples = 100\n"
+            f"{entry}\n"
+        )
+        code = main(["simulate", "--config", str(cfg), *flags])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == "" and calls == []
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_negative_seed_is_usage_error(self, capsys, command):
@@ -827,7 +858,9 @@ def library_message(call) -> str:
      lambda: compare(SlopeFit(2.0, 0.1, (10.0, 30.0), 3), CURVE_2, 1.0, tol=-1.0)),
     (["fit", "--input", "absent.csv", "--window", "nan:1"],
      lambda: fit_slope([], (math.nan, 1.0))),
-], ids=["weights", "snr-db", "tol", "window"])
+    (["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "1e400,1"],
+     lambda: Weights((1e308, 1e308))),
+], ids=["weights", "snr-db", "tol", "window", "weights-overflow"])
 def test_cli_rejects_a_value_with_the_library_message(capsys, argv, call):
     # the weight sum and the SNR bound had their own CLI checks and messages;
     # argparse converts each flag before fit opens its input

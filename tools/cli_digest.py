@@ -62,6 +62,9 @@ INVALID = {
                       "--r", "1", "--snr-db", "10", "--seed", "-1"],
     "rate-above-k": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
                      "--r", "2.5", "--snr-db", "10", "--samples", "100"],
+    "rate-above-k-after-valid": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights",
+                                 "0.5,0.5", "--r", "1,2.5", "--snr-db", "10", "--samples", "100"],
+    "weights-overflow": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "1e400,1"],
     "fit-missing-input": ["fit", "--input", "absent.csv", "--window", "5:20"],
     "fit-reversed-window": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "20:5"],
     "fit-window-parts": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "5"],
@@ -74,6 +77,7 @@ INVALID = {
     "config-no-equals": ["curve", "--config", "no-equals.cfg"],
     "config-unknown-key": ["curve", "--config", "unknown-key.cfg"],
     "config-missing": ["curve", "--config", "absent.cfg"],
+    "config-format-simulate": ["simulate", "--config", "format-xml.cfg"],
     "config-empty": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
                      "--config", ""],
     "unknown-flag": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
@@ -134,6 +138,10 @@ def digest_all() -> None:
                 None if command == "validate" else f"config-{command}-{kind}.out")
     Path("no-equals.cfg").write_text("scenario = bc-zf\nm 3\n")
     Path("unknown-key.cfg").write_text("scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nsample = 9\n")
+    Path("format-xml.cfg").write_text(
+        "scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nr = 1\nsnr-db = 10\nsamples = 100\n"
+        "format = xml\n"
+    )
     for name, argv in INVALID.items():
         run(f"invalid-{name}", argv)
     for name, argv in NEGATIVE.items():
