@@ -15,7 +15,14 @@ exits 2; a key of another command's flag is ignored. An empty list entry
 (``0.5,,0.5``) and an antenna flag that the scenario kind does not use exit
 2 too. Every rejection, argparse's own (an unknown or missing flag or
 command) included, is one ``error:`` line; a value that its converter
-rejects is named by its flag.
+rejects is named by its flag. ``--scenario``, ``--weights``, ``--r`` and
+``--snr-db`` are required unless a config entry gives them, and all that
+are missing are named on one line. A count flag converts by ``int``, then
+``check_count`` with the library's minimum (``--samples 0`` reads
+``argument --samples: n_samples must be an integer >= 1, got 0``). A
+missing antenna flag is named (``--scenario bc-zf needs --m``). ``fit``
+reads and checks every row before any verdict: a row fault, a rate above
+K included, exits 2 and ends with ``(FILE, row N)``.
 """
 
 from __future__ import annotations
@@ -172,6 +179,12 @@ def _choice(choices) -> dict:
     return {"type": convert, "metavar": "{" + ",".join(choices) + "}"}
 
 
+_KIND = _choice(SCENARIO_KINDS)  # the kind of --scenario and of a table row
+# The antenna flag that each scenario kind needs, and the Scenario field that it sets
+_ANTENNA_FLAGS = {"parallel-identical": ("nt", "n_t"), "bc-zf": ("m", "m"), "bc-dpc": ("m", "m"),
+                  "parallel-different": ("profile", "profile")}
+
+
 @_converter
 def parse_window(text: str) -> tuple[float, float]:
     parts = text.split(":")
@@ -185,9 +198,11 @@ def parse_tolerance(text: str) -> float:
     return check_real("tolerance", float(text), 0.0)
 
 
-@_converter
-def parse_seed(text: str) -> int:
-    return check_count("seed", int(text), 0)
+def _count(name: str, minimum: int):
+    """The ``type`` of a count flag: ``int``, then ``check_count`` named by the flag."""
+    check = _converter(lambda value: check_count(name, value, minimum))
+    # named int, so that argparse reports a non-integer as "invalid int value: 'x'"
+    return functools.update_wrapper(lambda text: check(int(text)), int, ("__name__",), ())
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -209,12 +224,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _scenario(args: argparse.Namespace) -> Scenario:
     """The scenario that the command's converted flags describe."""
-    if args.scenario is None:
-        raise CliError("missing --scenario")
-    if args.weights is None:
-        raise CliError("missing --weights")
     if args.k is not None and args.k != len(args.weights):
         raise CliError(f"--k {args.k} but {len(args.weights)} weights given")
+    flag, _ = _ANTENNA_FLAGS[args.scenario]
+    if getattr(args, flag) is None:
+        raise CliError(f"--scenario {args.scenario} needs --{flag}")
     return Scenario(args.scenario, args.weights, n_t=args.nt, profile=args.profile, m=args.m)
 
 
@@ -269,10 +283,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
-    if args.r is None:
-        raise CliError("missing --r")
-    if args.snr_db is None:
-        raise CliError("missing --snr-db")
     for r in args.r:  # the rates' bound is K, which no flag's converter knows
         try:
             check_real("r", r, 0.0, scenario.k)
@@ -306,16 +316,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _scenario_from_row(row: dict[str, str]) -> Scenario:
     """The scenario that one table row's ``scenario``, ``K``, ``M`` and
     ``weights`` columns describe."""
-    kind = row["scenario"]
+    kind = _KIND["type"](row["scenario"])
     weights = validate_weights([float(w) for w in row["weights"].split(";")])
     if int(row["K"]) != len(weights):
         raise CliError(f"row has K={row['K']} but {len(weights)} weights")
-    if kind in ("bc-zf", "bc-dpc"):
-        return Scenario(kind=kind, weights=weights, m=int(row["M"]))
-    if kind == "parallel-identical":
-        return Scenario(kind=kind, weights=weights, n_t=int(row["M"]))
-    profile = AntennaProfile(tuple(int(n) for n in row["M"].split(";")))
-    return Scenario(kind=kind, weights=weights, profile=profile)
+    flag, field = _ANTENNA_FLAGS[kind]
+    text = row["M"]
+    value = AntennaProfile(tuple(map(int, text.split(";")))) if flag == "profile" else int(text)
+    return Scenario(kind, weights, **{field: value})
 
 
 def _read_table(path: str) -> list[dict[str, str]]:
@@ -323,7 +331,7 @@ def _read_table(path: str) -> list[dict[str, str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             content = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     stripped = content.strip()
     if not stripped:
@@ -339,10 +347,10 @@ def _read_table(path: str) -> list[dict[str, str]]:
         if lines[0].split(",") != columns:
             raise CliError(f"{path}: unexpected columns {lines[0]!r}")
         rows = []
-        for line in lines[1:]:
+        for number, line in enumerate(lines[1:], start=1):
             fields = line.split(",")
             if len(fields) != len(columns):
-                raise CliError(f"{path}: malformed row {line!r}")
+                raise CliError(f"malformed row {line!r} ({path}, row {number})")
             rows.append(dict(zip(columns, fields)))
     if not rows:
         raise CliError(f"{path}: missing required columns")
@@ -350,23 +358,25 @@ def _read_table(path: str) -> list[dict[str, str]]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    rows = _read_table(args.input)
-    scenario = _scenario_from_row(rows[0])
-    curve = curve_for_scenario(scenario)
-
+    scenarios: list[Scenario] = []
     by_r: dict[float, list[OutageEstimate]] = {}
-    for row in rows:
-        if _scenario_from_row(row) != scenario:
-            raise CliError(f"{args.input}: rows describe different scenarios")
-        est = OutageEstimate(
-            rho=_snr_linear(float(row["rho_db"])),
-            r=float(row["r"]),
-            n_samples=int(row["n_samples"]),
-            n_outages=int(row["n_outages"]),
-            ci_low=float(row["ci_low"]),
-            ci_high=float(row["ci_high"]),
-        )
-        by_r.setdefault(float(row["r"]), []).append(est)
+    for number, row in enumerate(_read_table(args.input), start=1):
+        try:
+            scenarios.append(_scenario_from_row(row))
+            if scenarios[-1] != scenarios[0]:
+                raise CliError("row describes another scenario than row 1")
+            est = OutageEstimate(
+                rho=_snr_linear(float(row["rho_db"])),
+                r=check_real("r", float(row["r"]), 0.0, scenarios[0].k),
+                n_samples=int(row["n_samples"]),
+                n_outages=int(row["n_outages"]),
+                ci_low=float(row["ci_low"]),
+                ci_high=float(row["ci_high"]),
+            )
+        except ValueError as exc:
+            raise CliError(f"{exc} ({args.input}, row {number})") from exc
+        by_r.setdefault(est.r, []).append(est)
+    curve = curve_for_scenario(scenarios[0])
 
     all_passed = True
     for r in sorted(by_r):
@@ -411,12 +421,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     add = parser.add_argument
-    add("--scenario", **_choice(SCENARIO_KINDS))
-    add("--k", type=int, help="number of channels / users")
-    add("--m", type=int, help="transmit antennas (broadcast kinds)")
-    add("--nt", type=int, help="antennas per channel (parallel-identical)")
+    add("--scenario", **_KIND, required=True)
+    add("--k", type=_count("k", 1), help="number of channels / users")
+    add("--m", type=_count("m", 1), help="transmit antennas (broadcast kinds)")
+    add("--nt", type=_count("n_t", 1), help="antennas per channel (parallel-identical)")
     add("--profile", type=parse_profile, help="comma-separated antenna counts")
-    add("--weights", type=parse_weights, help="comma-separated weights, decimals or fractions")
+    add("--weights", type=parse_weights, required=True,
+        help="comma-separated weights, decimals or fractions")
     add("--config", help="key = value file; flags override")
 
 
@@ -450,12 +461,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_scenario_flags(p_sim)
     _add_output_flags(p_sim)
     add = p_sim.add_argument
-    add("--r", type=parse_r_list, help="comma-separated multiplexing gains")
-    add("--snr-db", type=parse_snr_grid,
+    add("--r", type=parse_r_list, required=True, help="comma-separated multiplexing gains")
+    add("--snr-db", type=parse_snr_grid, required=True,
         help=f"SNR grid start:stop:step in dB, at most {MAX_SNR_POINTS} points")
-    add("--samples", type=int, default="100000", help="Monte Carlo samples per (r, SNR) point")
-    add("--seed", type=parse_seed, default="0", help="base random seed")
-    add("--shards", type=int, default="1", help="independent substreams per point")
+    add("--samples", type=_count("n_samples", 1), default="100000",
+        help="Monte Carlo samples per (r, SNR) point")
+    add("--seed", type=_count("seed", 0), default="0", help="base random seed")
+    add("--shards", type=_count("shards", 1), default="1",
+        help="independent substreams per point")
 
     p_fit = _add_command(sub, "fit", cmd_fit, "fit diversity slopes from a simulate table")
     add = p_fit.add_argument
@@ -469,8 +482,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                          "law of the gains, which sets the bc-zf exponent)")
     _add_scenario_flags(p_val)
     add = p_val.add_argument
-    add("--samples", type=int, default="100000", help="draws per gain index")
-    add("--seed", type=parse_seed, default="0", help="base random seed")
+    add("--samples", type=_count("n_samples", 2), default="100000", help="draws per gain index")
+    add("--seed", type=_count("seed", 0), default="0", help="base random seed")
     add("--mean-tol", type=parse_tolerance, default="0.01")
     add("--var-tol", type=parse_tolerance, default="0.03")
     return parser, sub.choices
@@ -490,6 +503,8 @@ def main(argv=None) -> int:
             # flag gives it; a command never reads other commands' entries
             for command in commands.values():
                 command.set_defaults(**entries)
+                for action in command._actions:  # an entry supplies a required flag
+                    action.required &= action.dest not in entries
         args = parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:

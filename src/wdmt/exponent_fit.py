@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DmtCurve, DmtError, OutOfRangeError, check_count, check_real, check_window
+from .core import DmtCurve, DmtError, check_count, check_real, check_sequence, check_window
 
 __all__ = [
     "MIN_EVENTS",
@@ -48,8 +48,10 @@ class InsufficientEventsError(DmtError):
 class SlopeFit:
     """Fitted diversity exponent with its regression standard error.
 
-    ``dropped`` lists (rho_db, n_outages) of in-window points excluded for
-    having fewer than ``MIN_EVENTS`` outage events.
+    ``window`` is the fit's (low, high) SNR range in dB, checked as
+    :func:`fit_slope` checks it. ``dropped`` lists (rho_db, n_outages) of
+    in-window points excluded for having fewer than ``MIN_EVENTS`` outage
+    events.
     """
 
     d_hat: float
@@ -62,6 +64,7 @@ class SlopeFit:
         check_count("points_used", self.points_used, 2)
         object.__setattr__(self, "d_hat", check_real("d_hat", self.d_hat))
         object.__setattr__(self, "stderr", check_real("stderr", self.stderr, 0.0))
+        object.__setattr__(self, "window", check_window(*check_sequence("window", self.window, 2)))
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,7 @@ def fit_slope(estimates, window: tuple[float, float]) -> SlopeFit:
         If dropping points with fewer than ``MIN_EVENTS`` outage events
         leaves fewer than two.
     """
-    try:
-        low, high = window
-    except (TypeError, ValueError):
-        raise OutOfRangeError(f"window must be a (low, high) pair, got {window!r}") from None
-    low, high = check_window(low, high)
+    low, high = check_window(*check_sequence("window", window, 2))
     inside = [e for e in estimates if low - 1e-9 <= e.rho_db <= high + 1e-9]
     if len(inside) < 2:
         raise InsufficientDataError(

@@ -208,6 +208,21 @@ def test_non_number_window_raises_dmt_error():
         fit_slope([], ("a", 1))
 
 
+@pytest.mark.parametrize("window, message", [
+    ("junk", "window must be a sequence of 2 items, got 'junk'"),
+    (None, "window must be a sequence of 2 items, got None"),
+    ((30.0, 10.0), "window must have low <= high, got (30.0, 10.0)"),
+    ((math.nan, 1.0), "window low must be a finite number in (-inf, inf), got nan"),
+], ids=["string", "none", "reversed", "nan"])
+def test_slope_fit_and_fit_slope_check_the_window_alike(window, message):
+    # each was stored as given
+    for call in (lambda: slope_fit(window=window), lambda: fit_slope(ESTIMATES, window)):
+        with pytest.raises(OutOfRangeError) as info:
+            call()
+        assert str(info.value) == message
+    assert slope_fit(window=(10, np.float64(30.0))).window == (10.0, 30.0)
+
+
 @pytest.mark.parametrize("mu", [1.0, None, 5, "0.5", ("0.5", "0.5")])
 def test_weights_need_a_sequence_of_real_numbers(mu):
     # ("0.5", "0.5") was accepted, and 1.0 and None escaped as TypeError

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import wdmt.cli
 from wdmt import (
-    AntennaProfile, DmtError, Scenario, SlopeFit, Weights, compare, dmt_different, fit_slope,
-    outage_probability, validate_weights,
+    SCENARIO_KINDS, AntennaProfile, DmtError, Scenario, SlopeFit, Weights, compare,
+    curve_for_scenario, dmt_different, fit_slope, outage_probability, validate_weights,
 )
 from wdmt.cli import (
     CSV_COLUMNS,
@@ -152,9 +153,10 @@ def test_value_flags_have_converters():
      "argument --weights: weights sum to 0.6; expected 1 within 1e-09"),
     (["curve", "--scenario", "bc-zf", "--m", "3", "--k", "3", "--weights", "0.5,0.5"],
      "--k 3 but 2 weights given"),
-    (["curve", "--m", "3", "--weights", "0.5,0.5"], "missing --scenario"),
+    (["curve", "--m", "3", "--weights", "0.5,0.5"],
+     "the following arguments are required: --scenario"),
     (["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5", "--r", "1"],
-     "missing --snr-db"),
+     "the following arguments are required: --snr-db"),
 ], ids=["weights-off-one", "k-vs-weights", "no-scenario", "no-snr-db"])
 def test_inconsistent_or_missing_flag_is_usage_error(capsys, argv, message):
     # weights off 1 are rejected, not renormalized
@@ -249,6 +251,15 @@ class TestCurveCommand:
         assert main(["curve", *flags, "--weights", "0.55,0.45"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "only" in err
+
+    @pytest.mark.parametrize("kind, flag", [
+        ("bc-zf", "--m"), ("bc-dpc", "--m"), ("parallel-identical", "--nt"),
+        ("parallel-different", "--profile"),
+    ])
+    def test_missing_antenna_flag_is_named_by_its_flag(self, capsys, kind, flag):
+        # the library named the field and its None: "m must be an integer >= 1, got None"
+        assert main(["curve", "--scenario", kind, "--weights", "0.5,0.5"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: --scenario {kind} needs {flag}\n")
 
     def test_too_many_users_is_usage_error(self):
         code = main([
@@ -645,6 +656,55 @@ class TestFitCommand:
             "error: linear SNR rho must be a finite number in (0.0, inf), got inf"
         )
 
+    @pytest.mark.parametrize("rates, db_points, window, row", [
+        ((1.0, 2.5), (0, 5, 10), "0:10", 4),
+        ((2.5,), (10,), "10:20", 1),
+    ], ids=["after-a-valid-rate", "unfittable"])
+    def test_every_rate_checked_against_k_before_any_verdict(
+        self, tmp_path, capsys, rates, db_points, window, row
+    ):
+        # the r = 1 verdict was printed before r = 2.5 exited 2, and a lone
+        # r = 2.5 row read as a failed fit (exit 3)
+        table = tmp_path / "sim.csv"
+        lines = [CSV_COLUMNS]
+        for r in rates:
+            write_power_law_table(table, 1.0, db_points, 10**6, scenario="bc-zf", m_col="3", r=r)
+            lines += table.read_text().splitlines()[1:]
+        table.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--input", str(table), "--window", window]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: r must be a finite number in [0.0, 2.0], got 2.5 ({table}, row {row})\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column, value, message", [
+        ("n_samples", "x", "invalid literal for int() with base 10: 'x'"),
+        ("M", "2;3", "invalid literal for int() with base 10: '2;3'"),
+    ], ids=["samples-not-a-number", "identical-m-list"])
+    def test_row_fault_names_its_file_and_row(self, tmp_path, capsys, fmt, column, value,
+                                              message):
+        table = tmp_path / "sim.csv"
+        write_power_law_table(table, 1.0, (10, 20, 30), 10**8)
+        rows = read_rows(table)
+        rows[1][column] = value
+        if fmt == "json":
+            table = tmp_path / "sim.json"
+            table.write_text(json.dumps(rows))
+        else:
+            table.write_text("\n".join([CSV_COLUMNS, *(",".join(r.values()) for r in rows)]))
+        assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message} ({table}, row 2)\n")
+
+    def test_undecodable_table_is_usage_error(self, tmp_path, capsys):
+        # the codec's message named no file
+        table = tmp_path / "sim.csv"
+        table.write_bytes(b"\xff" + CSV_COLUMNS.encode() + b"\n")
+        assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", (
+            f"error: cannot read {table}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        ))
+
     def test_parallel_different_profile_round_trip(self, tmp_path, capsys):
         sim = tmp_path / "sim.csv"
         code = main([
@@ -915,7 +975,7 @@ def test_config_does_not_leak_into_the_next_call(tmp_path, capsys):
     assert main([*curve, "--config", str(cfg)]) == EXIT_OK
     capsys.readouterr()
     assert main(curve) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: missing --weights\n"
+    assert capsys.readouterr().err == "error: the following arguments are required: --weights\n"
 
 
 # The words that the CLI property draws argv from: each flag with a valid and
@@ -1001,3 +1061,75 @@ def test_cli_exits_with_a_code_and_one_error_line(cli_dir, command_run, words):
     if code == EXIT_USAGE:
         err = stderr.getvalue()
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", *BC_ZF, "--r", "1", "--snr-db", "10", "--samples", "0"],
+     "argument --samples: n_samples must be an integer >= 1, got 0"),
+    (["simulate", *BC_ZF, "--r", "1", "--snr-db", "10", "--shards", "0"],
+     "argument --shards: shards must be an integer >= 1, got 0"),
+    (["validate", *BC_ZF, "--samples", "1"],
+     "argument --samples: n_samples must be an integer >= 2, got 1"),
+    (["curve", "--scenario", "bc-zf", "--m", "0", "--weights", "1"],
+     "argument --m: m must be an integer >= 1, got 0"),
+    (["curve", "--scenario", "parallel-identical", "--nt", "0", "--weights", "1"],
+     "argument --nt: n_t must be an integer >= 1, got 0"),
+    (["curve", *BC_ZF, "--k", "0"], "argument --k: k must be an integer >= 1, got 0"),
+    (["validate", *BC_ZF, "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+], ids=["samples-zero", "shards-zero", "validate-samples-one", "m-zero", "nt-zero", "k-zero",
+        "seed-not-a-number"])
+def test_count_flag_rejection_is_named_by_its_flag(capsys, argv, message):
+    # the library's range errors named its field only, and --seed alone read
+    # "invalid literal for int()"
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, entries, missing", [
+    (["curve", "--m", "3"], "", "--scenario, --weights"),
+    (["simulate", *BC_ZF], "", "--r, --snr-db"),
+    (["validate"], "", "--scenario, --weights"),
+    (["simulate"], "scenario = bc-zf\nm = 3\nr = 1\n", "--weights, --snr-db"),
+], ids=["curve", "simulate", "validate", "simulate-config"])
+def test_missing_flags_are_reported_together(tmp_path, capsys, argv, entries, missing):
+    # a config entry supplies a required flag; a missing one was reported
+    # alone, by a hand-written check
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entries)
+    assert main([*argv, "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: the following arguments are required: {missing}\n")
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round-trip")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fit_rebuilds_the_simulated_scenario(round_trip_dir, data):
+    kind = data.draw(st.sampled_from(SCENARIO_KINDS), label="kind")
+    k = data.draw(st.integers(1, 3), label="K")
+    parts = data.draw(st.lists(st.integers(1, 9), min_size=k, max_size=k), label="weights")
+    counts = st.integers(1, 3)
+    if kind == "parallel-identical":
+        antenna = ["--nt", str(data.draw(counts))]
+    elif kind == "parallel-different":
+        antenna = ["--profile", ",".join(map(str, data.draw(st.lists(counts, min_size=k,
+                                                                     max_size=k))))]
+    else:
+        antenna = ["--m", str(data.draw(st.integers(k, k + 2)))]
+    r = data.draw(st.sampled_from(["1/4", "1/2", "1"]), label="r")
+    simulate = ["simulate", "--scenario", kind, "--k", str(k), *antenna,
+                "--weights", ",".join(f"{p}/{sum(parts)}" for p in parts), "--r", r,
+                "--snr-db", "5:10:5", "--samples", "20", "--seed", str(data.draw(counts))]
+    with (mock.patch.object(wdmt.cli, "outage_probability", wraps=outage_probability) as sim,
+          mock.patch.object(wdmt.cli, "curve_for_scenario", wraps=curve_for_scenario) as fit,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())):
+        for fmt in ("csv", "json"):
+            table = str(round_trip_dir / f"table.{fmt}")
+            assert main([*simulate, "--format", fmt, "--out", table]) == EXIT_OK
+            assert main(["fit", "--input", table, "--window", "5:10"]) in (EXIT_OK, EXIT_STAT_FAIL)
+    given_scenarios = {call.args[0] for call in sim.call_args_list}
+    assert len(given_scenarios) == 1 and sim.call_count == 4
+    assert [call.args[0] for call in fit.call_args_list] == [*given_scenarios] * 2

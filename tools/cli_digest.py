@@ -84,6 +84,16 @@ INVALID = {
                      "--bogus", "1"],
     "fit-without-input": ["fit", "--window", "5:20"],
     "no-command": [],
+    "samples-zero": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                     "--r", "1", "--snr-db", "10", "--samples", "0"],
+    "shards-zero": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                    "--r", "1", "--snr-db", "10", "--shards", "0"],
+    "validate-samples-one": ["validate", "--scenario", "bc-zf", "--m", "3",
+                             "--weights", "0.5,0.5", "--samples", "1"],
+    "m-zero": ["curve", "--scenario", "bc-zf", "--m", "0", "--weights", "1"],
+    "no-antenna-flag": ["curve", "--scenario", "bc-zf", "--weights", "0.5,0.5"],
+    "fit-rate-above-k": ["fit", "--input", "rate-above-k.csv", "--window", "5:20"],
+    "fit-bad-cell": ["fit", "--input", "bad-cell.csv", "--window", "5:20"],
 }
 # Values that start with "-" and a digit; "snr-db" and "snr-db-equals" give one output.
 NEGATIVE = {
@@ -142,6 +152,13 @@ def digest_all() -> None:
         "scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nr = 1\nsnr-db = 10\nsamples = 100\n"
         "format = xml\n"
     )
+    # sim-bc-zf-1.csv (K = 2) with r = 2.5 in its last row, or n_samples x in its second
+    header, *rows = Path("sim-bc-zf-1.csv").read_text().splitlines()
+    for path, index, column, value in (("rate-above-k.csv", -1, "r", "2.5"),
+                                       ("bad-cell.csv", 1, "n_samples", "x")):
+        damaged = [row.split(",") for row in rows]
+        damaged[index][header.split(",").index(column)] = value
+        Path(path).write_text("\n".join([header, *map(",".join, damaged)]) + "\n")
     for name, argv in INVALID.items():
         run(f"invalid-{name}", argv)
     for name, argv in NEGATIVE.items():
