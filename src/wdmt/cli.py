@@ -7,22 +7,23 @@ Exit codes: 0 success, 2 invalid input, 3 statistical failure.
 
 Each value flag's text is converted once, by its argparse ``type``. A
 look-ahead parse finds the ``key = value`` file of ``--config PATH`` (for
-``curve``, ``simulate`` and ``validate``) and reads it before the main parse,
-so a fault of the file is reported first, even with ``-h``. Its entries
-become string defaults: argparse runs each through its flag's own ``type``
-only when no flag gives that value. A key that names no flag of any command
-exits 2; a key of another command's flag is ignored. An empty list entry
-(``0.5,,0.5``) and an antenna flag that the scenario kind does not use exit
-2 too. Every rejection, argparse's own (an unknown or missing flag or
-command) included, is one ``error:`` line; a value that its converter
-rejects is named by its flag. ``--scenario``, ``--weights``, ``--r`` and
-``--snr-db`` are required unless a config entry gives them, and all that
-are missing are named on one line. A count flag converts by ``int``, then
-``check_count`` with the library's minimum (``--samples 0`` reads
-``argument --samples: n_samples must be an integer >= 1, got 0``). A
-missing antenna flag is named (``--scenario bc-zf needs --m``). ``fit``
-reads and checks every row before any verdict: a row fault, a rate above
-K included, exits 2 and ends with ``(FILE, row N)``.
+``curve``, ``simulate`` and ``validate``) and reads it before the main
+parse, so a fault of the file is reported first, even with ``-h``. Its
+entries become string defaults: argparse runs each through its flag's own
+``type`` only when no flag gives that value. The parser is built once per
+distinct set of entries, on first use, and later calls in the process reuse
+it. A key that names no flag of any command exits 2; a key of another
+command's flag is ignored. An empty list entry (``0.5,,0.5``) and an antenna
+flag that the scenario kind does not use exit 2 too. Every rejection,
+argparse's own (an unknown or missing flag or command) included, is one
+``error:`` line; a value that its converter rejects is named by its flag.
+``--scenario``, ``--weights``, ``--r`` and ``--snr-db`` are required unless
+a config entry gives them, and all that are missing are named on one line. A
+count flag converts by ``int``, then ``check_count`` with the library's
+minimum (``--samples 0`` reads ``argument --samples: n_samples must be an
+integer >= 1, got 0``). A missing antenna flag is named (``--scenario bc-zf
+needs --m``). ``fit`` reads and checks every row before any verdict: a row
+fault, a rate above K included, exits 2 and ends with ``(FILE, row N)``.
 """
 
 from __future__ import annotations
@@ -330,15 +331,14 @@ def _read_table(path: str) -> list[dict[str, str]]:
     """The rows of a CSV or JSON simulate table; each holds every column."""
     try:
         with open(path, encoding="utf-8") as fh:
-            content = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+            stripped = fh.read().strip()
+        rows = json.loads(stripped) if stripped.startswith("[") else None  # json table
+    except (OSError, ValueError) as exc:  # undecodable text or json included
         raise CliError(f"cannot read {path}: {exc}") from exc
-    stripped = content.strip()
     if not stripped:
         raise CliError(f"{path} is empty")
     columns = CSV_COLUMNS.split(",")
-    if stripped.startswith("["):  # json table
-        rows = json.loads(stripped)
+    if rows is not None:
         if not all(isinstance(row, dict) and row.keys() >= set(columns) for row in rows):
             raise CliError(f"{path}: missing required columns")
         rows = [{k: str(v) for k, v in row.items()} for row in rows]
@@ -358,16 +358,19 @@ def _read_table(path: str) -> list[dict[str, str]]:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    scenarios: list[Scenario] = []
+    scenarios: dict[tuple[str, ...], Scenario] = {}  # by the text of a row's scenario columns
     by_r: dict[float, list[OutageEstimate]] = {}
     for number, row in enumerate(_read_table(args.input), start=1):
         try:
-            scenarios.append(_scenario_from_row(row))
-            if scenarios[-1] != scenarios[0]:
+            text = (row["scenario"], row["K"], row["M"], row["weights"])
+            if text not in scenarios:
+                scenarios[text] = _scenario_from_row(row)
+            first = next(iter(scenarios.values()))
+            if scenarios[text] != first:
                 raise CliError("row describes another scenario than row 1")
             est = OutageEstimate(
                 rho=_snr_linear(float(row["rho_db"])),
-                r=check_real("r", float(row["r"]), 0.0, scenarios[0].k),
+                r=check_real("r", float(row["r"]), 0.0, first.k),
                 n_samples=int(row["n_samples"]),
                 n_outages=int(row["n_outages"]),
                 ci_low=float(row["ci_low"]),
@@ -376,7 +379,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(f"{exc} ({args.input}, row {number})") from exc
         by_r.setdefault(est.r, []).append(est)
-    curve = curve_for_scenario(scenarios[0])
+    curve = curve_for_scenario(first)
 
     all_passed = True
     for r in sorted(by_r):
@@ -436,15 +439,18 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", **_choice(("csv", "json")), default="csv")
 
 
-def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
-    """The parser of command ``name``, which runs ``func``."""
-    parser = sub.add_parser(name, help=help, description=help)
-    parser.set_defaults(func=func)
-    return parser
+def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """The parser of command ``name``."""
+    return sub.add_parser(name, help=help, description=help)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The ``wdmt`` parser and its subparsers by command name."""
+@functools.lru_cache(maxsize=16)
+def build_parser(entries: tuple[tuple[str, str], ...] = ()) -> tuple[
+        argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``wdmt`` parser and its subparsers by command name, cached and shared:
+    a caller parses with them and changes nothing. The config ``entries``, sorted
+    ``(key, value)`` pairs, are each command's string defaults, and an entry
+    supplies a required flag."""
     parser = _Parser(
         prog="wdmt",
         description="Diversity-multiplexing tradeoff curves and outage simulation "
@@ -452,12 +458,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_curve = _add_command(sub, "curve", cmd_curve,
-                           "emit analytic DMT corner points and a dense sampling")
+    p_curve = _add_command(sub, "curve", "emit analytic DMT corner points and a dense sampling")
     _add_scenario_flags(p_curve)
     _add_output_flags(p_curve)
 
-    p_sim = _add_command(sub, "simulate", cmd_simulate, "Monte Carlo outage probability table")
+    p_sim = _add_command(sub, "simulate", "Monte Carlo outage probability table")
     _add_scenario_flags(p_sim)
     _add_output_flags(p_sim)
     add = p_sim.add_argument
@@ -470,43 +475,50 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add("--shards", type=_count("shards", 1), default="1",
         help="independent substreams per point")
 
-    p_fit = _add_command(sub, "fit", cmd_fit, "fit diversity slopes from a simulate table")
+    p_fit = _add_command(sub, "fit", "fit diversity slopes from a simulate table")
     add = p_fit.add_argument
     add("--input", required=True, help="table written by simulate")
     add("--window", type=parse_window, required=True, help="fit window low:high in dB")
     add("--tol", type=parse_tolerance, default="0.15",
         help="relative tolerance on d (default 0.15)")
 
-    p_val = _add_command(sub, "validate", cmd_validate,
-                         "check each effective gain's marginal Gamma law (not the joint "
-                         "law of the gains, which sets the bc-zf exponent)")
+    p_val = _add_command(sub, "validate", "check each effective gain's marginal Gamma law "
+                         "(not the joint law of the gains, which sets the bc-zf exponent)")
     _add_scenario_flags(p_val)
     add = p_val.add_argument
     add("--samples", type=_count("n_samples", 2), default="100000", help="draws per gain index")
     add("--seed", type=_count("seed", 0), default="0", help="base random seed")
     add("--mean-tol", type=parse_tolerance, default="0.01")
     add("--var-tol", type=parse_tolerance, default="0.03")
+    defaults = dict(entries)
+    for command in sub.choices.values():
+        command.set_defaults(**defaults)
+        for action in command._actions:
+            action.required &= action.dest not in defaults
     return parser, sub.choices
 
 
+@functools.cache
+def _lookahead() -> argparse.ArgumentParser:
+    """A parser that knows only ``--config`` and converts nothing."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--config")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    lookahead = _Parser(add_help=False)  # knows only --config and converts nothing
-    lookahead.add_argument("--config")
+    entries = {}
     try:
-        if (path := lookahead.parse_known_args(argv)[0].config) is not None:
+        if (path := _lookahead().parse_known_args(argv)[0].config) is not None:
             entries = _read_config_file(path)
-            known = {a.dest for p in commands.values() for a in p._actions} - {"help"}
+            known = {a.dest for p in build_parser()[1].values() for a in p._actions} - {"help"}
             if unknown := sorted(entries.keys() - known):
                 raise CliError(f"{path}: no wdmt command has a flag {', '.join(unknown)}")
-            # argparse converts a string default by its flag's `type` only when no
-            # flag gives it; a command never reads other commands' entries
-            for command in commands.values():
-                command.set_defaults(**entries)
-                for action in command._actions:  # an entry supplies a required flag
-                    action.required &= action.dest not in entries
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser(tuple(sorted(entries.items())))[0].parse_args(argv)
+        # looked up per call, so that a wrapped command runs, though the parser is reused
+        command = {"curve": cmd_curve, "simulate": cmd_simulate, "fit": cmd_fit,
+                   "validate": cmd_validate}[args.command]
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -40,6 +41,15 @@ EMPTY_ENTRIES = [
     ("--profile", parse_profile, "2,,1"),
     ("--r", parse_r_list, "1,,1.5"),
 ]
+
+
+@pytest.fixture
+def fresh_parser():
+    """A parser built after the test's spies are in place, and none cached
+    afterwards that keeps a spy."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
 
 
 def read_corners(path):
@@ -335,6 +345,7 @@ class TestSimulateCommand:
             assert fields == csv_row
             assert list(json_row) == list(csv_row)
 
+    @pytest.mark.usefixtures("fresh_parser")
     def test_snr_grid_parsed_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -622,14 +633,25 @@ class TestFitCommand:
         ("[]", "missing required columns"),
         (CSV_COLUMNS + "\nbc-zf,2,3\n", "malformed row"),
         (None, "cannot read"),
-    ], ids=["header-only-csv", "empty-json", "short-row", "unreadable"])
+        ("[1,", "cannot read"),
+    ], ids=["header-only-csv", "empty-json", "short-row", "unreadable", "bad-json"])
     def test_unusable_table_is_usage_error(self, tmp_path, capsys, content, message):
         table = tmp_path / "sim.csv"
         if content is not None:
             table.write_text(content)
         assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and message in err and str(table) in err
+
+    def test_scenario_of_a_table_is_read_once(self, tmp_path, capsys):
+        table = tmp_path / "sim.csv"
+        write_power_law_table(table, 1.0, range(63), 10**8)
+        read = mock.patch.object(wdmt.cli, "_scenario_from_row",
+                                 wraps=wdmt.cli._scenario_from_row)
+        with read as scenario_from_row:
+            assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_OK
+        assert scenario_from_row.call_count == 1
+        assert "verdict=pass" in capsys.readouterr().out
 
     def test_failed_fit_at_one_r_still_reports_the_others(self, tmp_path, capsys):
         # r = 0.5 has one point with >= 20 events (100, 10 and 1 outages)
@@ -820,6 +842,7 @@ class TestConfigFile:
         )
         assert main(["curve", "--config", str(cfg), "--weights", "0.5,0.5"]) == EXIT_OK
 
+    @pytest.mark.usefixtures("fresh_parser")
     def test_config_run_converts_each_value_once(self, tmp_path, monkeypatch):
         # argv is parsed once, so a flag's grid (up to MAX_SNR_POINTS points)
         # is built once, and a config entry only when no flag overrides it
@@ -966,6 +989,44 @@ def test_config_file_is_read_before_the_main_parse(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read config file {missing}: ")
     assert err.count("\n") == 1
+
+
+def test_same_config_entries_build_no_second_parser(tmp_path, capsys, monkeypatch):
+    # two files with the same entries: the parser is keyed by the entries
+    argvs = []
+    for name in ("a.cfg", "b.cfg"):
+        cfg = tmp_path / name
+        cfg.write_text("scenario = bc-zf\nm = 3\nweights = 0.5,0.5\n")
+        argvs.append(["curve", "--config", str(cfg)])
+    assert main(argvs[0]) == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argvs[1]) == EXIT_OK
+    assert main(argvs[0]) == EXIT_OK
+    assert built == []
+    assert capsys.readouterr().err == "corners: (0,4) (1,2) (2,0)\n" * 3
+
+
+def test_config_defaults_do_not_leak_into_a_bare_run(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = bc-zf\nsamples = 100\n")
+    flags = ["--m", "3", "--weights", "0.5,0.5", "--r", "1", "--snr-db", "10"]
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(cfg), *flags, "--out", str(out)]) == EXIT_OK
+    assert [row["n_samples"] for row in read_rows(out)] == ["100"]
+    assert main(["simulate"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: --scenario, --weights, --r, --snr-db\n"
+    )
+    bare = ["simulate", "--scenario", "bc-zf", *flags, "--out", str(out)]
+    assert main(bare) == EXIT_OK
+    assert [row["n_samples"] for row in read_rows(out)] == ["100000"]
 
 
 def test_config_does_not_leak_into_the_next_call(tmp_path, capsys):
