@@ -31,6 +31,11 @@ Conventions
   deterministic substreams; shard counts combine by addition, so results
   are a pure function of (scenario, r, rho, n_samples, seed, shards) and
   never depend on scheduling.
+* The capacity does not depend on r, so ``outage_probabilities`` reads
+  the counts of several rates off one sample, one threshold r log rho
+  each; ``outage_probability`` is its one-rate case. Estimates at one
+  (rho, seed) then share their draws: each keeps its binomial law, and
+  counts never fall as r grows.
 """
 
 from __future__ import annotations
@@ -42,12 +47,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import OutOfRangeError, Scenario, check_count, check_real, check_rho
+from .core import (
+    OutOfRangeError, Scenario, check_count, check_real, check_rho, check_sequence,
+)
 
 __all__ = [
     "OutageEstimate",
     "GainDistributionReport",
     "outage_probability",
+    "outage_probabilities",
     "validate_gain_distribution",
     "confidence_interval",
 ]
@@ -359,6 +367,60 @@ def _blocks(root: np.random.SeedSequence, shards: int, n_samples: int):
     yield block
 
 
+def outage_probabilities(
+    scenario: Scenario,
+    rates,
+    rho: float,
+    n_samples: int,
+    seed,
+    shards: int = 1,
+) -> tuple[OutageEstimate, ...]:
+    """Monte Carlo estimates of P{weighted sum capacity <= r log rho}, one
+    per rate r of ``rates``, in order, all read off one capacity sample.
+
+    Gains are drawn from the equivalent parallel model by
+    ``_chunk_gains``, so no draw is ever rank deficient and
+    ``n_discarded`` is always 0. The sample budget is split across
+    min(shards, n_samples) deterministic substreams spawned from
+    ``_root(seed)``, whose pieces ``_blocks`` packs into blocks of at most
+    ``_BLOCK`` samples, held by one ``_Workspace`` per call. Each piece
+    gets the same draws as in a block of its own, and the capacity runs
+    once per block, then one comparison and count per rate. Outage counts
+    are summed, so each estimate is a pure function of (scenario, r, rho,
+    n_samples, seed, shards) and equals ``outage_probability`` at its rate.
+    The estimates share their draws: each has its own binomial law, but
+    they are not independent, and a count never falls as r grows. Every
+    rate must lie in [0, K], and ``rho`` in (0, 1e300], so that the
+    capacity stays finite.
+    """
+    rates = check_sequence("rates", rates)
+    if not rates:
+        raise OutOfRangeError("rates must hold at least one rate")
+    rates = [check_real("r", r, 0.0, scenario.k) for r in rates]
+    rho = check_rho(rho)
+    n_samples = check_count("n_samples", n_samples, 1)
+    shards = min(check_count("shards", shards, 1), n_samples)
+
+    thresholds = [r * math.log(rho) for r in rates]
+    mu = _mu_columns(scenario)
+    work = _Workspace(scenario, min(_BLOCK, n_samples))
+    outages = [0] * len(rates)
+    for block in _blocks(_root(seed), shards, n_samples):
+        n = block[-1][1].stop
+        capacity = _capacity(mu, rho, _chunk_gains(scenario, block, work), work.acc[:n])
+        for j, threshold in enumerate(thresholds):
+            hit = np.less_equal(capacity, threshold, out=work.hit[:n])
+            outages[j] += int(np.count_nonzero(hit))
+
+    estimates = []
+    for r, count in zip(rates, outages):
+        ci_low, ci_high = confidence_interval(count, n_samples)
+        estimates.append(OutageEstimate(
+            rho=rho, r=r, n_samples=n_samples, n_outages=count, ci_low=ci_low, ci_high=ci_high,
+        ))
+    return tuple(estimates)
+
+
 def outage_probability(
     scenario: Scenario,
     r: float,
@@ -367,43 +429,11 @@ def outage_probability(
     seed,
     shards: int = 1,
 ) -> OutageEstimate:
-    """Monte Carlo estimate of P{weighted sum capacity <= r log rho}.
-
-    Gains are drawn from the equivalent parallel model by
-    ``_chunk_gains``, so no draw is ever rank deficient and
-    ``n_discarded`` is always 0. The sample budget is split across
-    min(shards, n_samples) deterministic substreams spawned from
-    ``_root(seed)``, whose pieces ``_blocks`` packs into blocks of at most
-    ``_BLOCK`` samples, held by one ``_Workspace`` per call. Each piece
-    gets the same draws as in a block of its own, and the capacity,
-    comparison and count run once per block. Outage counts are
-    summed, so the estimate is a pure function of (scenario, r, rho,
-    n_samples, seed, shards). ``rho`` must lie in (0, 1e300], so that the
-    capacity stays finite.
-    """
-    r, rho = check_real("r", r, 0.0, scenario.k), check_rho(rho)
-    n_samples = check_count("n_samples", n_samples, 1)
-    shards = min(check_count("shards", shards, 1), n_samples)
-
-    threshold = r * math.log(rho)
-    mu = _mu_columns(scenario)
-    work = _Workspace(scenario, min(_BLOCK, n_samples))
-    outages = 0
-    for block in _blocks(_root(seed), shards, n_samples):
-        n = block[-1][1].stop
-        capacity = _capacity(mu, rho, _chunk_gains(scenario, block, work), work.acc[:n])
-        hit = np.less_equal(capacity, threshold, out=work.hit[:n])
-        outages += int(np.count_nonzero(hit))
-
-    ci_low, ci_high = confidence_interval(outages, n_samples)
-    return OutageEstimate(
-        rho=rho,
-        r=r,
-        n_samples=n_samples,
-        n_outages=outages,
-        ci_low=ci_low,
-        ci_high=ci_high,
-    )
+    """Monte Carlo estimate of P{weighted sum capacity <= r log rho}: the
+    one-rate case of :func:`outage_probabilities`, with its checks, draws
+    and count."""
+    (estimate,) = outage_probabilities(scenario, (r,), rho, n_samples, seed, shards)
+    return estimate
 
 
 def validate_gain_distribution(

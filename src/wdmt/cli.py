@@ -24,6 +24,14 @@ minimum (``--samples 0`` reads ``argument --samples: n_samples must be an
 integer >= 1, got 0``). A missing antenna flag is named (``--scenario bc-zf
 needs --m``). ``fit`` reads and checks every row before any verdict: a row
 fault, a rate above K included, exits 2 and ends with ``(FILE, row N)``.
+
+``simulate`` draws one capacity sample per SNR point, from
+``SeedSequence((seed, 0, i))`` for the i-th point, and reads every rate's
+outage count off it (``outage_probabilities``); rows stay in r-major order.
+The rows of one SNR point therefore share their draws: each keeps its
+binomial law, and counts never fall as r grows. ``fit`` fits each rate on
+its own, so the points of one fit stay independent. ``--r`` rejects a rate
+that repeats as a float, whose rows would be copies of each other.
 """
 
 from __future__ import annotations
@@ -43,7 +51,11 @@ from .core import (
     check_rho, check_weight_sum, check_window, validate_weights,
 )
 from .dmt_analytic import curve_for_scenario
-from .channel_sim import OutageEstimate, outage_probability, validate_gain_distribution
+# simulate calls outage_probabilities only; outage_probability stays importable from
+# here for the benchmark's tracer test (bench/test_bench.py), which looks it up
+from .channel_sim import (
+    OutageEstimate, outage_probabilities, outage_probability, validate_gain_distribution,
+)
 from .exponent_fit import compare, fit_slope
 
 EXIT_OK = 0
@@ -55,7 +67,7 @@ CSV_COLUMNS = (
 )
 
 CURVE_RESOLUTION = 0.01
-MAX_SNR_POINTS = 10_000  # simulate runs one estimate per point and r
+MAX_SNR_POINTS = 10_000  # simulate draws one capacity sample per point
 
 
 class CliError(DmtError, argparse.ArgumentTypeError):
@@ -128,7 +140,14 @@ def parse_profile(text: str) -> AntennaProfile:
 
 @_converter
 def parse_r_list(text: str) -> tuple[float, ...]:
-    return tuple(float(_parse_fraction(tok)) for tok in _entries(text))
+    """Comma-separated rates, decimals or fractions, no two equal as floats:
+    the rows of one SNR point share their draws, so a repeated rate would be
+    a copy of another row that ``fit`` counts as a point of its own."""
+    rates = tuple(float(_parse_fraction(tok)) for tok in _entries(text))
+    for i, r in enumerate(rates):
+        if r in rates[:i]:
+            raise CliError(f"rate {r!r} repeats in {text!r}")
+    return rates
 
 
 def _snr_linear(db: float) -> float:
@@ -289,25 +308,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             check_real("r", r, 0.0, scenario.k)
         except DmtError as exc:
             raise CliError(f"argument --r: {exc}") from exc
-    rhos = [_snr_linear(db) for db in args.snr_db]
+    by_snr = [
+        outage_probabilities(
+            scenario, args.r, _snr_linear(db), args.samples,
+            np.random.SeedSequence((args.seed, 0, i_db)), args.shards,
+        )
+        for i_db, db in enumerate(args.snr_db)
+    ]
     m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
+    columns = CSV_COLUMNS.split(",")
     rows = []
     for i_r, r in enumerate(args.r):
-        for i_db, (db, rho) in enumerate(zip(args.snr_db, rhos)):
-            est = outage_probability(
-                scenario,
-                r=r,
-                rho=rho,
-                n_samples=args.samples,
-                seed=np.random.SeedSequence((args.seed, i_r, i_db)),
-                shards=args.shards,
-            )
+        for db, estimates in zip(args.snr_db, by_snr):
+            est = estimates[i_r]
             values = (
                 scenario.kind, scenario.k, m_col, w_col, r, db, est.n_samples,
                 est.n_outages, est.p_hat, est.ci_low, est.ci_high, args.seed, args.shards,
             )
-            rows.append(dict(zip(CSV_COLUMNS.split(","), values)))
+            rows.append(dict(zip(columns, values)))
 
     lines = [CSV_COLUMNS] + [",".join(map(_fmt, row.values())) for row in rows]
     _write_output(args, rows, lines)
@@ -470,7 +489,7 @@ def build_parser(entries: tuple[tuple[str, str], ...] = ()) -> tuple[
     add("--snr-db", type=parse_snr_grid, required=True,
         help=f"SNR grid start:stop:step in dB, at most {MAX_SNR_POINTS} points")
     add("--samples", type=_count("n_samples", 1), default="100000",
-        help="Monte Carlo samples per (r, SNR) point")
+        help="Monte Carlo samples per SNR point, shared by every r")
     add("--seed", type=_count("seed", 0), default="0", help="base random seed")
     add("--shards", type=_count("shards", 1), default="1",
         help="independent substreams per point")

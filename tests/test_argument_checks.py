@@ -40,6 +40,7 @@ from wdmt import (
     fit_slope,
     lp_greedy,
     lp_grid,
+    outage_probabilities,
     outage_probability,
     validate_gain_distribution,
     validate_weights,
@@ -141,6 +142,11 @@ SLOTS = {
     "outage_probability(shards)": (
         lambda v: outage_probability(ZF, 1.0, 10.0, 16, 0, shards=v),
         bad_counts(1), st.integers(1, 32)),
+    "outage_probabilities(rates)": (  # a bad entry, a non-sequence, an empty sequence
+        lambda v: outage_probabilities(ZF, v, 10.0, 16, 0),
+        st.one_of(st.tuples(st.floats(0.0, 2.0), bad_rates(2.0)), NON_FINITE, NOT_NUMBERS,
+                  st.just([])),
+        st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4)),
     "confidence_interval(n_outages)": (
         lambda v: confidence_interval(v, 100),
         st.one_of(bad_counts(0), st.integers(min_value=101)), st.integers(0, 100)),
@@ -201,6 +207,18 @@ def test_invalid_number_raises_dmt_error(slot, data):
 def test_valid_number_passes(slot, data):
     call, _, good = SLOTS[slot]
     call(data.draw(good, label=slot))
+
+
+@pytest.mark.parametrize("rates, message", [
+    ((1.0, 2.5), "r must be a finite number in [0.0, 2.0], got 2.5"),
+    (1.0, "rates must be a sequence, got 1.0"),
+    ((), "rates must hold at least one rate"),
+], ids=["bad-entry", "non-sequence", "empty"])
+def test_outage_probabilities_checks_its_rates_first(rates, message):
+    # before rho, n_samples and shards, which are invalid here too
+    with pytest.raises(OutOfRangeError) as info:
+        outage_probabilities(ZF, rates, math.nan, 0, 0, shards=0)
+    assert str(info.value) == message
 
 
 def test_non_number_window_raises_dmt_error():

@@ -7,15 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from wdmt import (
+    SCENARIO_KINDS,
     AntennaProfile,
     OutOfRangeError,
     OutageEstimate,
     Scenario,
     TooManyUsersError,
     confidence_interval,
+    outage_probabilities,
     outage_probability,
     validate_gain_distribution,
     validate_weights,
@@ -593,6 +597,32 @@ class TestOutageKernel:
         est = outage_probability(s, r=0.75 * k, rho=10.0, n_samples=n_samples, seed=109,
                                  shards=shards)
         assert est.n_outages == expected
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_several_rates_equal_one_rate_calls(self, kind, k, shards):
+        # one capacity sample read at every threshold; rates 0, K and a repeat included
+        s = gamma_scenario(kind, k + 1, k)
+        rates = (0.0, 0.5 * k, float(k), 0.25, 0.5 * k)
+        rho, n_samples, seed = 30.0, _BLOCK + 777, 113  # two blocks at one shard
+        estimates = outage_probabilities(s, rates, rho, n_samples, seed, shards)
+        assert estimates == tuple(
+            outage_probability(s, r, rho, n_samples, seed, shards) for r in rates
+        )
+        assert [e.r for e in estimates] == list(rates) and estimates[1] == estimates[4]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(SCENARIO_KINDS), k=st.integers(1, 3),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           db=st.floats(0.0, 40.0, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+    def test_counts_never_fall_as_r_grows(self, kind, k, fractions, db, seed):
+        # above 0 dB the threshold r log rho grows with r, and every rate reads one sample
+        s = gamma_scenario(kind, k + 1, k)
+        rates = sorted(k * f for f in fractions)
+        counts = [e.n_outages for e in outage_probabilities(s, rates, 10.0 ** (db / 10.0),
+                                                            500, seed, shards=2)]
+        assert counts == sorted(counts)
 
     def test_peak_memory_is_one_workspace(self):
         # one block's buffers, not 2^20-sample temporaries (18 MB before blocking)

@@ -5,6 +5,7 @@ import json
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import wdmt.cli
 from wdmt import (
     SCENARIO_KINDS, AntennaProfile, DmtError, Scenario, SlopeFit, Weights, compare,
-    curve_for_scenario, dmt_different, fit_slope, outage_probability, validate_weights,
+    curve_for_scenario, dmt_different, fit_slope, outage_probabilities, outage_probability,
+    validate_weights,
 )
 from wdmt.cli import (
     CSV_COLUMNS,
@@ -404,7 +406,7 @@ class TestSimulateCommand:
     def test_snr_bound_checked_before_any_point(self, capsys, monkeypatch):
         # the grid's last point decides; 2990 and 3000 dB used to be simulated first
         calls = []
-        monkeypatch.setattr(wdmt.cli, "outage_probability", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(wdmt.cli, "outage_probabilities", lambda *a, **kw: calls.append(a))
         code = main([
             "simulate", "--scenario", "bc-zf", "--m", "3", "--k", "2",
             "--weights", "0.5,0.5", "--r", "1", "--snr-db", "2990:3010:10", "--samples", "100",
@@ -432,9 +434,9 @@ class TestSimulateCommand:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return outage_probability(*args, **kwargs)
+            return outage_probabilities(*args, **kwargs)
 
-        monkeypatch.setattr(wdmt.cli, "outage_probability", counting)
+        monkeypatch.setattr(wdmt.cli, "outage_probabilities", counting)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             f"scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nr = 1\nsnr-db = 10\nsamples = 100\n"
@@ -455,6 +457,38 @@ class TestSimulateCommand:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == "error: argument --seed: seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_row_is_the_library_call_at_its_snr_points_seed(self, tmp_path, fmt):
+        # every rate at the i-th SNR point reads the draws of SeedSequence((seed, 0, i));
+        # only the first rate's rows used that seed, the others had (seed, i_r, i)
+        out = tmp_path / f"sim.{fmt}"
+        code = main([
+            "simulate", "--scenario", "bc-dpc", "--m", "3", "--weights", "3/5,2/5",
+            "--r", "1/2,1,1.5", "--snr-db", "5:15:5", "--samples", "3000", "--seed", "21",
+            "--shards", "3", "--format", fmt, "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        rows = json.loads(out.read_text()) if fmt == "json" else read_rows(out)
+        scenario = Scenario("bc-dpc", parse_weights("3/5,2/5"), m=3)
+        grid = [(r, i_db, db) for r in (0.5, 1.0, 1.5) for i_db, db in enumerate((5.0, 10.0, 15.0))]
+        assert len(rows) == len(grid)
+        for row, (r, i_db, db) in zip(rows, grid):
+            est = outage_probability(scenario, r, 10.0 ** (db / 10.0), 3000,
+                                     np.random.SeedSequence((21, 0, i_db)), 3)
+            expected = (r, db, est.n_samples, est.n_outages, est.p_hat, est.ci_low, est.ci_high)
+            columns = ("r", "rho_db", "n_samples", "n_outages", "p_hat", "ci_low", "ci_high")
+            assert [_fmt(row[c]) for c in columns] == list(map(_fmt, expected))
+
+    @pytest.mark.parametrize("text, rate", [("1,1.0,2/2", 1.0), ("0.5,1,1/2", 0.5)])
+    def test_repeated_rate_is_usage_error(self, capsys, text, rate):
+        # its rows would copy another rate's draws, and fit would pool the copies as points
+        code = main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+            "--r", text, "--snr-db", "10", "--samples", "100",
+        ])
+        assert code == EXIT_USAGE and capsys.readouterr() == (
+            "", f"error: argument --r: rate {rate} repeats in {text!r}\n")
 
     def test_missing_r_is_usage_error(self):
         code = main([
@@ -1184,7 +1218,7 @@ def test_fit_rebuilds_the_simulated_scenario(round_trip_dir, data):
     simulate = ["simulate", "--scenario", kind, "--k", str(k), *antenna,
                 "--weights", ",".join(f"{p}/{sum(parts)}" for p in parts), "--r", r,
                 "--snr-db", "5:10:5", "--samples", "20", "--seed", str(data.draw(counts))]
-    with (mock.patch.object(wdmt.cli, "outage_probability", wraps=outage_probability) as sim,
+    with (mock.patch.object(wdmt.cli, "outage_probabilities", wraps=outage_probabilities) as sim,
           mock.patch.object(wdmt.cli, "curve_for_scenario", wraps=curve_for_scenario) as fit,
           contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())):
         for fmt in ("csv", "json"):

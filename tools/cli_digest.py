@@ -64,6 +64,8 @@ INVALID = {
                      "--r", "2.5", "--snr-db", "10", "--samples", "100"],
     "rate-above-k-after-valid": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights",
                                  "0.5,0.5", "--r", "1,2.5", "--snr-db", "10", "--samples", "100"],
+    "rate-repeated": ["simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5",
+                      "--r", "1,1.0,2/2", "--snr-db", "10", "--samples", "100"],
     "weights-overflow": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "1e400,1"],
     "fit-missing-input": ["fit", "--input", "absent.csv", "--window", "5:20"],
     "fit-reversed-window": ["fit", "--input", "sim-bc-zf-1.csv", "--window", "20:5"],
