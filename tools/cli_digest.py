@@ -1,8 +1,8 @@
-"""Digest a fixed matrix of ``wdmt`` CLI runs, to check that two source trees
-behave byte for byte alike.
+"""Digest a fixed matrix of ``wdmt`` CLI runs, one row per run, to check that
+the CLI's behaviour stays byte for byte the same.
 
-Each run calls ``wdmt.cli.main`` in process, inside a fresh temporary
-directory, and prints one line::
+Each run calls ``wdmt.cli.main`` in process, inside the current directory,
+and gives one row::
 
     name exit-code sha256(stdout, stderr, written file)
 
@@ -10,11 +10,14 @@ The matrix covers ``curve``, ``simulate`` (1 and 3 shards, and 40001
 samples in 5 shards, whose pieces fill three kernel blocks), ``fit``,
 ``validate`` and config-file runs for all four scenario kinds in CSV and
 JSON, plus a set of invalid inputs (argparse's own rejections among them)
-and of values that start with ``-``. It takes well under 30 s. Usage::
+and of values that start with ``-``. It takes a few seconds. Run as a
+script, it works in a temporary directory and prints a header line with the
+Python, numpy and scipy versions, then the rows. ``tests/test_cli_digest.py``
+compares the rows with the committed ``tests/data/cli_digest.txt``; a change
+that is meant to move CLI output regenerates that file from the repository
+root::
 
-    PYTHONPATH=parent/src python tools/cli_digest.py > parent.txt
-    PYTHONPATH=change/src python tools/cli_digest.py > change.txt
-    diff parent.txt change.txt
+    PYTHONPATH=src python tools/cli_digest.py > tests/data/cli_digest.txt
 """
 
 from __future__ import annotations
@@ -23,8 +26,12 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import tempfile
 from pathlib import Path
+
+import numpy
+import scipy
 
 from wdmt.cli import main
 
@@ -107,22 +114,25 @@ NEGATIVE = {
 }
 
 
-def run(name: str, argv: list[str], out: str | None = None) -> None:
-    """Run ``wdmt argv`` (writing to ``out`` if given) and print its digest line."""
+def header() -> str:
+    """The versions that the digest depends on, as one line."""
+    return (f"# python {platform.python_version()} numpy {numpy.__version__} "
+            f"scipy {scipy.__version__}")
+
+
+def run(name: str, argv: list[str], out: str | None = None) -> str:
+    """Run ``wdmt argv`` (writing to ``out`` if given) and return its digest row."""
     if out is not None:
         argv = [*argv, "--out", out]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors, in versions whose main let them out
-            code = exc.code
+        code = main(argv)
     written = Path(out).read_bytes() if out is not None and Path(out).exists() else b""
     digest = hashlib.sha256()
     for part in (stdout.getvalue().encode(), stderr.getvalue().encode(), written):
         digest.update(len(part).to_bytes(8, "little"))
         digest.update(part)
-    print(name, code, digest.hexdigest())
+    return f"{name} {code} {digest.hexdigest()}"
 
 
 def config_file(path: str, argv: list[str]) -> None:
@@ -131,23 +141,31 @@ def config_file(path: str, argv: list[str]) -> None:
     Path(path).write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in pairs))
 
 
-def digest_all() -> None:
+def digest_all() -> list[str]:
+    """The digest rows of the whole matrix, run in the current directory."""
+    digests = []
     for kind, flags in KINDS.items():
         scenario = ["--scenario", kind.removesuffix("-k3"), *flags]
-        run(f"curve-{kind}-stderr", ["curve", *scenario])
+        digests.append(run(f"curve-{kind}-stderr", ["curve", *scenario]))
         for fmt in ("csv", "json"):
-            run(f"curve-{kind}-{fmt}", ["curve", *scenario, "--format", fmt], f"curve-{kind}.{fmt}")
+            digests.append(run(f"curve-{kind}-{fmt}", ["curve", *scenario, "--format", fmt],
+                               f"curve-{kind}.{fmt}"))
             for shards in ("1", "3"):
                 table = f"sim-{kind}-{shards}.{fmt}"
-                run(f"simulate-{kind}-{shards}-{fmt}",
-                    ["simulate", *scenario, *SIMULATE, "--shards", shards, "--format", fmt], table)
-                run(f"fit-{kind}-{shards}-{fmt}", ["fit", "--input", table, "--window", "5:20"])
-        run(f"simulate-{kind}-packed", ["simulate", *scenario, *PACKED])
-        run(f"validate-{kind}", ["validate", *scenario, "--samples", "20000", "--seed", "3"])
+                digests.append(run(
+                    f"simulate-{kind}-{shards}-{fmt}",
+                    ["simulate", *scenario, *SIMULATE, "--shards", shards, "--format", fmt], table,
+                ))
+                digests.append(run(f"fit-{kind}-{shards}-{fmt}",
+                                   ["fit", "--input", table, "--window", "5:20"]))
+        digests.append(run(f"simulate-{kind}-packed", ["simulate", *scenario, *PACKED]))
+        digests.append(run(f"validate-{kind}",
+                           ["validate", *scenario, "--samples", "20000", "--seed", "3"]))
         for command, extra in (("curve", []), ("simulate", SIMULATE), ("validate", [])):
             config_file(f"{command}-{kind}.cfg", [*scenario, *extra])
-            run(f"config-{command}-{kind}", [command, "--config", f"{command}-{kind}.cfg"],
-                None if command == "validate" else f"config-{command}-{kind}.out")
+            digests.append(run(f"config-{command}-{kind}",
+                               [command, "--config", f"{command}-{kind}.cfg"],
+                               None if command == "validate" else f"config-{command}-{kind}.out"))
     Path("no-equals.cfg").write_text("scenario = bc-zf\nm 3\n")
     Path("unknown-key.cfg").write_text("scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nsample = 9\n")
     Path("format-xml.cfg").write_text(
@@ -155,16 +173,17 @@ def digest_all() -> None:
         "format = xml\n"
     )
     # sim-bc-zf-1.csv (K = 2) with r = 2.5 in its last row, or n_samples x in its second
-    header, *rows = Path("sim-bc-zf-1.csv").read_text().splitlines()
+    columns, *rows = Path("sim-bc-zf-1.csv").read_text().splitlines()
     for path, index, column, value in (("rate-above-k.csv", -1, "r", "2.5"),
                                        ("bad-cell.csv", 1, "n_samples", "x")):
         damaged = [row.split(",") for row in rows]
-        damaged[index][header.split(",").index(column)] = value
-        Path(path).write_text("\n".join([header, *map(",".join, damaged)]) + "\n")
+        damaged[index][columns.split(",").index(column)] = value
+        Path(path).write_text("\n".join([columns, *map(",".join, damaged)]) + "\n")
     for name, argv in INVALID.items():
-        run(f"invalid-{name}", argv)
+        digests.append(run(f"invalid-{name}", argv))
     for name, argv in NEGATIVE.items():
-        run(f"negative-{name}", argv)
+        digests.append(run(f"negative-{name}", argv))
+    return digests
 
 
 if __name__ == "__main__":
@@ -172,6 +191,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            digest_all()
+            print(header(), *digest_all(), sep="\n")
         finally:
             os.chdir(here)
