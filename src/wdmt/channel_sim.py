@@ -8,12 +8,13 @@ Conventions
   N(0, 1/2), so |entry|^2 ~ Exp(1) and a squared row norm over m entries
   is Gamma(m, 1).
 * Monte Carlo outage draws come from the equivalent parallel model, not
-  from channel matrices: parallel and DPC gains are independent
-  Gamma(shape_i, 1) draws with the shapes of ``Scenario.gain_shapes()``,
-  and ZF gains come from the Bartlett factor of the Wishart Gram matrix
-  HH* (Goodman 1963), at K = 2 two parallel channels X_1 and
-  X_0 X_1 / (X_1 + E); ``_chunk_gains`` describes the draw and
-  ``_Workspace`` the buffers it reuses. The R factor of H* = QR for drawn
+  from channel matrices, in encode order, each gain weighted by its entry
+  of ``Scenario.encoded_weights()``: parallel and DPC gains are
+  independent Gamma(shape_i, 1) draws with the shapes of
+  ``Scenario.gain_shapes()``, and ZF gains come from the Bartlett factor
+  of the Wishart Gram matrix HH* (Goodman 1963), at K = 2 two parallel
+  channels X_1 and X_0 X_1 / (X_1 + E); ``_chunk_gains`` describes the
+  draw and ``_Workspace`` the buffers it reuses. The R factor of H* = QR for drawn
   K x M matrices (``_qr_gains``, one stacked LAPACK call) remains as the
   independent oracle of that reduction, reached only through
   ``validate_gain_distribution``; its ``ok`` mask drops rank-deficient
@@ -171,13 +172,6 @@ def _capacity(mu: np.ndarray, rho: float, gains: np.ndarray, out: np.ndarray) ->
             out += row
     out *= mu.size
     return out
-
-
-def _mu_columns(scenario: Scenario) -> np.ndarray:
-    """Weights aligned with the gain rows of ``_chunk_gains`` (encode order
-    for bc-dpc)."""
-    mu = scenario.weights.mu
-    return np.asarray([mu[i] for i in scenario.encode_order()])
 
 
 class _Workspace:
@@ -402,7 +396,7 @@ def outage_probabilities(
     shards = min(check_count("shards", shards, 1), n_samples)
 
     thresholds = [r * math.log(rho) for r in rates]
-    mu = _mu_columns(scenario)
+    mu = np.asarray(scenario.encoded_weights())
     work = _Workspace(scenario, min(_BLOCK, n_samples))
     outages = [0] * len(rates)
     for block in _blocks(_root(seed), shards, n_samples):

@@ -21,8 +21,9 @@ argparse's own (an unknown or missing flag or command) included, is one
 a config entry gives them, and all that are missing are named on one line. A
 count flag converts by ``int``, then ``check_count`` with the library's
 minimum (``--samples 0`` reads ``argument --samples: n_samples must be an
-integer >= 1, got 0``). A missing antenna flag is named (``--scenario bc-zf
-needs --m``). ``fit`` reads and checks every row before any verdict: a row
+integer >= 1, got 0``). A kind's antenna flag is its ``core.ANTENNA_FIELD``
+without the ``_`` (``--nt`` sets ``n_t``); a missing one is named
+(``--scenario bc-zf needs --m``). ``fit`` reads and checks every row before any verdict: a row
 fault, a rate above K included, exits 2 and ends with ``(FILE, row N)``.
 
 ``simulate`` draws one capacity sample per SNR point, from
@@ -47,8 +48,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    SCENARIO_KINDS, AntennaProfile, DmtError, Scenario, Weights, check_count, check_real,
-    check_rho, check_weight_sum, check_window, validate_weights,
+    ANTENNA_FIELD, SCENARIO_KINDS, AntennaProfile, DmtError, Scenario, Weights, check_count,
+    check_real, check_rho, check_weight_sum, check_window, validate_weights,
 )
 from .dmt_analytic import curve_for_scenario
 # simulate calls outage_probabilities only; outage_probability stays importable from
@@ -200,9 +201,6 @@ def _choice(choices) -> dict:
 
 
 _KIND = _choice(SCENARIO_KINDS)  # the kind of --scenario and of a table row
-# The antenna flag that each scenario kind needs, and the Scenario field that it sets
-_ANTENNA_FLAGS = {"parallel-identical": ("nt", "n_t"), "bc-zf": ("m", "m"), "bc-dpc": ("m", "m"),
-                  "parallel-different": ("profile", "profile")}
 
 
 @_converter
@@ -246,7 +244,7 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     """The scenario that the command's converted flags describe."""
     if args.k is not None and args.k != len(args.weights):
         raise CliError(f"--k {args.k} but {len(args.weights)} weights given")
-    flag, _ = _ANTENNA_FLAGS[args.scenario]
+    flag = ANTENNA_FIELD[args.scenario].replace("_", "")  # n_t is set by --nt
     if getattr(args, flag) is None:
         raise CliError(f"--scenario {args.scenario} needs --{flag}")
     return Scenario(args.scenario, args.weights, n_t=args.nt, profile=args.profile, m=args.m)
@@ -271,8 +269,9 @@ def _write_output(args: argparse.Namespace, payload, csv_lines: list[str]) -> No
 
 def _scenario_m_column(scenario: Scenario) -> str:
     """The table's ``M`` column: the counts of the one antenna field that the
-    kind uses. :func:`_scenario_from_row` reads it back."""
-    counts = scenario.profile.n if scenario.profile else (scenario.n_t or scenario.m,)
+    kind uses, joined by ``;``. :func:`_scenario_from_row` reads it back."""
+    field = ANTENNA_FIELD[scenario.kind]
+    counts = scenario.profile.n if field == "profile" else (getattr(scenario, field),)
     return ";".join(map(str, counts))
 
 
@@ -340,9 +339,9 @@ def _scenario_from_row(row: dict[str, str]) -> Scenario:
     weights = validate_weights([float(w) for w in row["weights"].split(";")])
     if int(row["K"]) != len(weights):
         raise CliError(f"row has K={row['K']} but {len(weights)} weights")
-    flag, field = _ANTENNA_FLAGS[kind]
+    field = ANTENNA_FIELD[kind]
     text = row["M"]
-    value = AntennaProfile(tuple(map(int, text.split(";")))) if flag == "profile" else int(text)
+    value = AntennaProfile(tuple(map(int, text.split(";")))) if field == "profile" else int(text)
     return Scenario(kind, weights, **{field: value})
 
 

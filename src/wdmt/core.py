@@ -34,6 +34,9 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-9
 
 SCENARIO_KINDS = ("parallel-identical", "parallel-different", "bc-zf", "bc-dpc")
+# The one Scenario field that holds each kind's transmit antennas
+ANTENNA_FIELD = {"parallel-identical": "n_t", "parallel-different": "profile", "bc-zf": "m",
+                 "bc-dpc": "m"}
 
 
 class DmtError(ValueError):
@@ -334,8 +337,8 @@ class Scenario:
         Broadcast channel, ``m`` transmit antennas, K single-antenna users,
         zero-forcing or dirty-paper precoding.
 
-    Each kind sets exactly one of ``n_t``, ``profile`` and ``m``; setting
-    another is an error.
+    Each kind sets exactly one of ``n_t``, ``profile`` and ``m``, the one
+    that ``ANTENNA_FIELD`` names; setting another is an error.
     """
 
     kind: str
@@ -349,14 +352,12 @@ class Scenario:
             raise DmtError(f"unknown scenario kind {self.kind!r}")
         if not isinstance(self.weights, Weights):
             raise DmtError(f"weights must be a Weights, got {self.weights!r}")
-        used = {"parallel-identical": "n_t", "parallel-different": "profile"}.get(self.kind, "m")
+        used = ANTENNA_FIELD[self.kind]
         unused = [f for f in ("n_t", "profile", "m") if f != used and getattr(self, f) is not None]
         if unused:
             raise DmtError(f"{self.kind} uses {used} only, got {', '.join(unused)} too")
         k = len(self.weights)
-        if self.kind == "parallel-identical":
-            object.__setattr__(self, "n_t", check_count("n_t", self.n_t, 1))
-        elif self.kind == "parallel-different":
+        if used == "profile":
             if not isinstance(self.profile, AntennaProfile):
                 raise DmtError(f"parallel-different needs an AntennaProfile, got {self.profile!r}")
             if len(self.profile) != k:
@@ -364,8 +365,8 @@ class Scenario:
                     f"{k} weights vs {len(self.profile)} antenna counts"
                 )
         else:
-            object.__setattr__(self, "m", check_count("m", self.m, 1))
-            if k > self.m:
+            object.__setattr__(self, used, check_count(used, getattr(self, used), 1))
+            if used == "m" and k > self.m:
                 raise TooManyUsersError(
                     f"{k} single-antenna users exceed {self.m} transmit antennas"
                 )
@@ -384,6 +385,12 @@ class Scenario:
         if self.kind == "bc-dpc":
             return stable_desc_order(self.weights.mu)
         return tuple(range(self.k))
+
+    def encoded_weights(self) -> tuple[float, ...]:
+        """The weights in ``encode_order()``: entry j weighs the effective
+        gain of entry j of ``gain_shapes()``."""
+        mu = self.weights.mu
+        return tuple(mu[i] for i in self.encode_order())
 
     def gain_shapes(self) -> tuple[int, ...]:
         """Gamma shape parameter of each effective gain, in encode order.

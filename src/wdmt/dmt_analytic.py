@@ -136,16 +136,14 @@ def curve_for_scenario(scenario: Scenario) -> DmtCurve:
     """Analytic DMT curve for any scenario kind.
 
     The scenario's equivalent parallel model: one channel per gain, with
-    ``scenario.gain_shapes()`` as antenna counts and the weights permuted
-    into ``scenario.encode_order()``. For bc-zf that is K channels of
+    ``scenario.gain_shapes()`` as antenna counts and
+    ``scenario.encoded_weights()`` as weights. For bc-zf that is K channels of
     m - K + 1 antennas; for bc-dpc the user encoded j-th (0-based) gets
     m - j antennas.
 
     Cached by the frozen scenario, so a sweep over the rate builds its curve
     once and equal scenarios share one (immutable) curve.
     """
-    mu = scenario.weights.mu
     return dmt_different(
-        AntennaProfile(scenario.gain_shapes()),
-        Weights(tuple(mu[i] for i in scenario.encode_order())),
+        AntennaProfile(scenario.gain_shapes()), Weights(scenario.encoded_weights())
     )
