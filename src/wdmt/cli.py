@@ -23,8 +23,9 @@ count flag converts by ``int``, then ``check_count`` with the library's
 minimum (``--samples 0`` reads ``argument --samples: n_samples must be an
 integer >= 1, got 0``). A kind's antenna flag is its ``core.ANTENNA_FIELD``
 without the ``_`` (``--nt`` sets ``n_t``); a missing one is named
-(``--scenario bc-zf needs --m``). ``fit`` reads and checks every row before any verdict: a row
-fault, a rate above K included, exits 2 and ends with ``(FILE, row N)``.
+(``--scenario bc-zf needs --m``). ``fit`` reads and checks every row
+before any verdict: a row fault, a rate above K or an (r, rho_db) point of
+an earlier row included, exits 2 and ends with ``(FILE, row N)``.
 
 ``simulate`` draws one capacity sample per SNR point, from
 ``SeedSequence((seed, 0, i))`` for the i-th point, and reads every rate's
@@ -377,6 +378,7 @@ def _read_table(path: str) -> list[dict[str, str]]:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     scenarios: dict[tuple[str, ...], Scenario] = {}  # by the text of a row's scenario columns
+    numbers: dict[tuple[float, float], int] = {}  # row number by the parsed (r, rho_db)
     by_r: dict[float, list[OutageEstimate]] = {}
     for number, row in enumerate(_read_table(args.input), start=1):
         try:
@@ -386,14 +388,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
             first = next(iter(scenarios.values()))
             if scenarios[text] != first:
                 raise CliError("row describes another scenario than row 1")
+            rho_db = float(row["rho_db"])
             est = OutageEstimate(
-                rho=_snr_linear(float(row["rho_db"])),
+                rho=_snr_linear(rho_db),
                 r=check_real("r", float(row["r"]), 0.0, first.k),
                 n_samples=int(row["n_samples"]),
                 n_outages=int(row["n_outages"]),
                 ci_low=float(row["ci_low"]),
                 ci_high=float(row["ci_high"]),
             )
+            # a repeated point would count its draws twice and shrink the fit's stderr
+            if (earlier := numbers.setdefault((est.r, rho_db), number)) != number:
+                raise CliError(f"row repeats r={est.r:g}, rho_db={rho_db:g} of row {earlier}")
         except ValueError as exc:
             raise CliError(f"{exc} ({args.input}, row {number})") from exc
         by_r.setdefault(est.r, []).append(est)

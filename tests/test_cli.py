@@ -699,6 +699,35 @@ class TestFitCommand:
         assert failed.startswith("r=0.5: FAIL (fewer than 2 points with >= 20 outage events")
         assert passed.startswith("r=1: d_hat=1.0000") and passed.endswith("verdict=pass")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_point_is_usage_error(self, tmp_path, capsys, fmt):
+        # with its rows twice, this table fitted 6 points at half the stderr and exited 3
+        table = tmp_path / f"sim.{fmt}"
+        assert main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.5,0.5", "--r", "1",
+            "--snr-db", "10:25:5", "--samples", "4000", "--seed", "0", "--format", fmt,
+            "--out", str(table),
+        ]) == EXIT_OK
+        if fmt == "json":
+            rows = json.loads(table.read_text())
+            table.write_text(json.dumps(rows + rows))
+        else:
+            header, *rows = table.read_text().splitlines()
+            table.write_text("\n".join([header, *rows, *rows]) + "\n")
+        assert main(["fit", "--input", str(table), "--window", "10:25"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: row repeats r=1, rho_db=10 of row 1 ({table}, row 5)\n")
+
+    def test_repeated_point_is_matched_by_value(self, tmp_path, capsys):
+        # 20 and 20.0 are one SNR point
+        table = tmp_path / "sim.csv"
+        write_power_law_table(table, 1.0, (10, 20, 30), 10**8)
+        header, *rows = table.read_text().splitlines()
+        table.write_text("\n".join([header, *rows, rows[1].replace(",20,", ",20.0,")]) + "\n")
+        assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: row repeats r=1, rho_db=20 of row 2 ({table}, row 4)\n")
+
     def test_row_snr_outside_the_float_range_is_usage_error(self, tmp_path, capsys):
         # a 3090 dB row ended in an OverflowError traceback
         table = tmp_path / "sim.csv"

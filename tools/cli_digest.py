@@ -103,6 +103,7 @@ INVALID = {
     "no-antenna-flag": ["curve", "--scenario", "bc-zf", "--weights", "0.5,0.5"],
     "fit-rate-above-k": ["fit", "--input", "rate-above-k.csv", "--window", "5:20"],
     "fit-bad-cell": ["fit", "--input", "bad-cell.csv", "--window", "5:20"],
+    "fit-repeated-point": ["fit", "--input", "repeated-point.csv", "--window", "5:20"],
 }
 # Values that start with "-" and a digit; "snr-db" and "snr-db-equals" give one output.
 NEGATIVE = {
@@ -172,8 +173,10 @@ def digest_all() -> list[str]:
         "scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nr = 1\nsnr-db = 10\nsamples = 100\n"
         "format = xml\n"
     )
-    # sim-bc-zf-1.csv (K = 2) with r = 2.5 in its last row, or n_samples x in its second
+    # sim-bc-zf-1.csv (K = 2) with r = 2.5 in its last row, or n_samples x in its second,
+    # or with its rows twice
     columns, *rows = Path("sim-bc-zf-1.csv").read_text().splitlines()
+    Path("repeated-point.csv").write_text("\n".join([columns, *rows, *rows]) + "\n")
     for path, index, column, value in (("rate-above-k.csv", -1, "r", "2.5"),
                                        ("bad-cell.csv", 1, "n_samples", "x")):
         damaged = [row.split(",") for row in rows]
