@@ -397,7 +397,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 ci_low=float(row["ci_low"]),
                 ci_high=float(row["ci_high"]),
             )
-            # a repeated point would count its draws twice and shrink the fit's stderr
             if (earlier := numbers.setdefault((est.r, rho_db), number)) != number:
                 raise CliError(f"row repeats r={est.r:g}, rho_db={rho_db:g} of row {earlier}")
         except ValueError as exc:

@@ -149,6 +149,7 @@ def compare(fit: SlopeFit, curve: DmtCurve, r: float, tol: float = 0.15) -> Comp
     """Verdict on whether the fitted exponent matches the analytic value.
 
     Passes when |d_hat - d(r)| <= tol * d(r) + 2 * stderr, for a finite tol >= 0.
+    ``rel_error`` is the gap over d(r), and ``inf`` where d(r) = 0 < |d_hat|.
     """
     tol = check_real("tolerance", tol, 0.0)
     d = curve.evaluate(r)

@@ -12,6 +12,7 @@ values, drawn from bounded ranges, must pass.
 """
 
 import ast
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -206,7 +207,27 @@ def test_invalid_number_raises_dmt_error(slot, data):
 @given(data=st.data())
 def test_valid_number_passes(slot, data):
     call, _, good = SLOTS[slot]
-    call(data.draw(good, label=slot))
+    result = call(data.draw(good, label=slot))
+    assert all(map(math.isfinite, floats_in(result))), result
+
+
+def floats_in(value):
+    """Every float of ``value``, through tuples, lists and dataclass fields."""
+    if isinstance(value, float):  # np.float64 included
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from floats_in(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from floats_in(getattr(value, field.name))
+
+
+def test_compare_rel_error_is_inf_where_the_curve_reaches_zero():
+    # the one non-finite value that a valid call returns, by design
+    report = compare(FIT, CURVE, 2.0)
+    assert report.d_analytic == 0.0 and report.rel_error == math.inf
+    assert list(floats_in(report)).count(math.inf) == 1
 
 
 @pytest.mark.parametrize("rates, message", [

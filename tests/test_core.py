@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wdmt import (
+    SCENARIO_KINDS,
     AntennaProfile,
     BadSumError,
     DimensionMismatchError,
@@ -17,6 +18,7 @@ from wdmt import (
     ordering,
     validate_weights,
 )
+from wdmt.core import ANTENNA_FIELD
 
 
 class TestValidateWeights:
@@ -278,6 +280,16 @@ class TestScenario:
         assert s.gain_shapes() == (2, 2)
         s = Scenario(kind="bc-dpc", weights=w, m=3)
         assert s.gain_shapes() == (3, 2)
+
+    def test_antenna_field_names_every_kind_once(self):
+        assert sorted(ANTENNA_FIELD) == sorted(SCENARIO_KINDS)
+
+    def test_encoded_weights_follow_the_encode_order(self):
+        w = validate_weights((0.2, 0.5, 0.3))
+        assert Scenario(kind="bc-dpc", weights=w, m=4).encoded_weights() == (0.5, 0.3, 0.2)
+        for kind, field in [("parallel-identical", {"n_t": 2}), ("bc-zf", {"m": 4}),
+                            ("parallel-different", {"profile": AntennaProfile((2, 1, 3))})]:
+            assert Scenario(kind=kind, weights=w, **field).encoded_weights() == w.mu
 
     def test_dpc_encode_order_by_decreasing_weight(self):
         s = Scenario(kind="bc-dpc", weights=validate_weights((0.3, 0.7)), m=2)

@@ -182,6 +182,22 @@ class TestBroadcast:
             assert curve.corners == paper_corners(tuple(m - j for j in range(k)), mu_desc)
 
 
+@pytest.mark.parametrize("kind", ["parallel-identical", "parallel-different", "bc-zf", "bc-dpc"])
+def test_curve_is_the_parallel_curve_of_the_scenarios_gains(kind):
+    # one channel per gain: its Gamma shape as antenna count, its encode-order weight
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        k = int(rng.integers(1, 5))
+        w = random_weights(rng, k)
+        field = {"parallel-identical": {"n_t": int(rng.integers(1, 4))},
+                 "parallel-different": {"profile": random_profile(rng, k)}}.get(
+                     kind, {"m": int(rng.integers(k, k + 4))})
+        scenario = Scenario(kind=kind, weights=w, **field)
+        reduced = dmt_different(AntennaProfile(scenario.gain_shapes()),
+                                Weights(scenario.encoded_weights()))
+        assert curve_for_scenario(scenario).corners == reduced.corners
+
+
 class TestEvalDmt:
     def test_midpoint_of_uniform_curve(self):
         curve = identical(2, (0.5, 0.5))
