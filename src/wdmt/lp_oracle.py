@@ -37,6 +37,8 @@ _VERTEX_MAX_K = 16
 _GRID_MAX_K = 4
 _GRID_MIN_RES = 50
 _GRID_MAX_POINTS = 10**6  # (res + 1)^ceil(K/2) per half-lattice; res = 200 has 40 401
+_TRADE_MARGIN = 1e-12  # of a half's largest weight and cost; rounding is ~1e-15
+_TRADE_RANGE = (1e-50, 1e50)  # every w, c, u of a pruned half: no subnormal, no overflow
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,15 @@ def _grid_tables(costs, weights, upper, resolution):
     The staircase keeps, of points tied in weight, only the tie's least
     cost, so it does not depend on how the sort orders ties: its stable
     sort gives the same arrays as any other sort would.
+
+    Before its sort, a two-coordinate half drops the points that a trade
+    of levels inside it beats by a margin (:func:`_untraded`). With every
+    w, c and u of the half in ``_TRADE_RANGE``, each table entry is within
+    a few ulps of its exact value, far inside the margin, so a dropped
+    point is beaten in float too and is off the staircase. A trade adds
+    levels of one coordinate, so every chain of drops ends at a kept point,
+    which beats the whole chain: every staircase point is kept, and the
+    staircases and every :func:`lp_grid` value are unchanged, bit for bit.
     """
     k = len(costs)
     levels = np.arange(resolution + 1) / resolution
@@ -210,10 +221,39 @@ def _grid_tables(costs, weights, upper, resolution):
             z_i = upper[i] * levels
             wsum = (wsum[:, None] + (weights[i] * z_i)[None, :]).ravel()
             csum = (csum[:, None] + (costs[i] * z_i)[None, :]).ravel()
+        if len(indices) == 2:
+            keep = _untraded(*([v[i] for i in indices] for v in (weights, costs, upper)),
+                             resolution)
+            if keep is not None:
+                wsum, csum = wsum[keep], csum[keep]
         return _staircase(wsum, csum)
 
     half = (k + 1) // 2
     return table(range(half)), table(range(half, k))
+
+
+def _untraded(w, c, u, res):
+    """Mask of the points of a two-coordinate table (first coordinate's
+    level major) that no trade inside the half beats; None, to sort the
+    half whole, if a w, c or u is outside ``_TRADE_RANGE``.
+
+    With i the coordinate of lower cost per weight, s(t) is the least count
+    of i's levels outweighing t of j's by 1e-12 of the half's largest
+    weight; the trade counts if it is also cheaper by 1e-12 of the largest
+    cost, which tied ratios never are. (x_i, y_j) loses to (x + s, y - t)
+    when x + m(y) <= res, m(y) the least counted s over t <= y."""
+    lo, hi = _TRADE_RANGE
+    if not all(lo <= v <= hi for v in (*w, *c, *u)):
+        return None
+    i, j = (1, 0) if c[1] / w[1] < c[0] / w[0] else (0, 1)
+    a_i, a_j = w[i] * u[i], w[j] * u[j]  # weight of all res levels
+    k_i, k_j = c[i] * u[i], c[j] * u[j]  # and their cost
+    t = np.arange(1.0, res + 1)
+    s = np.ceil((t * a_j + res * _TRADE_MARGIN * (a_i + a_j)) / a_i)
+    s[s * k_i > t * k_j - res * _TRADE_MARGIN * (k_i + k_j)] = np.inf
+    m = np.minimum.accumulate(np.r_[np.inf, s])
+    keep = np.arange(res + 1)[:, None] > res - m  # [x_i, y_j]
+    return (keep.T if i else keep).ravel()
 
 
 def _staircase(wsum, csum):
@@ -223,8 +263,10 @@ def _staircase(wsum, csum):
 
     The result does not depend on the order of points tied in weight: of a
     tie, only the cheapest can survive, with the tie's weight and least
-    cost. So a stable sort is exact, and it runs in O(n log runs): a table
-    of :func:`_grid_tables` is res + 1 ascending runs laid end to end."""
+    cost. So a stable sort is exact. A two-coordinate half reaches it
+    already pruned by :func:`_untraded`, so the sort is of the survivors,
+    not of the (res + 1)^2 table; ``BENCH_19.json`` measured numpy's
+    default argsort as fast as the stable one on a whole table."""
     order = np.argsort(wsum, kind="stable")[::-1]  # heaviest first
     cmin = np.minimum.accumulate(csum[order])
     # the points that lower the running minimum, lightest first; within a

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from wdmt import (
     lp_vertex,
     validate_weights,
 )
-from wdmt.lp_oracle import _FEAS_EPS, _GRID_MAX_POINTS, _staircase, _vertex_table
+from wdmt.lp_oracle import (
+    _FEAS_EPS,
+    _GRID_MAX_POINTS,
+    _grid_tables,
+    _staircase,
+    _untraded,
+    _vertex_table,
+)
 
 
 def random_instance(rng, k_max=4, n_max=4):
@@ -474,3 +482,180 @@ class TestLpGridMatchesFullLattice:
             full_lattice_minimum(inst, self.RES)
         with pytest.raises(DmtError, match="no feasible lattice point"):
             lp_grid(inst, self.RES)
+
+
+def half_table(costs, weights, upper, indices, resolution):
+    """One half-lattice table, every point, as _grid_tables lays it out:
+    the first coordinate's level major."""
+    levels = np.arange(resolution + 1) / resolution
+    wsum = np.zeros(1)
+    csum = np.zeros(1)
+    for i in indices:
+        z_i = upper[i] * levels
+        wsum = (wsum[:, None] + (weights[i] * z_i)[None, :]).ravel()
+        csum = (csum[:, None] + (costs[i] * z_i)[None, :]).ravel()
+    return wsum, csum
+
+
+def reference_grid_tables(costs, weights, upper, resolution):
+    """_grid_tables without the trade pruning: each half's whole table goes
+    to _staircase."""
+    k = len(costs)
+    half = (k + 1) // 2
+    return tuple(_staircase(*half_table(costs, weights, upper, indices, resolution))
+                 for indices in (range(half), range(half, k)))
+
+
+class TestGridTablesMatchReference:
+    """Pruning by trades before the sort leaves both staircases unchanged,
+    bit for bit."""
+
+    @staticmethod
+    def assert_same(costs, weights, upper, resolution):
+        costs, weights, upper = (tuple(float(x) for x in v) for v in (costs, weights, upper))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _grid_tables.__wrapped__(costs, weights, upper, resolution)
+            expected = reference_grid_tables(costs, weights, upper, resolution)
+        for (w, c), (w_ref, c_ref) in zip(got, expected):
+            assert np.array_equal(w, w_ref) and np.array_equal(c, c_ref), (
+                costs, weights, upper, resolution)
+
+    def assert_instance(self, inst, resolution):
+        self.assert_same(inst.costs, inst.weights, inst.upper, resolution)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("resolution", [50, 200])
+    @pytest.mark.parametrize("form", [LpInstance.alpha_form, x_form])
+    def test_random_instances(self, k, resolution, form):
+        rng = np.random.default_rng(300 + 10 * k + resolution)
+        for _ in range(12):
+            profile = AntennaProfile(tuple(int(n) for n in rng.integers(1, 5, k)))
+            raw = rng.random(k) + 0.02
+            self.assert_instance(form(profile, validate_weights(tuple(raw / raw.sum())), 1.0),
+                                 resolution)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("resolution", [50, 200])
+    def test_non_unit_upper(self, k, resolution):
+        rng = np.random.default_rng(400 + 10 * k + resolution)
+        for _ in range(12):
+            upper = rng.uniform(0.3, 4.0, k)
+            self.assert_same(rng.uniform(0.1, 3.0, k),
+                             rng.uniform(0.05, 1.0, k) / (k * upper.max()), upper, resolution)
+
+    @pytest.mark.parametrize("resolution", [50, 200])
+    def test_exactly_tied_ratios(self, resolution):
+        # dyadic weights and costs: c_i / w_i and c_i u_i / (w_i u_i) tie exactly
+        # within each half, so no trade clears the margin
+        for costs, weights, upper in (
+            ((1.0, 3.0, 2.0, 6.0), (0.125, 0.375, 0.125, 0.375), (1.0,) * 4),
+            ((2.0, 2.0, 1.0), (0.25, 0.25, 0.5), (1.0,) * 3),
+            ((0.5, 4.0, 1.0, 1.0), (0.0625, 0.5, 0.25, 0.25), (2.0, 0.5, 1.0, 4.0)),
+        ):
+            self.assert_same(costs, weights, upper, resolution)
+
+    @pytest.mark.parametrize("resolution", [50, 200])
+    def test_integer_costs_with_tied_weights(self, resolution):
+        for costs in ((1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (1.0, 2.0, 3.0, 1.0), (3.0, 1.0, 1.0, 2.0)):
+            k = len(costs)
+            self.assert_same(costs, (1.0 / k,) * k, (1.0,) * k, resolution)
+
+    @pytest.mark.parametrize("resolution", [50, 200])
+    def test_one_coordinate_at_1e_9_of_the_others_scale(self, resolution):
+        base = np.array([0.3, 0.2, 0.25, 0.25]), np.array([2.0, 1.0, 3.0, 1.5])
+        for k in (3, 4):
+            for j in range(k):
+                weights, costs = (v[:k].copy() for v in base)
+                weights[j] *= 1e-9
+                self.assert_same(costs, weights, (1.0,) * k, resolution)
+                costs[j] *= 1e-9
+                self.assert_same(costs, weights, (1.0,) * k, resolution)
+
+    def test_resolution_999(self):
+        self.assert_instance(
+            LpInstance.alpha_form(AntennaProfile((3, 1, 2)), validate_weights((0.5, 0.3, 0.2)),
+                                  1.0), 999)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_products_that_underflow(self, k):
+        # LpInstance accepts any positive finite floats, so w u or c u can
+        # underflow to 0; such a half is sorted whole, with no warning
+        tiny = 1e-200
+        for coefs in (
+            ((1.0, 2.0, 1.5, 1.0), (tiny, 0.5, 0.4, 0.3), (tiny, 1.0, 1.0, 1.0)),
+            ((tiny, 2.0, 1.5, tiny), (0.2, 0.5, 0.4, 0.3), (tiny, 1.0, 1.0, tiny)),
+            ((tiny, tiny, 1.0, 2.0), (tiny, tiny, 0.5, 0.5), (1.0, 1.0, 1.0, 1.0)),
+        ):
+            costs, weights, upper = (v[:k] for v in coefs)
+            for resolution in (50, 200):
+                self.assert_same(costs, weights, upper, resolution)
+
+    def test_products_that_underflow_keep_the_lattice_minimum(self):
+        tiny = 1e-200
+        for costs, weights, upper in (
+            ((1.0, 2.0, 1.5), (tiny, 0.5, 0.4), (tiny, 1.0, 1.0)),
+            ((tiny, 2.0, 1.5), (0.2, 0.5, 0.4), (tiny, 1.0, 1.0)),
+        ):
+            for bound in (0.0, 0.3, 0.85):
+                inst = LpInstance(costs, weights, bound, upper)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert lp_grid(inst, 50) == full_lattice_minimum(inst, 50)
+
+
+# two-coordinate halves (weights, costs, upper) at res = 50, cheaper per
+# weight coordinate first, then second
+CHEAPER_FIRST = [
+    ((0.7, 0.3), (1.0, 2.0), (1.0, 1.0)),
+    ((0.5, 0.5), (1.0, 2.0), (1.0, 1.0)),  # tied weights, integer costs
+    ((0.7 / 3, 0.3 / 2), (1.0, 1.0), (3.0, 2.0)),  # x form
+    ((0.2, 0.45), (0.3, 2.9), (3.1, 0.4)),
+    ((0.4, 0.6), (1.0, 1.6), (1.0, 1.0)),  # ratios 6% apart
+]
+CHEAPER_SECOND = [tuple(v[::-1] for v in half) for half in CHEAPER_FIRST]
+
+
+class TestTradePruning:
+    """The trade rule by brute force over every point of a half at res = 50."""
+
+    RES = 50
+
+    def table(self, weights, costs, upper):
+        return half_table(costs, weights, upper, (0, 1), self.RES)
+
+    @pytest.mark.parametrize("half", CHEAPER_FIRST + CHEAPER_SECOND)
+    def test_every_dropped_point_is_beaten_in_float(self, half):
+        wsum, csum = self.table(*half)
+        keep = _untraded(*half, self.RES)
+        dropped = np.flatnonzero(~keep)
+        assert dropped.size > 0
+        beaten = (wsum[None, :] > wsum[dropped, None]) & (csum[None, :] < csum[dropped, None])
+        assert beaten.any(axis=1).all()
+
+    @pytest.mark.parametrize("half", CHEAPER_FIRST + CHEAPER_SECOND)
+    def test_every_staircase_point_is_kept(self, half):
+        wsum, csum = self.table(*half)
+        keep = _untraded(*half, self.RES)
+        kept = set(zip(wsum[keep].tolist(), csum[keep].tolist()))
+        w, c = _staircase(wsum, csum)
+        assert set(zip(w.tolist(), c.tolist())) <= kept
+
+    def test_halves_cover_both_orientations(self):
+        for first, second in zip(CHEAPER_FIRST, CHEAPER_SECOND):
+            (w0, w1), (c0, c1), _ = first
+            assert c0 / w0 < c1 / w1
+            (w0, w1), (c0, c1), _ = second
+            assert c0 / w0 > c1 / w1
+
+    @pytest.mark.parametrize("half", [
+        ((0.25, 0.5), (1.0, 2.0), (1.0, 1.0)),
+        ((0.125, 0.375), (0.5, 1.5), (2.0, 0.5)),
+        ((0.5, 0.5), (1.0, 1.0), (1.0, 1.0)),
+    ])
+    def test_tied_ratios_drop_nothing(self, half):
+        assert _untraded(*half, self.RES).all()
+
+    def test_products_outside_the_range_are_not_pruned(self):
+        assert _untraded((1e-200, 0.5), (1.0, 2.0), (1e-200, 1.0), self.RES) is None
+        assert _untraded((0.5, 0.5), (1e-200, 2.0), (1e-200, 1.0), self.RES) is None
