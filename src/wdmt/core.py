@@ -11,6 +11,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "WEIGHT_SUM_TOL",
@@ -251,10 +252,15 @@ def stable_desc_order(values) -> tuple[int, ...]:
     return tuple(i for group in groups for i in sorted(group))
 
 
+@lru_cache(maxsize=128)  # an entry is a few short tuples; a rate sweep needs one
 def ordering(weights: Weights, profile: AntennaProfile) -> tuple[int, ...]:
     """Channel indices sorted by mu_i / n_i, descending: entry j is the
     original 0-based index of the channel at sorted position j. Channels
     with equal weight-per-antenna (up to float noise) keep index order.
+
+    Cached by the frozen weights and profile, so a rate sweep sorts once;
+    equal arguments share one (immutable) tuple, and a raised error is not
+    cached.
 
     Raises
     ------

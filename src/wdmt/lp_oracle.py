@@ -9,6 +9,9 @@ different routes: exact vertex enumeration (:func:`lp_vertex`) and an
 exhaustive lattice search with a stated approximation bound
 (:func:`lp_grid`). Two independent methods guard against a shared
 indexing bug.
+
+Both cache, per (costs, weights, upper), the work that does not depend on
+the bound b: a sweep over the rate moves only b, so it pays that work once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ __all__ = ["LpInstance", "lp_vertex", "lp_grid"]
 
 _FEAS_EPS = 1e-12
 _VERTEX_MAX_K = 16
+# A rate sweep reuses one instance's entry; at K = 16 an entry holds about
+# 1 MB (two 2^16 vertex sums), so the cache stays below about 16 MB.
+_VERTEX_CACHE = 16
 _GRID_MAX_K = 4
 _GRID_MIN_RES = 50
 _GRID_MAX_POINTS = 10**6  # (res + 1)^ceil(K/2) per half-lattice; res = 200 has 40 401
@@ -66,6 +72,11 @@ class LpInstance:
         object.__setattr__(
             self, "bound", check_real("LP bound", self.bound, -_FEAS_EPS, 1.0 + _FEAS_EPS)
         )
+        # every box vertex's weight and cost sums some of these products; one
+        # past the float range would make lp_vertex compare inf and NaN sums
+        check_real("LP sum of weight times upper limit",
+                   sum(x * y for x, y in zip(weights, upper)))
+        check_real("LP sum of cost times upper limit", sum(x * y for x, y in zip(costs, upper)))
 
     @property
     def k(self) -> int:
@@ -99,7 +110,8 @@ def lp_vertex(instance: LpInstance) -> ExponentSolution:
     patterns again. A candidate that breaks the bound or its box, or whose
     pattern already sets coordinate f to 1, scores +inf. The first
     candidate of least score wins, so a tie goes to a box vertex, then to
-    the lower f, then to the lower pattern.
+    the lower f, then to the lower pattern. Only the scores depend on the
+    bound; the vertex sums come from a per-instance cache (:func:`_vertex_sums`).
 
     Returns the solution with ``alpha = z / u`` (so alpha is the exponent
     vector also for an instance in the substituted variables
@@ -108,25 +120,25 @@ def lp_vertex(instance: LpInstance) -> ExponentSolution:
     k = instance.k
     if k > _VERTEX_MAX_K:
         raise TooLargeError(f"vertex enumeration limited to K <= {_VERTEX_MAX_K}")
-    c, w, u = np.array((instance.costs, instance.weights, instance.upper))
+    c, w, u, vertex_w, vertex_c, w_col, u_eps_col, u_col, c_col = _vertex_sums(
+        instance.costs, instance.weights, instance.upper
+    )
     b = instance.bound
     bits, free = _vertex_table(k)
-    vertex_w = bits @ (w * u)
-    vertex_c = bits @ (c * u)
 
     score = np.empty((k + 1, 1 << k))
     score[0] = vertex_c
     # row f + 1: coordinate f takes the fractional value (b - vertex_w) / w_f
     frac = score[1:]
     np.subtract(b, vertex_w, out=frac)
-    frac /= w[:, None]
+    frac /= w_col
     ok = np.empty(score.shape, dtype=bool)
     np.greater_equal(vertex_w, b - _FEAS_EPS, out=ok[0])
     np.greater(frac, _FEAS_EPS, out=ok[1:])
     ok[1:] &= free
-    ok[1:] &= frac <= (u + _FEAS_EPS)[:, None]
-    np.minimum(frac, u[:, None], out=frac)
-    frac *= c[:, None]
+    ok[1:] &= frac <= u_eps_col
+    np.minimum(frac, u_col, out=frac)
+    frac *= c_col
     frac += vertex_c
     np.copyto(score, np.inf, where=~ok)
 
@@ -139,6 +151,21 @@ def lp_vertex(instance: LpInstance) -> ExponentSolution:
         f -= 1
         z[f] = min((b - vertex_w[row]) / w[f], u[f])
     return ExponentSolution(tuple((z / u).tolist()), float(z @ c))
+
+
+@lru_cache(maxsize=_VERTEX_CACHE)
+def _vertex_sums(costs, weights, upper):
+    """What :func:`lp_vertex` needs of an instance apart from its bound:
+    c, w, u, each box vertex's weight and cost, and the columns w, u + eps,
+    u and c that broadcast over the patterns. Cached per (costs, weights,
+    upper), so a rate sweep builds them once; all read-only."""
+    c, w, u = np.array((costs, weights, upper))
+    bits, _ = _vertex_table(len(costs))
+    arrays = (c, w, u, bits @ (w * u), bits @ (c * u),
+              w[:, None], (u + _FEAS_EPS)[:, None], u[:, None], c[:, None])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @lru_cache(maxsize=_VERTEX_MAX_K)
@@ -199,33 +226,36 @@ def _grid_tables(costs, weights, upper, resolution):
     partner and its sum is no larger; and the first half-B staircase point
     heavy enough costs exactly the least of all half-B points heavy enough.
     The staircase keeps, of points tied in weight, only the tie's least
-    cost, so it does not depend on how the sort orders ties: its stable
-    sort gives the same arrays as any other sort would.
+    cost, so it depends neither on the order its points come in nor on how
+    the sort orders ties: its stable sort gives the same arrays as any
+    other sort would.
 
-    Before its sort, a two-coordinate half drops the points that a trade
-    of levels inside it beats by a margin (:func:`_untraded`). With every
-    w, c and u of the half in ``_TRADE_RANGE``, each table entry is within
-    a few ulps of its exact value, far inside the margin, so a dropped
-    point is beaten in float too and is off the staircase. A trade adds
-    levels of one coordinate, so every chain of drops ends at a kept point,
-    which beats the whole chain: every staircase point is kept, and the
+    A two-coordinate half builds only the points that no trade of levels
+    inside it beats by a margin (:func:`_untraded`). With every w, c and u
+    of the half in ``_TRADE_RANGE``, each table entry is within a few ulps
+    of its exact value, far inside the margin, so a point left out is
+    beaten in float too and is off the staircase. A trade adds levels of
+    one coordinate, so every chain of trades ends at a kept point, which
+    beats the whole chain: every staircase point is kept. A kept point's
+    sums are the whole table's, (0 + a) + b with 0 + a == a, so the
     staircases and every :func:`lp_grid` value are unchanged, bit for bit.
     """
     k = len(costs)
     levels = np.arange(resolution + 1) / resolution
+    # each coordinate's weight and cost at every level
+    w_lv, c_lv = ([v[i] * (upper[i] * levels) for i in range(k)] for v in (weights, costs))
 
     def table(indices):
-        wsum = np.zeros(1)
-        csum = np.zeros(1)
-        for i in indices:
-            z_i = upper[i] * levels
-            wsum = (wsum[:, None] + (weights[i] * z_i)[None, :]).ravel()
-            csum = (csum[:, None] + (costs[i] * z_i)[None, :]).ravel()
         if len(indices) == 2:
-            keep = _untraded(*([v[i] for i in indices] for v in (weights, costs, upper)),
+            kept = _untraded(*([v[i] for i in indices] for v in (weights, costs, upper)),
                              resolution)
-            if keep is not None:
-                wsum, csum = wsum[keep], csum[keep]
+            if kept is not None:
+                (i, j), (x, y) = indices, kept
+                return _staircase(w_lv[i][x] + w_lv[j][y], c_lv[i][x] + c_lv[j][y])
+        wsum = csum = np.zeros(1)
+        for i in indices:
+            wsum = (wsum[:, None] + w_lv[i][None, :]).ravel()
+            csum = (csum[:, None] + c_lv[i][None, :]).ravel()
         return _staircase(wsum, csum)
 
     half = (k + 1) // 2
@@ -233,15 +263,16 @@ def _grid_tables(costs, weights, upper, resolution):
 
 
 def _untraded(w, c, u, res):
-    """Mask of the points of a two-coordinate table (first coordinate's
-    level major) that no trade inside the half beats; None, to sort the
-    half whole, if a w, c or u is outside ``_TRADE_RANGE``.
+    """Level indices (of the first coordinate, of the second) of the points
+    of a two-coordinate half that no trade inside it beats; None, to build
+    the half whole, if a w, c or u is outside ``_TRADE_RANGE``.
 
     With i the coordinate of lower cost per weight, s(t) is the least count
     of i's levels outweighing t of j's by 1e-12 of the half's largest
     weight; the trade counts if it is also cheaper by 1e-12 of the largest
     cost, which tied ratios never are. (x_i, y_j) loses to (x + s, y - t)
-    when x + m(y) <= res, m(y) the least counted s over t <= y."""
+    when x + m(y) <= res, m(y) the least counted s over t <= y, so at each
+    level y the kept x are the top run x > res - m(y)."""
     lo, hi = _TRADE_RANGE
     if not all(lo <= v <= hi for v in (*w, *c, *u)):
         return None
@@ -252,8 +283,11 @@ def _untraded(w, c, u, res):
     s = np.ceil((t * a_j + res * _TRADE_MARGIN * (a_i + a_j)) / a_i)
     s[s * k_i > t * k_j - res * _TRADE_MARGIN * (k_i + k_j)] = np.inf
     m = np.minimum.accumulate(np.r_[np.inf, s])
-    keep = np.arange(res + 1)[:, None] > res - m  # [x_i, y_j]
-    return (keep.T if i else keep).ravel()
+    low = np.maximum(res + 1 - m, 0).astype(np.intp)  # least kept x at each y
+    run = res + 1 - low
+    y = np.repeat(np.arange(res + 1), run)
+    x = np.arange(y.size) - np.repeat(np.cumsum(run) - run - low, run)
+    return (y, x) if i else (x, y)
 
 
 def _staircase(wsum, csum):

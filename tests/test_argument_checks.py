@@ -14,6 +14,7 @@ values, drawn from bounded ranges, must pass.
 import ast
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -285,6 +286,20 @@ def test_malformed_sequence_is_named_by_its_field(call, field):
     # each escaped as a bare TypeError or ValueError from the iteration
     with pytest.raises(OutOfRangeError, match=f"^{field} must be a sequence"):
         call()
+
+
+@pytest.mark.parametrize("costs, weights, upper", [
+    ((1.0, 1.0, 1.0), (1e200, 0.5, 0.5), (1e200, 1.0, 1.0)),
+    ((1e200, 1.0, 1.0), (1.0, 0.5, 0.5), (1e200, 1.0, 1.0)),
+    ((1.0, 1.0), (1e308, 1e308), (1.0, 1.0)),
+], ids=["weight-times-upper", "cost-times-upper", "sum-of-weight-times-upper"])
+def test_lp_instance_rejects_box_totals_past_the_float_range(costs, weights, upper):
+    # every field is positive and finite; the first was accepted, and lp_vertex
+    # then returned d = 1e200 at alpha (1, 0, 0), not 1.0, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match="times upper limit must be a finite number"):
+            LpInstance(costs, weights, 0.5, upper)
 
 
 def test_weight_sum_past_the_float_range_reads_inf():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wdmt import (
     SCENARIO_KINDS,
@@ -18,7 +20,7 @@ from wdmt import (
     ordering,
     validate_weights,
 )
-from wdmt.core import ANTENNA_FIELD
+from wdmt.core import _TIE_RTOL, ANTENNA_FIELD
 
 
 class TestValidateWeights:
@@ -133,6 +135,28 @@ class TestOrdering:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             ordering(validate_weights((0.5, 0.5)), AntennaProfile((2,)))
+
+    def test_dimension_mismatch_raises_on_every_call(self):
+        # a raised error is not cached
+        w, p = validate_weights((0.5, 0.5)), AntennaProfile((2,))
+        for _ in range(3):
+            with pytest.raises(DimensionMismatchError):
+                ordering(w, p)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from([0.5, 1.0, 1.7]),
+                              st.sampled_from([0.0, 0.4, -0.4, 0.9, -0.9, 1.1, 3.0])),
+                    min_size=1, max_size=6))
+    def test_cached_equals_uncached_near_ties_included(self, channels):
+        # each channel: its count n, a base weight per antenna shared with
+        # others, and an offset from that base in units of _TIE_RTOL
+        n = tuple(c[0] for c in channels)
+        raw = [c[0] * c[1] * (1.0 + c[2] * _TIE_RTOL) for c in channels]
+        w = validate_weights(tuple(x / sum(raw) for x in raw))
+        p = AntennaProfile(n)
+        expected = ordering.__wrapped__(w, p)
+        assert ordering(w, p) == expected
+        assert ordering(Weights(w.mu), AntennaProfile(n)) == expected  # a cache hit
 
     def test_is_a_permutation_of_indices(self):
         rng = np.random.default_rng(3)

@@ -21,9 +21,11 @@ from wdmt import (
 from wdmt.lp_oracle import (
     _FEAS_EPS,
     _GRID_MAX_POINTS,
+    _VERTEX_CACHE,
     _grid_tables,
     _staircase,
     _untraded,
+    _vertex_sums,
     _vertex_table,
 )
 
@@ -283,6 +285,41 @@ class TestLpVertexMatchesReference:
 
         _vertex_table.cache_clear()  # the first call at a K builds its table too
         assert peak(lp_vertex) < 2 * peak(reference_lp_vertex)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_rate_sweeps_cold_and_warm(self, k):
+        # a sweep moves only the bound, so every rate after the first reads
+        # the cached vertex sums; the first sweep starts cold, the second warm
+        rng = np.random.default_rng(600 + k)
+        for _ in range(6):
+            profile = AntennaProfile(tuple(int(n) for n in rng.integers(1, 5, k)))
+            raw = rng.random(k) + 0.02
+            mu = validate_weights(tuple(raw / raw.sum()))
+            upper = tuple(rng.uniform(0.3, 4.0, k))
+            costs = tuple(rng.uniform(0.1, 3.0, k))
+            weights = tuple(rng.uniform(0.05, 1.0, k) / (k * max(upper)))
+            _vertex_sums.cache_clear()
+            for _ in range(2):
+                for r in np.linspace(0.0, k, 21):
+                    self.assert_same(LpInstance.alpha_form(profile, mu, float(r)))
+                    self.assert_same(x_form(profile, mu, float(r)))
+                    self.assert_same(LpInstance(costs, weights, 1.0 - float(r) / k, upper))
+
+    def test_cached_vertex_sums_refuse_writes(self):
+        inst = LpInstance((2.0, 1.0, 3.0), (0.5, 0.3, 0.2), 0.5, (1.0, 2.0, 0.5))
+        lp_vertex(inst)
+        arrays = _vertex_sums(inst.costs, inst.weights, inst.upper)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+        assert _vertex_sums(inst.costs, inst.weights, inst.upper) is arrays
+        assert lp_vertex(inst) == reference_lp_vertex(inst)
+
+    def test_vertex_sum_cache_is_bounded_at_about_1_mb_an_entry_at_k16(self):
+        assert _vertex_sums.cache_info().maxsize == _VERTEX_CACHE == 16
+        k = 16
+        arrays = _vertex_sums(tuple(np.linspace(1.0, 2.0, k)), (1.0 / k,) * k, (1.0,) * k)
+        assert 2**20 <= sum(a.nbytes for a in arrays) < 1.01 * 2**20
 
     def test_cached_tables_refuse_writes(self):
         bits, free = _vertex_table(3)
@@ -591,6 +628,21 @@ class TestGridTablesMatchReference:
             for resolution in (50, 200):
                 self.assert_same(costs, weights, upper, resolution)
 
+    def test_cold_k4_build_peaks_below_a_quarter_of_the_whole_table(self):
+        # only the points no trade beats are built, not the (res + 1)^2 table
+        inst = LpInstance.alpha_form(AntennaProfile((3, 1, 2, 2)),
+                                     validate_weights((0.4, 0.3, 0.2, 0.1)), 1.0)
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build(inst.costs, inst.weights, inst.upper, 999)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(_grid_tables.__wrapped__) < peak(reference_grid_tables) / 4
+
     def test_products_that_underflow_keep_the_lattice_minimum(self):
         tiny = 1e-200
         for costs, weights, upper in (
@@ -624,10 +676,16 @@ class TestTradePruning:
     def table(self, weights, costs, upper):
         return half_table(costs, weights, upper, (0, 1), self.RES)
 
+    def untraded(self, half):
+        """_untraded's kept level indices as a mask over the half's table."""
+        keep = np.zeros((self.RES + 1, self.RES + 1), dtype=bool)
+        keep[_untraded(*half, self.RES)] = True
+        return keep.ravel()
+
     @pytest.mark.parametrize("half", CHEAPER_FIRST + CHEAPER_SECOND)
     def test_every_dropped_point_is_beaten_in_float(self, half):
         wsum, csum = self.table(*half)
-        keep = _untraded(*half, self.RES)
+        keep = self.untraded(half)
         dropped = np.flatnonzero(~keep)
         assert dropped.size > 0
         beaten = (wsum[None, :] > wsum[dropped, None]) & (csum[None, :] < csum[dropped, None])
@@ -636,7 +694,7 @@ class TestTradePruning:
     @pytest.mark.parametrize("half", CHEAPER_FIRST + CHEAPER_SECOND)
     def test_every_staircase_point_is_kept(self, half):
         wsum, csum = self.table(*half)
-        keep = _untraded(*half, self.RES)
+        keep = self.untraded(half)
         kept = set(zip(wsum[keep].tolist(), csum[keep].tolist()))
         w, c = _staircase(wsum, csum)
         assert set(zip(w.tolist(), c.tolist())) <= kept
@@ -654,7 +712,7 @@ class TestTradePruning:
         ((0.5, 0.5), (1.0, 1.0), (1.0, 1.0)),
     ])
     def test_tied_ratios_drop_nothing(self, half):
-        assert _untraded(*half, self.RES).all()
+        assert self.untraded(half).all()
 
     def test_products_outside_the_range_are_not_pruned(self):
         assert _untraded((1e-200, 0.5), (1.0, 2.0), (1e-200, 1.0), self.RES) is None
