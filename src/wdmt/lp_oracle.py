@@ -12,6 +12,9 @@ indexing bug.
 
 Both cache, per (costs, weights, upper), the work that does not depend on
 the bound b: a sweep over the rate moves only b, so it pays that work once.
+So does :meth:`LpInstance.alpha_form`, whose costs, weights and upper pass
+``LpInstance``'s checks once per (profile, weights); each rate checks only r
+and b.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ _VERTEX_MAX_K = 16
 # A rate sweep reuses one instance's entry; at K = 16 an entry holds about
 # 1 MB (two 2^16 vertex sums), so the cache stays below about 16 MB.
 _VERTEX_CACHE = 16
+_ALPHA_CACHE = 128  # an entry is three short tuples; a rate sweep needs one
 _GRID_MAX_K = 4
 _GRID_MIN_RES = 50
 _GRID_MAX_POINTS = 10**6  # (res + 1)^ceil(K/2) per half-lattice; res = 200 has 40 401
@@ -86,14 +90,26 @@ class LpInstance:
     def alpha_form(
         cls, profile: AntennaProfile, weights: Weights, r: float
     ) -> "LpInstance":
-        """Exponent variables alpha_i in [0, 1]: costs n_i, weights mu_i."""
+        """Exponent variables alpha_i in [0, 1]: costs n_i, weights mu_i.
+
+        The vectors are checked once per (profile, weights), in
+        :func:`_alpha_template`; each call checks only r and the bound."""
         k = len(profile)
-        return cls(
-            costs=tuple(float(n) for n in profile.n),
-            weights=weights.mu,
-            bound=1.0 - check_real("r", r, 0.0, k) / k,
-            upper=(1.0,) * k,
-        )
+        bound = 1.0 - check_real("r", r, 0.0, k) / k
+        # the checked template at this bound, past __init__, which would
+        # check its vectors again
+        inst = object.__new__(cls)
+        inst.__dict__.update(_alpha_template(profile, weights).__dict__,
+                             bound=check_real("LP bound", bound, -_FEAS_EPS, 1.0 + _FEAS_EPS))
+        return inst
+
+
+@lru_cache(maxsize=_ALPHA_CACHE)
+def _alpha_template(profile, weights):
+    """:meth:`LpInstance.alpha_form`'s instance at bound 1, through every
+    check of ``LpInstance``; its frozen fields are shared by every rate. An
+    error, such as a length mismatch, is raised again at every call."""
+    return LpInstance(tuple(float(n) for n in profile.n), weights.mu, 1.0, (1.0,) * len(profile))
 
 
 def lp_vertex(instance: LpInstance) -> ExponentSolution:
@@ -124,7 +140,7 @@ def lp_vertex(instance: LpInstance) -> ExponentSolution:
         instance.costs, instance.weights, instance.upper
     )
     b = instance.bound
-    bits, free = _vertex_table(k)
+    bits, taken = _vertex_table(k)
 
     score = np.empty((k + 1, 1 << k))
     score[0] = vertex_c
@@ -132,17 +148,19 @@ def lp_vertex(instance: LpInstance) -> ExponentSolution:
     frac = score[1:]
     np.subtract(b, vertex_w, out=frac)
     frac /= w_col
-    ok = np.empty(score.shape, dtype=bool)
-    np.greater_equal(vertex_w, b - _FEAS_EPS, out=ok[0])
-    np.greater(frac, _FEAS_EPS, out=ok[1:])
-    ok[1:] &= free
-    ok[1:] &= frac <= u_eps_col
+    # LpInstance keeps w > 0 and every sum finite, so nothing here is NaN
+    # and each test is the exact negation of a feasibility test
+    bad = np.empty(score.shape, dtype=bool)
+    np.less(vertex_w, b - _FEAS_EPS, out=bad[0])
+    np.less_equal(frac, _FEAS_EPS, out=bad[1:])
+    bad[1:] |= taken
+    bad[1:] |= frac > u_eps_col
     np.minimum(frac, u_col, out=frac)
     frac *= c_col
     frac += vertex_c
-    np.copyto(score, np.inf, where=~ok)
+    np.copyto(score, np.inf, where=bad)
 
-    best = int(np.argmin(score))
+    best = int(score.argmin())
     if score.flat[best] == np.inf:
         raise DmtError("no feasible vertex; bound exceeds the box capacity")
     f, row = divmod(best, 1 << k)
@@ -171,14 +189,15 @@ def _vertex_sums(costs, weights, upper):
 @lru_cache(maxsize=_VERTEX_MAX_K)
 def _vertex_table(k):
     """Row j of ``bits`` is box pattern j as 0.0/1.0 (bit i of j is
-    coordinate i); ``free[f, j]`` says coordinate f is 0 in pattern j, so
-    it can take the fractional value. Both are read-only: they are cached
-    and shared by every call at this K."""
+    coordinate i); ``taken[f, j]`` says coordinate f is 1 in pattern j, so
+    it cannot take the fractional value, and :func:`lp_vertex` ORs it into
+    the infeasible mask. Both are read-only: they are cached and shared by
+    every call at this K."""
     bits = (np.arange(1 << k, dtype=np.uint32)[:, None] >> np.arange(k, dtype=np.uint32)) & 1
-    free = np.ascontiguousarray(bits.T == 0)
+    taken = np.ascontiguousarray(bits.T == 1)
     bits = bits.astype(float)
-    bits.flags.writeable = free.flags.writeable = False
-    return bits, free
+    bits.flags.writeable = taken.flags.writeable = False
+    return bits, taken
 
 
 def lp_grid(instance: LpInstance, resolution: int) -> float:
@@ -207,11 +226,13 @@ def lp_grid(instance: LpInstance, resolution: int) -> float:
     (w_a, c_a), (w_b, c_b) = _grid_tables(
         instance.costs, instance.weights, instance.upper, res
     )
-    pos = np.searchsorted(w_b, instance.bound - w_a - _FEAS_EPS, side="left")
-    ok = pos < w_b.size
-    if not ok.any():
+    # heaviest half-A point first, so the keys ascend and each search starts
+    # where the last one ended; the feasible points are then a prefix
+    pos = w_b.searchsorted(instance.bound - w_a[::-1] - _FEAS_EPS)
+    n = pos.searchsorted(w_b.size)
+    if not n:
         raise DmtError("no feasible lattice point; bound exceeds the box capacity")
-    return float(np.min(c_a[ok] + c_b[pos[ok]]))
+    return float((c_a[::-1][:n] + c_b[pos[:n]]).min())
 
 
 @lru_cache(maxsize=128)

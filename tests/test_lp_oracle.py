@@ -19,9 +19,11 @@ from wdmt import (
     validate_weights,
 )
 from wdmt.lp_oracle import (
+    _ALPHA_CACHE,
     _FEAS_EPS,
     _GRID_MAX_POINTS,
     _VERTEX_CACHE,
+    _alpha_template,
     _grid_tables,
     _staircase,
     _untraded,
@@ -85,6 +87,43 @@ class TestLpInstance:
     def test_nan_rate_rejected(self, form):
         with pytest.raises(OutOfRangeError):
             form(AntennaProfile((2, 1)), validate_weights((0.5, 0.5)), math.nan)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_alpha_form_equals_the_instance_built_and_checked_whole(self, k):
+        rng = np.random.default_rng(700 + k)
+        for _ in range(5):
+            profile = AntennaProfile(tuple(int(n) for n in rng.integers(1, 5, k)))
+            raw = rng.random(k) + 0.02
+            weights = validate_weights(tuple(raw / raw.sum()))
+            for r in np.linspace(0.0, k, 21):
+                got = LpInstance.alpha_form(profile, weights, float(r))
+                whole = LpInstance(tuple(float(n) for n in profile.n), weights.mu,
+                                   1.0 - float(r) / k, (1.0,) * k)
+                assert type(got) is LpInstance
+                assert got == whole and hash(got) == hash(whole)
+
+    def test_length_mismatch_raises_at_every_call(self):
+        # a raised error is not cached: the second call checks again
+        _alpha_template.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DimensionMismatchError,
+                               match="costs, weights, upper must share a length"):
+                LpInstance.alpha_form(AntennaProfile((2, 1)),
+                                      validate_weights((0.5, 0.3, 0.2)), 1.0)
+        assert _alpha_template.cache_info().currsize == 0
+
+    def test_rate_is_checked_before_the_vectors(self):
+        # as when alpha_form built its instance whole: a bad r is named first
+        with pytest.raises(OutOfRangeError, match="^r must be"):
+            LpInstance.alpha_form(AntennaProfile((2, 1)), validate_weights((0.5, 0.3, 0.2)),
+                                  5.0)
+
+    def test_template_cache_is_bounded(self):
+        assert _alpha_template.cache_info().maxsize == _ALPHA_CACHE == 128
+        weights = validate_weights((0.5, 0.5))
+        for n in range(1, 2 * _ALPHA_CACHE + 1):
+            LpInstance.alpha_form(AntennaProfile((n, 1)), weights, 1.0)
+        assert _alpha_template.cache_info().currsize == _ALPHA_CACHE
 
 
 class TestLpVertex:
@@ -260,6 +299,19 @@ class TestLpVertexMatchesReference:
                 self.assert_same(LpInstance.alpha_form(profile, mu, float(r)))
                 self.assert_same(x_form(profile, mu, float(r)))
 
+    def test_fractional_value_at_each_end_of_its_slack(self):
+        # w = 2 and b = 2 eps give the fractional value eps, which is refused;
+        # w = 4 and b = 4 (u + eps) give exactly u + eps, which is accepted,
+        # though the vertex z = u misses b by more than eps
+        low = LpInstance((1.0,), (2.0,), 2 * _FEAS_EPS, (1.0,))
+        high = LpInstance((1.0,), (4.0,), 4 * (0.125 + _FEAS_EPS), (0.125,))
+        assert (2 * _FEAS_EPS - 0.0) / 2.0 == _FEAS_EPS
+        assert high.bound / 4.0 == 0.125 + _FEAS_EPS and 0.5 < high.bound - _FEAS_EPS
+        for inst in (low, high):
+            self.assert_same(inst)
+        assert lp_vertex(low) == ExponentSolution((1.0,), 1.0)
+        assert lp_vertex(high) == ExponentSolution((1.0,), 0.125)
+
     def test_k16_instance(self):
         rng = np.random.default_rng(216)
         k = 16
@@ -270,6 +322,21 @@ class TestLpVertexMatchesReference:
     def test_tied_instances(self):
         for inst in tie_instances():
             self.assert_same(inst)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_bounds_at_a_vertex_weight_sum_and_one_eps_off(self, k):
+        # the feasibility tests of a box vertex and of a fractional value
+        # flip at these bounds
+        rng = np.random.default_rng(650 + k)
+        for _ in range(4):
+            upper = tuple(rng.uniform(0.3, 4.0, k))
+            weights = tuple(rng.uniform(0.05, 1.0, k) / (k * max(upper)))
+            costs = tuple(rng.uniform(0.1, 3.0, k))
+            bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+            for s in (bits @ (np.array(weights) * np.array(upper))).tolist():
+                for bound in (s - _FEAS_EPS, s, s + _FEAS_EPS):
+                    if -_FEAS_EPS <= bound <= 1.0 + _FEAS_EPS:
+                        self.assert_same(LpInstance(costs, weights, bound, upper))
 
     def test_k16_peak_memory_below_twice_the_reference(self):
         k = 16
@@ -322,12 +389,13 @@ class TestLpVertexMatchesReference:
         assert 2**20 <= sum(a.nbytes for a in arrays) < 1.01 * 2**20
 
     def test_cached_tables_refuse_writes(self):
-        bits, free = _vertex_table(3)
+        bits, taken = _vertex_table(3)
         with pytest.raises(ValueError):
             bits[0, 0] = 1.0
         with pytest.raises(ValueError):
-            free[0, 0] = False
+            taken[0, 0] = False
         assert _vertex_table(3)[0] is bits
+        assert np.array_equal(taken, bits.T == 1.0)
 
 
 def dominance_filter(wsum, csum):
@@ -519,6 +587,77 @@ class TestLpGridMatchesFullLattice:
             full_lattice_minimum(inst, self.RES)
         with pytest.raises(DmtError, match="no feasible lattice point"):
             lp_grid(inst, self.RES)
+
+
+def reference_lp_grid(instance, resolution):
+    """lp_grid's search over the cached staircases as a boolean mask: one
+    search per half-A point, lightest first, then the minimum over the
+    points with a partner heavy enough."""
+    (w_a, c_a), (w_b, c_b) = _grid_tables(instance.costs, instance.weights, instance.upper,
+                                          resolution)
+    pos = np.searchsorted(w_b, instance.bound - w_a - _FEAS_EPS, side="left")
+    ok = pos < w_b.size
+    if not ok.any():
+        raise DmtError("no feasible lattice point; bound exceeds the box capacity")
+    return float(np.min(c_a[ok] + c_b[pos[ok]]))
+
+
+def feasible_half_a(instance, resolution):
+    """Which half-A staircase points, lightest first, have a partner."""
+    (w_a, _), (w_b, _) = _grid_tables(instance.costs, instance.weights, instance.upper,
+                                      resolution)
+    return np.searchsorted(w_b, instance.bound - w_a - _FEAS_EPS) < w_b.size
+
+
+class TestLpGridMatchesReference:
+    """The ascending search returns what the mask search returns, bit for
+    bit, on rate sweeps and at the edges of the feasible prefix."""
+
+    @staticmethod
+    def assert_same(inst, resolution):
+        try:
+            expected = reference_lp_grid(inst, resolution)
+        except DmtError:
+            with pytest.raises(DmtError, match="no feasible lattice point"):
+                lp_grid(inst, resolution)
+            return
+        assert lp_grid(inst, resolution) == expected, inst
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("resolution", [50, 200])
+    def test_rate_sweeps(self, k, resolution):
+        rng = np.random.default_rng(800 + 10 * k + resolution)
+        for _ in range(4):
+            profile = AntennaProfile(tuple(int(n) for n in rng.integers(1, 5, k)))
+            raw = rng.random(k) + 0.02
+            mu = validate_weights(tuple(raw / raw.sum()))
+            upper = tuple(rng.uniform(0.3, 4.0, k))
+            costs = tuple(rng.uniform(0.1, 3.0, k))
+            weights = tuple(rng.uniform(0.05, 1.0, k) / (k * max(upper)))
+            for r in np.linspace(0.0, k, 21):
+                self.assert_same(LpInstance.alpha_form(profile, mu, float(r)), resolution)
+                self.assert_same(x_form(profile, mu, float(r)), resolution)
+                self.assert_same(LpInstance(costs, weights, 1.0 - float(r) / k, upper),
+                                 resolution)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("resolution", [50, 200])
+    def test_every_none_or_only_the_heaviest_half_a_point_feasible(self, k, resolution):
+        # weights sum to 0.6, so every bound up to the capacity is valid
+        rng = np.random.default_rng(900 + 10 * k + resolution)
+        for _ in range(4):
+            costs = tuple(rng.uniform(0.1, 3.0, k))
+            raw = rng.random(k) + 0.02
+            weights = tuple(0.6 * raw / raw.sum())
+            upper = (1.0,) * k
+            (w_a, _), (w_b, _) = _grid_tables(costs, weights, upper, resolution)
+            for bound, feasible in ((0.0, "all"), (float(w_a[-1] + w_b[-1]), "heaviest"),
+                                    (0.9, "none")):
+                inst = LpInstance(costs, weights, bound, upper)
+                ok = feasible_half_a(inst, resolution)
+                assert {"all": ok.all(), "heaviest": ok[-1] and ok.sum() == 1,
+                        "none": not ok.any()}[feasible]
+                self.assert_same(inst, resolution)
 
 
 def half_table(costs, weights, upper, indices, resolution):

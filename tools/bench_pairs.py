@@ -13,12 +13,20 @@ given. Pair i runs seed ``seeds[i % len(seeds)]``; even pairs run the parent
 first, odd pairs the change. Only the standard library is used.
 
 The summary of one workload goes under ``workloads`` in the ``--out`` JSON
-file, in the layout of ``BENCH_27.json``: per metric each side's runs,
-median and quartiles (linear interpolation, as ``numpy.percentile``), the
-ratio of the medians (change over parent), the change's median minus the
-parent's, the parent's interquartile range and in how many pairs the change
-was better (ties count for neither side). Other keys of an existing file are
-kept, so one file can collect several workloads.
+file, in the layout of ``BENCH_27.json``: the parent's resolved commit, and
+per metric each side's runs, median and quartiles (linear interpolation, as
+``numpy.percentile``), the ratio of the medians (change over parent), the
+change's median minus the parent's, the parent's interquartile range, in
+how many pairs the change was better (ties count for neither side) and two
+verdicts. ``gain``: the change was better in at least 9 of 10 pairs and its
+median is better than the parent's by more than the parent's interquartile
+range. ``within_bound``: the change's median is no worse than the parent's
+by more than the metric's relative ``bound``. Other keys of an existing file
+are kept, so one file can collect several workloads.
+
+A gain is measured on an unchanged benchmark: the script exits 2, naming
+the files, when ``BENCHMARK.json`` or a file under its ``paths`` differs
+between the parent and the working tree.
 """
 
 from __future__ import annotations
@@ -83,16 +91,36 @@ def summarize(pairs: list[dict], end_to_end: list[dict], seeds: list[int]) -> di
         parent, change = _side(runs["parent"]), _side(runs["change"])
         p_median = statistics.median(runs["parent"])
         c_median = statistics.median(runs["change"])
+        difference = c_median - p_median
+        q1, _, q3 = statistics.quantiles(runs["parent"], n=4, method="inclusive")
+        better_pairs = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
         out["metrics"][name] = {
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             "parent": parent, "change": change,
             "ratio_change_over_parent": round(c_median / p_median, 4),
-            "change_better_pairs": sum(sign * (c - p) > 0
-                                       for p, c in zip(runs["parent"], runs["change"])),
-            "parent_iqr": round(parent["q3"] - parent["q1"], 4),
-            "median_difference": round(c_median - p_median, 4),
+            "change_better_pairs": better_pairs,
+            "parent_iqr": round(q3 - q1, 4),
+            "median_difference": round(difference, 4),
+            "gain": 10 * better_pairs >= 9 * len(pairs) and sign * difference > q3 - q1,
+            "within_bound": sign * difference >= -spec["bound"] * p_median,
         }
     return out
+
+
+def benchmark_differences(parent: Path, change: Path, paths: list[str]) -> list[str]:
+    """The files, relative to each tree's root, that ``BENCHMARK.json`` and
+    the directories ``paths`` hold in one tree and not in the other, or hold
+    with other bytes; ``__pycache__`` directories are skipped."""
+    def files(root: Path) -> dict[str, bytes]:
+        found = {}
+        for top in ("BENCHMARK.json", *paths):
+            for path in [root / top, *(root / top).rglob("*")]:
+                if path.is_file() and "__pycache__" not in path.relative_to(root).parts:
+                    found[path.relative_to(root).as_posix()] = path.read_bytes()
+        return found
+
+    old, new = files(parent), files(change)
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
 
 
 def main() -> int:
@@ -110,12 +138,20 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
     seeds = [args.seeds[i % len(args.seeds)] for i in range(args.pairs)]
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent],
+    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
+                             f"{args.parent}^{{commit}}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
                              capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         trees = {"parent": Path(tmp), "change": ROOT}
+        differ = benchmark_differences(trees["parent"], ROOT, spec["paths"])
+        if differ:
+            print(f"error: the benchmark differs from {args.parent}'s: " + ", ".join(differ),
+                  file=sys.stderr)
+            return 2
         pairs = []
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -126,8 +162,8 @@ def main() -> int:
                 f"{s} {pair[s]['metrics'][first]['value']:.6g}" for s in order), file=sys.stderr)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("workloads", {})[args.workload] = summarize(
-        pairs, spec["end_to_end"], seeds)
+    record.setdefault("workloads", {})[args.workload] = {
+        "parent_commit": commit, **summarize(pairs, spec["end_to_end"], seeds)}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
