@@ -53,9 +53,8 @@ class ExponentSolution:
     d: float
 
     def __post_init__(self):
-        alpha = check_sequence("alpha", self.alpha)
-        a = tuple(check_real("alpha", x, -1e-12, 1.0 + 1e-12) for x in alpha)
-        object.__setattr__(self, "alpha", tuple(min(1.0, max(0.0, x)) for x in a))
+        object.__setattr__(self, "alpha", tuple(check_real("alpha", x, 0.0, 1.0)
+                                                 for x in check_sequence("alpha", self.alpha)))
         object.__setattr__(self, "d", check_real("d", self.d))
 
 

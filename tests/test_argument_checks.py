@@ -108,14 +108,14 @@ SLOTS = {
         lambda v: DmtCurve(((0.0, v), (2.0, 0.0))), st.one_of(NON_FINITE, NOT_REALS),
         st.floats(0.0, 1e300)),
     "LpInstance(bound)": (  # [0, 1] with a 1e-12 feasibility slack
-        lambda v: LpInstance((2.0, 1.0), (0.6, 0.4), v, (1.0, 1.0)),
+        lambda v: LpInstance((2.0, 1.0), (0.6, 0.4), v),
         st.one_of(NON_FINITE, NOT_REALS, st.floats(max_value=-1e-11),
                   st.floats(min_value=1.0 + 1e-11)),
         st.floats(0.0, 1.0)),
-    "ExponentSolution(alpha)": (
+    "ExponentSolution(alpha)": (  # [0, 1] exactly
         lambda v: ExponentSolution((v, 0.5), 1.0),
-        st.one_of(NON_FINITE, NOT_REALS, st.floats(max_value=-1e-11),
-                  st.floats(min_value=1.0 + 1e-11)),
+        st.one_of(NON_FINITE, NOT_REALS, st.floats(max_value=-5e-324),
+                  st.floats(min_value=math.nextafter(1.0, 2.0))),
         st.floats(0.0, 1.0)),
     "ExponentSolution(d)": (
         lambda v: ExponentSolution((0.5,), v), st.one_of(NON_FINITE, NOT_REALS), FINITE),
@@ -275,31 +275,31 @@ def test_weights_need_a_sequence_of_real_numbers(mu):
     (lambda: DmtCurve(((0.0, 1.0, 2.0), (1.0, 0.0))), "corner"),
     (lambda: DmtCurve(((0.0, 1.0), (1.0,))), "corner"),
     (lambda: ExponentSolution(0.5, 1.0), "alpha"),
-    (lambda: LpInstance(1.0, (1.0,), 0.5, (1.0,)), "LP costs"),
-    (lambda: LpInstance((1.0,), 1.0, 0.5, (1.0,)), "LP weights"),
-    (lambda: LpInstance((1.0,), (1.0,), 0.5, 1.0), "LP upper limits"),
+    (lambda: LpInstance(1.0, (1.0,), 0.5), "LP costs"),
+    (lambda: LpInstance((1.0,), 1.0, 0.5), "LP weights"),
     (lambda: AntennaProfile(5), "antenna counts"),
     (lambda: AntennaProfile(None), "antenna counts"),
 ], ids=["curve-number", "corner-triple", "corner-single", "alpha-number", "lp-costs",
-        "lp-weights", "lp-upper", "profile-number", "profile-none"])
+        "lp-weights", "profile-number", "profile-none"])
 def test_malformed_sequence_is_named_by_its_field(call, field):
     # each escaped as a bare TypeError or ValueError from the iteration
     with pytest.raises(OutOfRangeError, match=f"^{field} must be a sequence"):
         call()
 
 
-@pytest.mark.parametrize("costs, weights, upper", [
-    ((1.0, 1.0, 1.0), (1e200, 0.5, 0.5), (1e200, 1.0, 1.0)),
-    ((1e200, 1.0, 1.0), (1.0, 0.5, 0.5), (1e200, 1.0, 1.0)),
-    ((1.0, 1.0), (1e308, 1e308), (1.0, 1.0)),
-], ids=["weight-times-upper", "cost-times-upper", "sum-of-weight-times-upper"])
-def test_lp_instance_rejects_box_totals_past_the_float_range(costs, weights, upper):
-    # every field is positive and finite; the first was accepted, and lp_vertex
-    # then returned d = 1e200 at alpha (1, 0, 0), not 1.0, with a RuntimeWarning
+@pytest.mark.parametrize("costs, weights, total", [
+    ((1.0, 1.0), (1e308, 1e308), "weights"),
+    ((1e308, 1e308), (0.5, 0.5), "costs"),
+    ((1.0, 1.0, 1.0), (1.7e308, 1e307, 0.5), "weights"),
+    ((1.7e308, 1.0, 1e307), (0.5, 0.3, 0.2), "costs"),
+], ids=["sum-of-weights", "sum-of-costs", "sum-of-three-weights", "sum-of-three-costs"])
+def test_lp_instance_rejects_totals_past_the_float_range(costs, weights, total):
+    # every field is positive and finite; a box vertex's weight or cost past
+    # the float range made lp_vertex compare inf and NaN sums
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OutOfRangeError, match="times upper limit must be a finite number"):
-            LpInstance(costs, weights, 0.5, upper)
+        with pytest.raises(OutOfRangeError, match=f"^LP sum of {total} must be a finite number"):
+            LpInstance(costs, weights, 0.5)
 
 
 def test_weight_sum_past_the_float_range_reads_inf():

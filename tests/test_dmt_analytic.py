@@ -229,11 +229,9 @@ class TestEvalDmt:
 
 
 class TestExponentSolution:
-    def test_clamps_rounding_noise_into_the_box(self):
-        assert ExponentSolution((-1e-13, 1.0 + 1e-13), 2.0).alpha == (0.0, 1.0)
-
     @pytest.mark.parametrize(
-        "alpha, d", [((math.nan,), 1.0), ((0.5,), math.nan), ((0.5,), math.inf), ((1.5,), 1.0)]
+        "alpha, d", [((math.nan,), 1.0), ((0.5,), math.nan), ((0.5,), math.inf), ((1.5,), 1.0),
+                     ((-1e-13,), 1.0), ((1.0 + 1e-13,), 1.0)]
     )
     def test_rejects_non_finite_or_out_of_box_values(self, alpha, d):
         # a NaN alpha used to be clamped to 0.0, and d = nan was kept

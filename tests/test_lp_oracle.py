@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wdmt import (
     AntennaProfile,
@@ -19,11 +21,9 @@ from wdmt import (
     validate_weights,
 )
 from wdmt.lp_oracle import (
-    _ALPHA_CACHE,
     _FEAS_EPS,
     _GRID_MAX_POINTS,
     _VERTEX_CACHE,
-    _alpha_template,
     _grid_tables,
     _staircase,
     _untraded,
@@ -40,16 +40,20 @@ def random_instance(rng, k_max=4, n_max=4):
     return profile, weights
 
 
+def unit_box(costs, weights, bound, upper):
+    """The instance with box limits 0 <= x_i <= u_i as the unit-box instance
+    in z_i = x_i / u_i: costs c_i u_i and weights w_i u_i."""
+    return LpInstance(tuple(float(c) * u for c, u in zip(costs, upper)),
+                      tuple(float(w) * u for w, u in zip(weights, upper)), float(bound))
+
+
 def x_form(profile, weights, r):
-    """The instance in the substituted variables x_i = n_i alpha_i in [0, n_i]:
-    unit costs, weights mu_i / n_i and upper limits n_i."""
+    """The instance in the substituted variables x_i = n_i alpha_i in [0, n_i]
+    (unit costs, weights mu_i / n_i, limits n_i) on the unit box: costs n_i
+    and weights (mu_i / n_i) n_i, which may differ from mu_i in the last bit."""
     a = LpInstance.alpha_form(profile, weights, r)
-    return LpInstance(
-        costs=a.upper,
-        weights=tuple(m / n for m, n in zip(a.weights, a.costs)),
-        bound=a.bound,
-        upper=a.costs,
-    )
+    return unit_box((1.0,) * a.k, tuple(m / n for m, n in zip(a.weights, a.costs)), a.bound,
+                    a.costs)
 
 
 class TestLpInstance:
@@ -62,22 +66,29 @@ class TestLpInstance:
         assert inst.bound == 0.5
         assert inst.upper == (1.0, 1.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_upper_is_the_unit_box(self, k):
+        inst = LpInstance((2.0,) * k, (1.0 / k,) * k, 0.5)
+        assert inst.upper == (1.0,) * k
+        with pytest.raises(AttributeError):
+            inst.upper = (2.0,) * k
+
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
-            LpInstance(costs=(1.0, 0.0), weights=(0.5, 0.5), bound=0.5, upper=(1.0, 1.0))
+            LpInstance(costs=(1.0, 0.0), weights=(0.5, 0.5), bound=0.5)
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
-            LpInstance(costs=(1.0,), weights=(1.0,), bound=1.5, upper=(1.0,))
+            LpInstance(costs=(1.0,), weights=(1.0,), bound=1.5)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            LpInstance((1.0, 2.0), (0.2,), 0.5, (1.0, 1.0))
+            LpInstance((1.0, 2.0), (0.2,), 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_coefficients_and_bound(self, bad):
-        ok = dict(costs=(1.0, 1.0), weights=(0.5, 0.5), bound=0.5, upper=(1.0, 1.0))
-        for field in ("costs", "weights", "upper"):
+        ok = dict(costs=(1.0, 1.0), weights=(0.5, 0.5), bound=0.5)
+        for field in ("costs", "weights"):
             with pytest.raises(ValueError):
                 LpInstance(**{**ok, field: (1.0, bad)})
         with pytest.raises(ValueError):
@@ -98,32 +109,26 @@ class TestLpInstance:
             for r in np.linspace(0.0, k, 21):
                 got = LpInstance.alpha_form(profile, weights, float(r))
                 whole = LpInstance(tuple(float(n) for n in profile.n), weights.mu,
-                                   1.0 - float(r) / k, (1.0,) * k)
+                                   1.0 - float(r) / k)
                 assert type(got) is LpInstance
                 assert got == whole and hash(got) == hash(whole)
 
-    def test_length_mismatch_raises_at_every_call(self):
-        # a raised error is not cached: the second call checks again
-        _alpha_template.cache_clear()
-        for _ in range(2):
-            with pytest.raises(DimensionMismatchError,
-                               match="costs, weights, upper must share a length"):
-                LpInstance.alpha_form(AntennaProfile((2, 1)),
-                                      validate_weights((0.5, 0.3, 0.2)), 1.0)
-        assert _alpha_template.cache_info().currsize == 0
+    @pytest.mark.parametrize("call", [
+        lambda: LpInstance.alpha_form(AntennaProfile((2, 1)), validate_weights((0.5, 0.3, 0.2)),
+                                      1.0),
+        lambda: LpInstance((1.0, 2.0), (0.2,), 0.5),
+        lambda: LpInstance((), (), 0.5),
+    ], ids=["alpha-form", "mismatch", "empty"])
+    def test_length_mismatch_names_costs_and_weights(self, call):
+        with pytest.raises(DimensionMismatchError,
+                           match="^costs and weights must share a length >= 1$"):
+            call()
 
     def test_rate_is_checked_before_the_vectors(self):
         # as when alpha_form built its instance whole: a bad r is named first
         with pytest.raises(OutOfRangeError, match="^r must be"):
             LpInstance.alpha_form(AntennaProfile((2, 1)), validate_weights((0.5, 0.3, 0.2)),
                                   5.0)
-
-    def test_template_cache_is_bounded(self):
-        assert _alpha_template.cache_info().maxsize == _ALPHA_CACHE == 128
-        weights = validate_weights((0.5, 0.5))
-        for n in range(1, 2 * _ALPHA_CACHE + 1):
-            LpInstance.alpha_form(AntennaProfile((n, 1)), weights, 1.0)
-        assert _alpha_template.cache_info().currsize == _ALPHA_CACHE
 
 
 class TestLpVertex:
@@ -159,13 +164,12 @@ class TestLpVertex:
                     costs=(1.0,) * k,
                     weights=(1.0 / k,) * k,
                     bound=0.5,
-                    upper=(1.0,) * k,
                 )
             )
 
     def test_infeasible_bound(self):
         # the weights sum to 0.6 < 0.9, so no point of the box meets the bound
-        inst = LpInstance((1.0, 2.0, 1.0), (0.2, 0.3, 0.1), 0.9, (1.0, 1.0, 1.0))
+        inst = LpInstance((1.0, 2.0, 1.0), (0.2, 0.3, 0.1), 0.9)
         with pytest.raises(DmtError, match="no feasible vertex"):
             lp_vertex(inst)
 
@@ -210,13 +214,12 @@ def reference_lp_vertex(instance):
     k = instance.k
     c = np.asarray(instance.costs)
     w = np.asarray(instance.weights)
-    u = np.asarray(instance.upper)
     b = instance.bound
 
     masks = np.arange(1 << k, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(k)) & 1).astype(float)  # (2^k, k)
-    vertex_w = bits @ (w * u)
-    vertex_c = bits @ (c * u)
+    vertex_w = bits @ w
+    vertex_c = bits @ c
 
     best_obj = np.inf
     best = None  # (mask_row, frac_index, frac_value)
@@ -229,29 +232,30 @@ def reference_lp_vertex(instance):
 
     for f in range(k):
         z_f = (b - vertex_w) / w[f]
-        ok = (bits[:, f] == 0.0) & (z_f > _FEAS_EPS) & (z_f <= u[f] + _FEAS_EPS)
+        ok = (bits[:, f] == 0.0) & (z_f > _FEAS_EPS) & (z_f <= 1.0 + _FEAS_EPS)
         if not ok.any():
             continue
-        obj = vertex_c[ok] + c[f] * np.minimum(z_f[ok], u[f])
+        obj = vertex_c[ok] + c[f] * np.minimum(z_f[ok], 1.0)
         j = int(np.argmin(obj))
         if obj[j] < best_obj:
             best_obj = float(obj[j])
             row = int(np.flatnonzero(ok)[j])
-            best = (row, f, float(min(z_f[row], u[f])))
+            best = (row, f, float(min(z_f[row], 1.0)))
 
     if best is None:
         raise DmtError("no feasible vertex; bound exceeds the box capacity")
 
     row, f, z_frac = best
-    z = bits[row] * u
+    z = bits[row].copy()
     if f is not None:
         z[f] = z_frac
-    return ExponentSolution(tuple(z / u), float(z @ c))
+    return ExponentSolution(tuple(z), float(z @ c))
 
 
 def tie_instances():
-    """Instances built to tie: equal c_i u_i, equal w_i u_i, bounds that land
-    exactly on a vertex weight, and the bounds 0 and 1."""
+    """Instances built to tie, as unit-box instances of boxes with limits u:
+    equal c_i u_i, equal w_i u_i, bounds that land exactly on a vertex
+    weight, and the bounds 0 and 1."""
     for k in (2, 3, 4, 5):
         for costs, upper in (((2.0,) * k, (1.0,) * k), ((1.0, 2.0, 4.0, 0.5, 1.0)[:k],
                                                        (2.0, 1.0, 0.5, 4.0, 2.0)[:k])):
@@ -262,10 +266,10 @@ def tie_instances():
                 # every partial sum of the w_i u_i is a vertex weight
                 for bound in {0.0, 1.0, *(float(sum(wu[:j])) for j in range(k + 1))}:
                     if bound <= 1.0:
-                        yield LpInstance(costs, weights, bound, upper)
+                        yield unit_box(costs, weights, bound, upper)
         dyadic = tuple(float(2 ** -(i % 3 + 1)) for i in range(k))
         for bound in (0.0, 0.25, 0.5, 0.75, 1.0):
-            yield LpInstance(dyadic, tuple(x / sum(dyadic) for x in dyadic), bound, (1.0,) * k)
+            yield LpInstance(dyadic, tuple(x / sum(dyadic) for x in dyadic), bound)
 
 
 class TestLpVertexMatchesReference:
@@ -291,7 +295,7 @@ class TestLpVertexMatchesReference:
             weights = tuple(rng.uniform(0.05, 1.0, k) / (k * max(upper)))
             costs = tuple(rng.uniform(0.1, 3.0, k))
             for bound in (0.0, 1.0, *rng.uniform(0.0, 1.0, 3)):
-                self.assert_same(LpInstance(costs, weights, float(bound), upper))
+                self.assert_same(unit_box(costs, weights, bound, upper))
             profile = AntennaProfile(tuple(int(n) for n in rng.integers(1, 5, k)))
             raw = rng.random(k) + 0.02
             mu = validate_weights(tuple(raw / raw.sum()))
@@ -301,22 +305,27 @@ class TestLpVertexMatchesReference:
 
     def test_fractional_value_at_each_end_of_its_slack(self):
         # w = 2 and b = 2 eps give the fractional value eps, which is refused;
-        # w = 4 and b = 4 (u + eps) give exactly u + eps, which is accepted,
-        # though the vertex z = u misses b by more than eps
-        low = LpInstance((1.0,), (2.0,), 2 * _FEAS_EPS, (1.0,))
-        high = LpInstance((1.0,), (4.0,), 4 * (0.125 + _FEAS_EPS), (0.125,))
+        # w = 1/2 and b = (1 + eps) / 2 give exactly 1 + eps, which is
+        # accepted and ties with the vertex z = 1, which wins the tie
+        low = LpInstance((1.0,), (2.0,), 2 * _FEAS_EPS)
+        high = LpInstance((1.0,), (0.5,), 0.5 * (1.0 + _FEAS_EPS))
         assert (2 * _FEAS_EPS - 0.0) / 2.0 == _FEAS_EPS
-        assert high.bound / 4.0 == 0.125 + _FEAS_EPS and 0.5 < high.bound - _FEAS_EPS
-        for inst in (low, high):
+        assert high.bound / 0.5 == 1.0 + _FEAS_EPS
+        # the box 0 <= z <= 1/8 with w = 4 and b = 4 (1/8 + eps) on the unit
+        # box: its fractional value is 1 + 8 eps, and no point meets b
+        scaled = unit_box((1.0,), (4.0,), 4 * (0.125 + _FEAS_EPS), (0.125,))
+        for inst in (low, high, scaled):
             self.assert_same(inst)
         assert lp_vertex(low) == ExponentSolution((1.0,), 1.0)
-        assert lp_vertex(high) == ExponentSolution((1.0,), 0.125)
+        assert lp_vertex(high) == ExponentSolution((1.0,), 1.0)
+        with pytest.raises(DmtError, match="no feasible vertex"):
+            lp_vertex(scaled)
 
     def test_k16_instance(self):
         rng = np.random.default_rng(216)
         k = 16
-        inst = LpInstance(tuple(rng.uniform(0.1, 3.0, k)), tuple(rng.uniform(0.01, 0.1, k)),
-                          0.4, tuple(rng.uniform(0.5, 2.0, k)))
+        inst = unit_box(rng.uniform(0.1, 3.0, k), rng.uniform(0.01, 0.1, k), 0.4,
+                        rng.uniform(0.5, 2.0, k))
         self.assert_same(inst)
 
     def test_tied_instances(self):
@@ -332,15 +341,16 @@ class TestLpVertexMatchesReference:
             upper = tuple(rng.uniform(0.3, 4.0, k))
             weights = tuple(rng.uniform(0.05, 1.0, k) / (k * max(upper)))
             costs = tuple(rng.uniform(0.1, 3.0, k))
+            inst = unit_box(costs, weights, 0.0, upper)
             bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-            for s in (bits @ (np.array(weights) * np.array(upper))).tolist():
+            for s in (bits @ np.array(inst.weights)).tolist():
                 for bound in (s - _FEAS_EPS, s, s + _FEAS_EPS):
                     if -_FEAS_EPS <= bound <= 1.0 + _FEAS_EPS:
-                        self.assert_same(LpInstance(costs, weights, bound, upper))
+                        self.assert_same(LpInstance(inst.costs, inst.weights, bound))
 
     def test_k16_peak_memory_below_twice_the_reference(self):
         k = 16
-        inst = LpInstance(tuple(np.linspace(1.0, 2.0, k)), (1.0 / k,) * k, 0.5, (1.0,) * k)
+        inst = LpInstance(tuple(np.linspace(1.0, 2.0, k)), (1.0 / k,) * k, 0.5)
 
         def peak(solve):
             tracemalloc.start()
@@ -370,22 +380,22 @@ class TestLpVertexMatchesReference:
                 for r in np.linspace(0.0, k, 21):
                     self.assert_same(LpInstance.alpha_form(profile, mu, float(r)))
                     self.assert_same(x_form(profile, mu, float(r)))
-                    self.assert_same(LpInstance(costs, weights, 1.0 - float(r) / k, upper))
+                    self.assert_same(unit_box(costs, weights, 1.0 - float(r) / k, upper))
 
     def test_cached_vertex_sums_refuse_writes(self):
-        inst = LpInstance((2.0, 1.0, 3.0), (0.5, 0.3, 0.2), 0.5, (1.0, 2.0, 0.5))
+        inst = unit_box((2.0, 1.0, 3.0), (0.5, 0.3, 0.2), 0.5, (1.0, 2.0, 0.5))
         lp_vertex(inst)
-        arrays = _vertex_sums(inst.costs, inst.weights, inst.upper)
+        arrays = _vertex_sums(inst.costs, inst.weights)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
-        assert _vertex_sums(inst.costs, inst.weights, inst.upper) is arrays
+        assert _vertex_sums(inst.costs, inst.weights) is arrays
         assert lp_vertex(inst) == reference_lp_vertex(inst)
 
     def test_vertex_sum_cache_is_bounded_at_about_1_mb_an_entry_at_k16(self):
         assert _vertex_sums.cache_info().maxsize == _VERTEX_CACHE == 16
         k = 16
-        arrays = _vertex_sums(tuple(np.linspace(1.0, 2.0, k)), (1.0 / k,) * k, (1.0,) * k)
+        arrays = _vertex_sums(tuple(np.linspace(1.0, 2.0, k)), (1.0 / k,) * k)
         assert 2**20 <= sum(a.nbytes for a in arrays) < 1.01 * 2**20
 
     def test_cached_tables_refuse_writes(self):
@@ -396,6 +406,58 @@ class TestLpVertexMatchesReference:
             taken[0, 0] = False
         assert _vertex_table(3)[0] is bits
         assert np.array_equal(taken, bits.T == 1.0)
+
+
+class TestLpVertexOnExtremeCoefficients:
+    """Valid instances whose refused candidates overflowed: a RuntimeWarning,
+    an error under pytest's filter and ``-W error``, though lp_greedy,
+    lp_grid and the curve were silent."""
+
+    @staticmethod
+    def assert_quiet_and_same(inst):
+        """lp_vertex raises no warning and returns what the per-f loop
+        returns, whose own overflows on refused candidates are silenced."""
+        with np.errstate(all="ignore"):
+            try:
+                expected = reference_lp_vertex(inst)
+            except DmtError:
+                expected = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if expected is None:
+                with pytest.raises(DmtError, match="no feasible vertex"):
+                    lp_vertex(inst)
+            else:
+                got = lp_vertex(inst)
+                assert got.alpha == expected.alpha and got.d == expected.d, inst
+
+    @pytest.mark.parametrize("make", [
+        # b / 1e-320 in the divide
+        lambda: LpInstance.alpha_form(AntennaProfile((1, 1)), validate_weights((1e-320, 1.0)),
+                                      0.5),
+        # (0.5 - 1.25) / 0.25 = -3 times 1e308 in the multiply
+        lambda: LpInstance((1e308, 1.0), (0.25, 1.0), 0.5),
+        # -5e9 times 1e300 in the multiply
+        lambda: LpInstance((1e300, 1.0), (1e-10, 1.0), 0.5),
+        # 1e308 twice, for z = 1 and again as its own fractional value, in the add
+        lambda: LpInstance((1e308,), (0.5,), 1.0),
+    ], ids=["divide", "multiply", "multiply-1e300", "add"])
+    def test_no_warning(self, make):
+        self.assert_quiet_and_same(make())
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), k=st.integers(1, 6))
+    def test_no_warning_on_unit_box_instances(self, data, k):
+        def draw(low, high):
+            return tuple(data.draw(st.lists(st.floats(low, high), min_size=k, max_size=k)))
+
+        costs, weights = draw(1e-300, 1e308), draw(5e-324, 1e308)
+        bound = data.draw(st.floats(0.0, 1.0))
+        try:
+            inst = LpInstance(costs, weights, bound)
+        except OutOfRangeError:  # a sum past the float range
+            assume(False)
+        self.assert_quiet_and_same(inst)
 
 
 def dominance_filter(wsum, csum):
@@ -451,7 +513,6 @@ class TestLpGrid:
             costs=(1.0,) * 5,
             weights=(0.2,) * 5,
             bound=0.5,
-            upper=(1.0,) * 5,
         )
         with pytest.raises(TooLargeError):
             lp_grid(inst5, 100)
@@ -466,7 +527,7 @@ class TestLpGrid:
         # (resolution + 1)^ceil(K/2) points would exceed the limit; at K = 4,
         # 10^5 would need a 74.5 GiB table, so nothing may be built first
         assert (resolution + 1) ** ((k + 1) // 2) > _GRID_MAX_POINTS
-        inst = LpInstance(costs=(1.0,) * k, weights=(1.0 / k,) * k, bound=0.5, upper=(1.0,) * k)
+        inst = LpInstance(costs=(1.0,) * k, weights=(1.0 / k,) * k, bound=0.5)
         tracemalloc.start()
         try:
             with pytest.raises(TooLargeError):
@@ -506,7 +567,6 @@ class TestLpGrid:
                 costs=inst.costs[::-1],
                 weights=inst.weights[::-1],
                 bound=inst.bound,
-                upper=inst.upper[::-1],
             )
             assert lp_grid(inst, 80) == pytest.approx(lp_grid(flipped, 80), abs=1e-12)
 
@@ -524,7 +584,7 @@ def full_lattice_minimum(inst, resolution):
     def half_sum(coefs, indices):
         total = 0.0
         for i in indices:
-            total = total + coefs[i] * (inst.upper[i] * axes[i])
+            total = total + coefs[i] * axes[i]
         return total
 
     half = (k + 1) // 2
@@ -560,11 +620,9 @@ class TestLpGridMatchesFullLattice:
         for costs in ((1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (3.0, 3.0)):
             k = len(costs)
             for bound in np.linspace(0.0, 1.0, 9):
-                self.assert_same(
-                    LpInstance(costs, (1.0 / k,) * k, float(bound), (1.0,) * k)
-                )
+                self.assert_same(LpInstance(costs, (1.0 / k,) * k, float(bound)))
 
-    def test_non_unit_upper(self):
+    def test_box_limits_folded_into_the_unit_box(self):
         rng = np.random.default_rng(94)
         for _ in range(25):
             k = int(rng.integers(1, 4))
@@ -572,7 +630,7 @@ class TestLpGridMatchesFullLattice:
             weights = tuple(rng.uniform(0.05, 1.0, k) / (k * max(upper)))
             costs = tuple(rng.uniform(0.1, 3.0, k))
             for bound in rng.uniform(0.0, 1.0, 3):
-                inst = LpInstance(costs, weights, float(bound), upper)
+                inst = unit_box(costs, weights, bound, upper)
                 try:
                     expected = full_lattice_minimum(inst, self.RES)
                 except DmtError:
@@ -582,7 +640,7 @@ class TestLpGridMatchesFullLattice:
                     assert lp_grid(inst, self.RES) == expected
 
     def test_infeasible_bound(self):
-        inst = LpInstance((1.0, 2.0, 1.0), (0.2, 0.3, 0.1), 0.9, (1.0, 1.0, 1.0))
+        inst = LpInstance((1.0, 2.0, 1.0), (0.2, 0.3, 0.1), 0.9)
         with pytest.raises(DmtError, match="no feasible lattice point"):
             full_lattice_minimum(inst, self.RES)
         with pytest.raises(DmtError, match="no feasible lattice point"):
@@ -593,8 +651,7 @@ def reference_lp_grid(instance, resolution):
     """lp_grid's search over the cached staircases as a boolean mask: one
     search per half-A point, lightest first, then the minimum over the
     points with a partner heavy enough."""
-    (w_a, c_a), (w_b, c_b) = _grid_tables(instance.costs, instance.weights, instance.upper,
-                                          resolution)
+    (w_a, c_a), (w_b, c_b) = _grid_tables(instance.costs, instance.weights, resolution)
     pos = np.searchsorted(w_b, instance.bound - w_a - _FEAS_EPS, side="left")
     ok = pos < w_b.size
     if not ok.any():
@@ -604,8 +661,7 @@ def reference_lp_grid(instance, resolution):
 
 def feasible_half_a(instance, resolution):
     """Which half-A staircase points, lightest first, have a partner."""
-    (w_a, _), (w_b, _) = _grid_tables(instance.costs, instance.weights, instance.upper,
-                                      resolution)
+    (w_a, _), (w_b, _) = _grid_tables(instance.costs, instance.weights, resolution)
     return np.searchsorted(w_b, instance.bound - w_a - _FEAS_EPS) < w_b.size
 
 
@@ -637,7 +693,7 @@ class TestLpGridMatchesReference:
             for r in np.linspace(0.0, k, 21):
                 self.assert_same(LpInstance.alpha_form(profile, mu, float(r)), resolution)
                 self.assert_same(x_form(profile, mu, float(r)), resolution)
-                self.assert_same(LpInstance(costs, weights, 1.0 - float(r) / k, upper),
+                self.assert_same(unit_box(costs, weights, 1.0 - float(r) / k, upper),
                                  resolution)
 
     @pytest.mark.parametrize("k", range(1, 5))
@@ -649,36 +705,34 @@ class TestLpGridMatchesReference:
             costs = tuple(rng.uniform(0.1, 3.0, k))
             raw = rng.random(k) + 0.02
             weights = tuple(0.6 * raw / raw.sum())
-            upper = (1.0,) * k
-            (w_a, _), (w_b, _) = _grid_tables(costs, weights, upper, resolution)
+            (w_a, _), (w_b, _) = _grid_tables(costs, weights, resolution)
             for bound, feasible in ((0.0, "all"), (float(w_a[-1] + w_b[-1]), "heaviest"),
                                     (0.9, "none")):
-                inst = LpInstance(costs, weights, bound, upper)
+                inst = LpInstance(costs, weights, bound)
                 ok = feasible_half_a(inst, resolution)
                 assert {"all": ok.all(), "heaviest": ok[-1] and ok.sum() == 1,
                         "none": not ok.any()}[feasible]
                 self.assert_same(inst, resolution)
 
 
-def half_table(costs, weights, upper, indices, resolution):
+def half_table(costs, weights, indices, resolution):
     """One half-lattice table, every point, as _grid_tables lays it out:
     the first coordinate's level major."""
     levels = np.arange(resolution + 1) / resolution
     wsum = np.zeros(1)
     csum = np.zeros(1)
     for i in indices:
-        z_i = upper[i] * levels
-        wsum = (wsum[:, None] + (weights[i] * z_i)[None, :]).ravel()
-        csum = (csum[:, None] + (costs[i] * z_i)[None, :]).ravel()
+        wsum = (wsum[:, None] + (weights[i] * levels)[None, :]).ravel()
+        csum = (csum[:, None] + (costs[i] * levels)[None, :]).ravel()
     return wsum, csum
 
 
-def reference_grid_tables(costs, weights, upper, resolution):
+def reference_grid_tables(costs, weights, resolution):
     """_grid_tables without the trade pruning: each half's whole table goes
     to _staircase."""
     k = len(costs)
     half = (k + 1) // 2
-    return tuple(_staircase(*half_table(costs, weights, upper, indices, resolution))
+    return tuple(_staircase(*half_table(costs, weights, indices, resolution))
                  for indices in (range(half), range(half, k)))
 
 
@@ -687,18 +741,18 @@ class TestGridTablesMatchReference:
     bit for bit."""
 
     @staticmethod
-    def assert_same(costs, weights, upper, resolution):
-        costs, weights, upper = (tuple(float(x) for x in v) for v in (costs, weights, upper))
+    def assert_same(costs, weights, resolution):
+        costs, weights = (tuple(float(x) for x in v) for v in (costs, weights))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _grid_tables.__wrapped__(costs, weights, upper, resolution)
-            expected = reference_grid_tables(costs, weights, upper, resolution)
+            got = _grid_tables.__wrapped__(costs, weights, resolution)
+            expected = reference_grid_tables(costs, weights, resolution)
         for (w, c), (w_ref, c_ref) in zip(got, expected):
             assert np.array_equal(w, w_ref) and np.array_equal(c, c_ref), (
-                costs, weights, upper, resolution)
+                costs, weights, resolution)
 
     def assert_instance(self, inst, resolution):
-        self.assert_same(inst.costs, inst.weights, inst.upper, resolution)
+        self.assert_same(inst.costs, inst.weights, resolution)
 
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("resolution", [50, 200])
@@ -713,29 +767,30 @@ class TestGridTablesMatchReference:
 
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("resolution", [50, 200])
-    def test_non_unit_upper(self, k, resolution):
+    def test_box_limits_folded_into_the_unit_box(self, k, resolution):
         rng = np.random.default_rng(400 + 10 * k + resolution)
         for _ in range(12):
             upper = rng.uniform(0.3, 4.0, k)
-            self.assert_same(rng.uniform(0.1, 3.0, k),
-                             rng.uniform(0.05, 1.0, k) / (k * upper.max()), upper, resolution)
+            costs = rng.uniform(0.1, 3.0, k)
+            self.assert_same(costs * upper,
+                             rng.uniform(0.05, 1.0, k) / (k * upper.max()) * upper, resolution)
 
     @pytest.mark.parametrize("resolution", [50, 200])
     def test_exactly_tied_ratios(self, resolution):
-        # dyadic weights and costs: c_i / w_i and c_i u_i / (w_i u_i) tie exactly
-        # within each half, so no trade clears the margin
-        for costs, weights, upper in (
-            ((1.0, 3.0, 2.0, 6.0), (0.125, 0.375, 0.125, 0.375), (1.0,) * 4),
-            ((2.0, 2.0, 1.0), (0.25, 0.25, 0.5), (1.0,) * 3),
-            ((0.5, 4.0, 1.0, 1.0), (0.0625, 0.5, 0.25, 0.25), (2.0, 0.5, 1.0, 4.0)),
+        # dyadic weights and costs: c_i / w_i ties exactly within each half,
+        # so no trade clears the margin
+        for costs, weights in (
+            ((1.0, 3.0, 2.0, 6.0), (0.125, 0.375, 0.125, 0.375)),
+            ((2.0, 2.0, 1.0), (0.25, 0.25, 0.5)),
+            ((1.0, 2.0, 1.0, 4.0), (0.125, 0.25, 0.25, 1.0)),
         ):
-            self.assert_same(costs, weights, upper, resolution)
+            self.assert_same(costs, weights, resolution)
 
     @pytest.mark.parametrize("resolution", [50, 200])
     def test_integer_costs_with_tied_weights(self, resolution):
         for costs in ((1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (1.0, 2.0, 3.0, 1.0), (3.0, 1.0, 1.0, 2.0)):
             k = len(costs)
-            self.assert_same(costs, (1.0 / k,) * k, (1.0,) * k, resolution)
+            self.assert_same(costs, (1.0 / k,) * k, resolution)
 
     @pytest.mark.parametrize("resolution", [50, 200])
     def test_one_coordinate_at_1e_9_of_the_others_scale(self, resolution):
@@ -744,9 +799,9 @@ class TestGridTablesMatchReference:
             for j in range(k):
                 weights, costs = (v[:k].copy() for v in base)
                 weights[j] *= 1e-9
-                self.assert_same(costs, weights, (1.0,) * k, resolution)
+                self.assert_same(costs, weights, resolution)
                 costs[j] *= 1e-9
-                self.assert_same(costs, weights, (1.0,) * k, resolution)
+                self.assert_same(costs, weights, resolution)
 
     def test_resolution_999(self):
         self.assert_instance(
@@ -754,18 +809,18 @@ class TestGridTablesMatchReference:
                                   1.0), 999)
 
     @pytest.mark.parametrize("k", [3, 4])
-    def test_products_that_underflow(self, k):
-        # LpInstance accepts any positive finite floats, so w u or c u can
-        # underflow to 0; such a half is sorted whole, with no warning
-        tiny = 1e-200
+    def test_tiny_and_subnormal_coefficients(self, k):
+        # LpInstance accepts any positive finite floats, so a weight or cost
+        # can be subnormal, and its levels underflow; a half with one outside
+        # _TRADE_RANGE is sorted whole, with no warning
         for coefs in (
-            ((1.0, 2.0, 1.5, 1.0), (tiny, 0.5, 0.4, 0.3), (tiny, 1.0, 1.0, 1.0)),
-            ((tiny, 2.0, 1.5, tiny), (0.2, 0.5, 0.4, 0.3), (tiny, 1.0, 1.0, tiny)),
-            ((tiny, tiny, 1.0, 2.0), (tiny, tiny, 0.5, 0.5), (1.0, 1.0, 1.0, 1.0)),
+            ((1e-200, 2.0, 1.5, 1.0), (1e-310, 0.5, 0.4, 0.3)),
+            ((1e-310, 2.0, 1.5, 1e-310), (2e-201, 0.5, 0.4, 3e-201)),
+            ((1e-200, 1e-200, 1.0, 2.0), (1e-200, 1e-200, 0.5, 0.5)),
         ):
-            costs, weights, upper = (v[:k] for v in coefs)
+            costs, weights = (v[:k] for v in coefs)
             for resolution in (50, 200):
-                self.assert_same(costs, weights, upper, resolution)
+                self.assert_same(costs, weights, resolution)
 
     def test_cold_k4_build_peaks_below_a_quarter_of_the_whole_table(self):
         # only the points no trade beats are built, not the (res + 1)^2 table
@@ -775,34 +830,33 @@ class TestGridTablesMatchReference:
         def peak(build):
             tracemalloc.start()
             try:
-                build(inst.costs, inst.weights, inst.upper, 999)
+                build(inst.costs, inst.weights, 999)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak(_grid_tables.__wrapped__) < peak(reference_grid_tables) / 4
 
-    def test_products_that_underflow_keep_the_lattice_minimum(self):
-        tiny = 1e-200
-        for costs, weights, upper in (
-            ((1.0, 2.0, 1.5), (tiny, 0.5, 0.4), (tiny, 1.0, 1.0)),
-            ((tiny, 2.0, 1.5), (0.2, 0.5, 0.4), (tiny, 1.0, 1.0)),
+    def test_tiny_and_subnormal_coefficients_keep_the_lattice_minimum(self):
+        for costs, weights in (
+            ((1e-200, 2.0, 1.5), (1e-310, 0.5, 0.4)),
+            ((1e-310, 2.0, 1.5), (2e-201, 0.5, 0.4)),
         ):
             for bound in (0.0, 0.3, 0.85):
-                inst = LpInstance(costs, weights, bound, upper)
+                inst = LpInstance(costs, weights, bound)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     assert lp_grid(inst, 50) == full_lattice_minimum(inst, 50)
 
 
-# two-coordinate halves (weights, costs, upper) at res = 50, cheaper per
-# weight coordinate first, then second
+# two-coordinate halves (weights, costs) at res = 50, cheaper per weight
+# coordinate first, then second
 CHEAPER_FIRST = [
-    ((0.7, 0.3), (1.0, 2.0), (1.0, 1.0)),
-    ((0.5, 0.5), (1.0, 2.0), (1.0, 1.0)),  # tied weights, integer costs
-    ((0.7 / 3, 0.3 / 2), (1.0, 1.0), (3.0, 2.0)),  # x form
-    ((0.2, 0.45), (0.3, 2.9), (3.1, 0.4)),
-    ((0.4, 0.6), (1.0, 1.6), (1.0, 1.0)),  # ratios 6% apart
+    ((0.7, 0.3), (1.0, 2.0)),
+    ((0.5, 0.5), (1.0, 2.0)),  # tied weights, integer costs
+    ((0.7 / 3 * 3.0, 0.3 / 2 * 2.0), (3.0, 2.0)),  # x form on the unit box
+    ((0.2 * 3.1, 0.45 * 0.4), (0.3 * 3.1, 2.9 * 0.4)),  # limits (3.1, 0.4)
+    ((0.4, 0.6), (1.0, 1.6)),  # ratios 6% apart
 ]
 CHEAPER_SECOND = [tuple(v[::-1] for v in half) for half in CHEAPER_FIRST]
 
@@ -812,8 +866,8 @@ class TestTradePruning:
 
     RES = 50
 
-    def table(self, weights, costs, upper):
-        return half_table(costs, weights, upper, (0, 1), self.RES)
+    def table(self, weights, costs):
+        return half_table(costs, weights, (0, 1), self.RES)
 
     def untraded(self, half):
         """_untraded's kept level indices as a mask over the half's table."""
@@ -840,19 +894,20 @@ class TestTradePruning:
 
     def test_halves_cover_both_orientations(self):
         for first, second in zip(CHEAPER_FIRST, CHEAPER_SECOND):
-            (w0, w1), (c0, c1), _ = first
+            (w0, w1), (c0, c1) = first
             assert c0 / w0 < c1 / w1
-            (w0, w1), (c0, c1), _ = second
+            (w0, w1), (c0, c1) = second
             assert c0 / w0 > c1 / w1
 
     @pytest.mark.parametrize("half", [
-        ((0.25, 0.5), (1.0, 2.0), (1.0, 1.0)),
-        ((0.125, 0.375), (0.5, 1.5), (2.0, 0.5)),
-        ((0.5, 0.5), (1.0, 1.0), (1.0, 1.0)),
+        ((0.25, 0.5), (1.0, 2.0)),
+        ((0.25, 0.1875), (1.0, 0.75)),
+        ((0.5, 0.5), (1.0, 1.0)),
     ])
     def test_tied_ratios_drop_nothing(self, half):
         assert self.untraded(half).all()
 
-    def test_products_outside_the_range_are_not_pruned(self):
-        assert _untraded((1e-200, 0.5), (1.0, 2.0), (1e-200, 1.0), self.RES) is None
-        assert _untraded((0.5, 0.5), (1e-200, 2.0), (1e-200, 1.0), self.RES) is None
+    def test_coefficients_outside_the_range_are_not_pruned(self):
+        assert _untraded((1e-310, 0.5), (1.0, 2.0), self.RES) is None
+        assert _untraded((0.5, 0.5), (1e-200, 2.0), self.RES) is None
+        assert _untraded((0.5, 0.5), (1.0, 1e60), self.RES) is None
