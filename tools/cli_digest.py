@@ -6,8 +6,11 @@ and gives one row::
 
     name exit-code sha256(stdout, stderr, written file)
 
-The matrix covers ``curve``, ``simulate`` (1 and 3 shards, and 40001
-samples in 5 shards, whose pieces fill three kernel blocks), ``fit``,
+The matrix covers ``curve``, ``simulate`` (1 and 3 shards, 40001 samples
+in 5 shards, whose pieces fill three kernel blocks, and, for bc-zf at K = 2
+and 3 and for bc-dpc, the cli-sweep grid of ``bench/workloads.py``: 21 SNR
+points of 5000 samples in 4 shards, 105000 samples in 7 blocks that the
+points straddle), ``fit``,
 ``validate`` and config-file runs for all four scenario kinds in CSV and
 JSON, plus a set of invalid inputs (argparse's own rejections among them)
 and of values that start with ``-``. It takes a few seconds. Run as a
@@ -45,6 +48,9 @@ KINDS = {
 SIMULATE = ["--r", "0.5,1", "--snr-db", "5:20:5", "--samples", "4000", "--seed", "7"]
 # Shards of 8001 and 8000 samples: shards 0-1 and 2-3 share a block each, shard 4 has its own.
 PACKED = ["--r", "1", "--snr-db", "10:20:10", "--samples", "40001", "--shards", "5"]
+# 84 pieces of 1250 samples, 13 to a block: 5 of the 6 block boundaries split an SNR point.
+SWEEP = ["--r", "0.5,1,1.5", "--snr-db", "0:40:2", "--samples", "5000", "--shards", "4"]
+SWEEP_KINDS = ("bc-zf", "bc-zf-k3", "bc-dpc")
 
 INVALID = {
     "weights-off-one": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.3,0.3"],
@@ -160,6 +166,8 @@ def digest_all() -> list[str]:
                 digests.append(run(f"fit-{kind}-{shards}-{fmt}",
                                    ["fit", "--input", table, "--window", "5:20"]))
         digests.append(run(f"simulate-{kind}-packed", ["simulate", *scenario, *PACKED]))
+        if kind in SWEEP_KINDS:
+            digests.append(run(f"simulate-{kind}-sweep", ["simulate", *scenario, *SWEEP]))
         digests.append(run(f"validate-{kind}",
                            ["validate", *scenario, "--samples", "20000", "--seed", "3"]))
         for command, extra in (("curve", []), ("simulate", SIMULATE), ("validate", [])):
