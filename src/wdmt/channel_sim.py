@@ -32,11 +32,12 @@ Conventions
   deterministic substreams; shard counts combine by addition, so results
   are a pure function of (scenario, r, rho, n_samples, seed, shards) and
   never depend on scheduling.
-* The capacity does not depend on r, so ``outage_probabilities`` reads
-  the counts of several rates off one sample, one threshold r log rho
-  each; ``outage_probability`` is its one-rate case. Estimates at one
-  (rho, seed) then share their draws: each keeps its binomial law, and
-  counts never fall as r grows.
+* ``outage_table`` runs the kernel once over several (rho, seed) points,
+  its blocks spanning points, and reads the counts of several rates off
+  each point's sample, one threshold r log rho each. Its one-point case is
+  ``outage_probabilities``, whose one-rate case is ``outage_probability``.
+  Estimates at one (rho, seed) share their draws: each keeps its binomial
+  law, and counts never fall as r grows.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "GainDistributionReport",
     "outage_probability",
     "outage_probabilities",
+    "outage_table",
     "validate_gain_distribution",
     "confidence_interval",
 ]
@@ -158,12 +160,14 @@ def _qr_gains(rows: np.ndarray, zf: bool) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 / _sq_norm(np.linalg.inv(r)), ~tiny.any(axis=1)
 
 
-def _capacity(mu: np.ndarray, rho: float, gains: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _capacity(mu: np.ndarray, spans, gains: np.ndarray, out: np.ndarray) -> np.ndarray:
     """K * sum_i mu_i log(1 + mu_i rho gamma_i) for each column of the (k, n)
     ``gains``, accumulated row by row into ``out`` (n,); ``gains`` is
-    overwritten."""
+    overwritten. ``spans`` lists (rho, slice) pairs whose slices tile the
+    columns, one per SNR point; a block of one point has one span."""
     for i, (row, w) in enumerate(zip(gains, mu)):
-        np.multiply(row, w * rho, out=row)
+        for rho, cols in spans:
+            np.multiply(row[cols], w * rho, out=row[cols])
         np.log1p(row, out=row)
         if i == 0:
             np.multiply(row, w, out=out)
@@ -180,7 +184,8 @@ class _Workspace:
     draws E there), the capacity accumulator, the outage mask and, for
     bc-zf at K >= 3, the Bartlett normals, which the off-diagonal entries
     of L^-1 overwrite in place. A block holds whole pieces of one or more
-    shards side by side, each in its own columns. Buffers are flat, so a
+    shards, of one or more SNR points, side by side, each in its own
+    columns; one workspace serves a whole table. Buffers are flat, so a
     shorter block's leading slice reshapes into a contiguous array."""
 
     def __init__(self, scenario: Scenario, size: int):
@@ -335,30 +340,95 @@ def _root(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _blocks(root: np.random.SeedSequence, shards: int, n_samples: int):
+def _blocks(roots, shards: int, n_samples: int):
     """Yield the kernel's blocks as lists of (generator, slice) segments.
 
-    Shard i draws its quota, n_samples // shards plus one for the first
-    n_samples % shards shards, from ``default_rng`` of the i-th child of
-    ``root``, in pieces of at most ``_BLOCK`` samples. Consecutive pieces
-    share a block while their sum stays at most ``_BLOCK``. Only a shard's
-    last piece can be shorter than ``_BLOCK``, so no block holds two pieces
-    of one generator, and each generator meets its pieces in order.
+    For each ``SeedSequence`` of ``roots`` in turn, shard i draws its
+    quota, n_samples // shards plus one for the first n_samples % shards
+    shards, from ``default_rng`` of the i-th child of that root, in pieces
+    of at most ``_BLOCK`` samples. Consecutive pieces share a block while
+    their sum stays at most ``_BLOCK``, so the blocks tile the roots'
+    samples in order and may span roots. Only a shard's last piece can be
+    shorter than ``_BLOCK``, so no block holds two pieces of one
+    generator, and each generator meets its pieces in order.
     """
     quota, extra = divmod(n_samples, shards)
     block, size = [], 0
-    for shard_index, child in enumerate(root.spawn(shards)):
-        rng = np.random.default_rng(child)
-        remaining = quota + (1 if shard_index < extra else 0)
-        while remaining > 0:
-            n = min(_BLOCK, remaining)
-            remaining -= n
-            if size + n > _BLOCK:
-                yield block
-                block, size = [], 0
-            block.append((rng, slice(size, size + n)))
-            size += n
+    for root in roots:
+        for shard_index, child in enumerate(root.spawn(shards)):
+            rng = np.random.default_rng(child)
+            remaining = quota + (1 if shard_index < extra else 0)
+            while remaining > 0:
+                n = min(_BLOCK, remaining)
+                remaining -= n
+                if size + n > _BLOCK:
+                    yield block
+                    block, size = [], 0
+                block.append((rng, slice(size, size + n)))
+                size += n
     yield block
+
+
+def outage_table(
+    scenario: Scenario,
+    rates,
+    points,
+    n_samples: int,
+    shards: int = 1,
+) -> tuple[tuple[OutageEstimate, ...], ...]:
+    """Monte Carlo estimates of P{weighted sum capacity <= r log rho}: one
+    tuple per (rho, seed) pair of ``points``, in order, of one estimate per
+    rate r of ``rates``, in order, all read off the point's capacity sample.
+
+    Gains are drawn from the equivalent parallel model by
+    ``_chunk_gains``, so no draw is ever rank deficient and
+    ``n_discarded`` is always 0. Each point's budget is split across
+    min(shards, n_samples) deterministic substreams spawned from
+    ``_root(seed)``, whose pieces ``_blocks`` packs, point after point,
+    into blocks of at most ``_BLOCK`` samples, held by one ``_Workspace``
+    per table. Each piece gets the same draws as in a block of its own; the
+    capacity runs once per block, each point's columns at its own rho, then
+    one comparison and count per rate over each point's columns. Counts are
+    summed, so each estimate is a pure function of (scenario, r, rho,
+    n_samples, seed, shards). The estimates of one point share their
+    draws: each has its own binomial law, but they are not independent,
+    and a count never falls as r grows. Every rate must lie in [0, K], and
+    every rho in (0, 1e300], so that the capacity stays finite.
+    """
+    rates = check_sequence("rates", rates)
+    if not rates:
+        raise OutOfRangeError("rates must hold at least one rate")
+    rates = [check_real("r", r, 0.0, scenario.k) for r in rates]
+    points = [check_sequence("point", point, 2) for point in check_sequence("points", points)]
+    if not points:
+        raise OutOfRangeError("points must hold at least one (rho, seed) pair")
+    rhos = [check_rho(rho) for rho, _ in points]
+    n_samples = check_count("n_samples", n_samples, 1)
+    shards = min(check_count("shards", shards, 1), n_samples)
+
+    thresholds = [[r * math.log(rho) for r in rates] for rho in rhos]
+    mu = np.asarray(scenario.encoded_weights())
+    work = _Workspace(scenario, min(_BLOCK, len(points) * n_samples))
+    outages = [[0] * len(rates) for _ in points]
+    start = 0  # the block's first sample in the table, points laid end to end
+    for block in _blocks((_root(seed) for _, seed in points), shards, n_samples):
+        n = block[-1][1].stop
+        spans = [
+            (p, slice(max(p * n_samples - start, 0), min((p + 1) * n_samples - start, n)))
+            for p in range(start // n_samples, (start + n - 1) // n_samples + 1)
+        ]
+        gains = _chunk_gains(scenario, block, work)
+        capacity = _capacity(mu, [(rhos[p], cols) for p, cols in spans], gains, work.acc[:n])
+        for p, cols in spans:
+            for j, threshold in enumerate(thresholds[p]):
+                hit = np.less_equal(capacity[cols], threshold, out=work.hit[cols])
+                outages[p][j] += int(np.count_nonzero(hit))
+        start += n
+    return tuple(
+        tuple(OutageEstimate(rho, r, n_samples, count, *confidence_interval(count, n_samples))
+              for r, count in zip(rates, counts))
+        for rho, counts in zip(rhos, outages)
+    )
 
 
 def outage_probabilities(
@@ -370,49 +440,11 @@ def outage_probabilities(
     shards: int = 1,
 ) -> tuple[OutageEstimate, ...]:
     """Monte Carlo estimates of P{weighted sum capacity <= r log rho}, one
-    per rate r of ``rates``, in order, all read off one capacity sample.
-
-    Gains are drawn from the equivalent parallel model by
-    ``_chunk_gains``, so no draw is ever rank deficient and
-    ``n_discarded`` is always 0. The sample budget is split across
-    min(shards, n_samples) deterministic substreams spawned from
-    ``_root(seed)``, whose pieces ``_blocks`` packs into blocks of at most
-    ``_BLOCK`` samples, held by one ``_Workspace`` per call. Each piece
-    gets the same draws as in a block of its own, and the capacity runs
-    once per block, then one comparison and count per rate. Outage counts
-    are summed, so each estimate is a pure function of (scenario, r, rho,
-    n_samples, seed, shards) and equals ``outage_probability`` at its rate.
-    The estimates share their draws: each has its own binomial law, but
-    they are not independent, and a count never falls as r grows. Every
-    rate must lie in [0, K], and ``rho`` in (0, 1e300], so that the
-    capacity stays finite.
-    """
-    rates = check_sequence("rates", rates)
-    if not rates:
-        raise OutOfRangeError("rates must hold at least one rate")
-    rates = [check_real("r", r, 0.0, scenario.k) for r in rates]
-    rho = check_rho(rho)
-    n_samples = check_count("n_samples", n_samples, 1)
-    shards = min(check_count("shards", shards, 1), n_samples)
-
-    thresholds = [r * math.log(rho) for r in rates]
-    mu = np.asarray(scenario.encoded_weights())
-    work = _Workspace(scenario, min(_BLOCK, n_samples))
-    outages = [0] * len(rates)
-    for block in _blocks(_root(seed), shards, n_samples):
-        n = block[-1][1].stop
-        capacity = _capacity(mu, rho, _chunk_gains(scenario, block, work), work.acc[:n])
-        for j, threshold in enumerate(thresholds):
-            hit = np.less_equal(capacity, threshold, out=work.hit[:n])
-            outages[j] += int(np.count_nonzero(hit))
-
-    estimates = []
-    for r, count in zip(rates, outages):
-        ci_low, ci_high = confidence_interval(count, n_samples)
-        estimates.append(OutageEstimate(
-            rho=rho, r=r, n_samples=n_samples, n_outages=count, ci_low=ci_low, ci_high=ci_high,
-        ))
-    return tuple(estimates)
+    per rate r of ``rates``, in order, all read off one capacity sample:
+    the one-point case of :func:`outage_table`, with its checks, draws and
+    counts."""
+    (estimates,) = outage_table(scenario, rates, [(rho, seed)], n_samples, shards)
+    return estimates
 
 
 def outage_probability(
@@ -450,7 +482,7 @@ def validate_gain_distribution(
     check_count("n_samples", n_samples, 2)
     shape = scenario.gain_shapes()[index]
     parts = []
-    for [(rng, piece)] in _blocks(_root(seed), 1, n_samples):  # one piece per block
+    for [(rng, piece)] in _blocks([_root(seed)], 1, n_samples):  # one piece per block
         gains, ok = _matrix_gains(scenario, rng, piece.stop - piece.start)
         parts.append(gains[ok, index])
     sample = np.concatenate(parts)

@@ -29,11 +29,12 @@ an earlier row included, exits 2 and ends with ``(FILE, row N)``.
 
 ``simulate`` draws one capacity sample per SNR point, from
 ``SeedSequence((seed, 0, i))`` for the i-th point, and reads every rate's
-outage count off it (``outage_probabilities``); rows stay in r-major order.
-The rows of one SNR point therefore share their draws: each keeps its
-binomial law, and counts never fall as r grows. ``fit`` fits each rate on
-its own, so the points of one fit stay independent. ``--r`` rejects a rate
-that repeats as a float, whose rows would be copies of each other.
+outage count off it; one ``outage_table`` call draws the whole grid, its
+blocks spanning SNR points. Rows stay in r-major order. The rows of one
+SNR point share their draws: each keeps its binomial law, and counts never
+fall as r grows. ``fit`` fits each rate on its own, so the points of one
+fit stay independent. ``--r`` rejects a rate that repeats as a float, whose
+rows would be copies of each other.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from .core import (
     check_real, check_rho, check_weight_sum, check_window, validate_weights,
 )
 from .dmt_analytic import curve_for_scenario
-# simulate calls outage_probabilities only; outage_probability stays importable from
+# simulate calls outage_table only; outage_probability stays importable from
 # here for the benchmark's tracer test (bench/test_bench.py), which looks it up
 from .channel_sim import (
-    OutageEstimate, outage_probabilities, outage_probability, validate_gain_distribution,
+    OutageEstimate, outage_probability, outage_table, validate_gain_distribution,
 )
 from .exponent_fit import compare, fit_slope
 
@@ -308,13 +309,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             check_real("r", r, 0.0, scenario.k)
         except DmtError as exc:
             raise CliError(f"argument --r: {exc}") from exc
-    by_snr = [
-        outage_probabilities(
-            scenario, args.r, _snr_linear(db), args.samples,
-            np.random.SeedSequence((args.seed, 0, i_db)), args.shards,
-        )
-        for i_db, db in enumerate(args.snr_db)
-    ]
+    points = [(_snr_linear(db), np.random.SeedSequence((args.seed, 0, i_db)))
+              for i_db, db in enumerate(args.snr_db)]
+    by_snr = outage_table(scenario, args.r, points, args.samples, args.shards)
     m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
     columns = CSV_COLUMNS.split(",")

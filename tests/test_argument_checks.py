@@ -44,6 +44,7 @@ from wdmt import (
     lp_grid,
     outage_probabilities,
     outage_probability,
+    outage_table,
     validate_gain_distribution,
     validate_weights,
 )
@@ -149,6 +150,12 @@ SLOTS = {
         st.one_of(st.tuples(st.floats(0.0, 2.0), bad_rates(2.0)), NON_FINITE, NOT_NUMBERS,
                   st.just([])),
         st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4)),
+    "outage_table(points)": (  # a bad rho, a non-pair, a non-sequence, an empty sequence
+        lambda v: outage_table(ZF, (1.0,), v, 16),
+        st.one_of(st.tuples(st.tuples(GOOD_RHO, st.just(0)), st.tuples(BAD_POSITIVES, st.just(1))),
+                  st.tuples(st.sampled_from([(10.0,), 10.0, (10.0, 0, 1)])), NON_FINITE,
+                  NOT_NUMBERS, st.just([])),
+        st.lists(st.tuples(GOOD_RHO, st.integers(0, 99)), min_size=1, max_size=4)),
     "confidence_interval(n_outages)": (
         lambda v: confidence_interval(v, 100),
         st.one_of(bad_counts(0), st.integers(min_value=101)), st.integers(0, 100)),

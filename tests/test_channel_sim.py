@@ -21,6 +21,7 @@ from wdmt import (
     confidence_interval,
     outage_probabilities,
     outage_probability,
+    outage_table,
     validate_gain_distribution,
     validate_weights,
 )
@@ -68,7 +69,7 @@ def one_matrix_gains(h, zf):
 def capacity(mu, rho, gains):
     """``_capacity`` of one gain vector."""
     column = np.array(gains, dtype=float)[:, None]
-    return float(_capacity(np.asarray(mu), rho, column, np.empty(1))[0])
+    return float(_capacity(np.asarray(mu), [(rho, slice(0, 1))], column, np.empty(1))[0])
 
 
 def reference_gamma_rows(rng, shapes, n):
@@ -612,6 +613,27 @@ class TestOutageKernel:
         )
         assert [e.r for e in estimates] == list(rates) and estimates[1] == estimates[4]
 
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_table_equals_one_point_calls(self, kind, k):
+        # blocks that span SNR points give every point the estimates of its own call
+        s = gamma_scenario(kind, k + 1, k)
+        rates = (0.0, 0.5 * k, float(k))
+        grid = [(10.0 ** (db / 10.0), np.random.SeedSequence((29, 0, i)))
+                for i, db in enumerate(range(0, 41, 2))]
+        for n_samples, shards in ((7, 3), (5000, 4), (_BLOCK + 777, 1), (40001, 5)):
+            for points in (grid[-1:], [(3.0, 8), grid[7]], grid):
+                assert outage_table(s, rates, points, n_samples, shards) == tuple(
+                    outage_probabilities(s, rates, rho, n_samples, seed, shards)
+                    for rho, seed in points
+                ), (n_samples, shards, len(points))
+
+    def test_grid_points_straddle_blocks(self):
+        # the grid above at (5000, 4): a block ends inside a point's pieces
+        roots = [np.random.SeedSequence(i) for i in range(21)]
+        ends = np.cumsum([block[-1][1].stop for block in _blocks(roots, 4, 5000)])
+        assert len(ends) == 7 and any(end % 5000 for end in ends[:-1])
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(SCENARIO_KINDS), k=st.integers(1, 3),
            fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
@@ -634,6 +656,19 @@ class TestOutageKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 << 20
+
+    def test_peak_memory_of_a_table_is_one_workspace(self):
+        # one 2^14-sample workspace is about 0.53 MB at K = 2; a buffer per
+        # point, or one for the grid's 105000 samples, would take about 3.4 MB
+        s = gamma_scenario("bc-zf", 3, 2)
+        points = [(10.0 ** (db / 10.0), db) for db in range(0, 41, 2)]
+        tracemalloc.start()
+        try:
+            outage_table(s, (0.5, 1.0, 1.5), points, 5000, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     class ZeroUniforms:
         """A generator stub whose uniforms are all exactly 0.0."""
@@ -727,7 +762,7 @@ class TestValidateGainDistribution:
         for index in range(2):
             rep = validate_gain_distribution(s, index, n, seed=17)
             parts = []
-            for [(rng, piece)] in _blocks(np.random.SeedSequence(17), 1, n):
+            for [(rng, piece)] in _blocks([np.random.SeedSequence(17)], 1, n):
                 gains, ok = _matrix_gains(s, rng, piece.stop - piece.start)
                 parts.append(gains[ok, index])
             sample = np.concatenate(parts)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import wdmt.cli
 from wdmt import (
     SCENARIO_KINDS, AntennaProfile, DmtError, Scenario, SlopeFit, Weights, compare,
-    curve_for_scenario, dmt_different, fit_slope, outage_probabilities, outage_probability,
+    curve_for_scenario, dmt_different, fit_slope, outage_probability, outage_table,
     validate_weights,
 )
 from wdmt.cli import (
@@ -406,7 +406,7 @@ class TestSimulateCommand:
     def test_snr_bound_checked_before_any_point(self, capsys, monkeypatch):
         # the grid's last point decides; 2990 and 3000 dB used to be simulated first
         calls = []
-        monkeypatch.setattr(wdmt.cli, "outage_probabilities", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(wdmt.cli, "outage_table", lambda *a, **kw: calls.append(a))
         code = main([
             "simulate", "--scenario", "bc-zf", "--m", "3", "--k", "2",
             "--weights", "0.5,0.5", "--r", "1", "--snr-db", "2990:3010:10", "--samples", "100",
@@ -434,9 +434,9 @@ class TestSimulateCommand:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return outage_probabilities(*args, **kwargs)
+            return outage_table(*args, **kwargs)
 
-        monkeypatch.setattr(wdmt.cli, "outage_probabilities", counting)
+        monkeypatch.setattr(wdmt.cli, "outage_table", counting)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             f"scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nr = 1\nsnr-db = 10\nsamples = 100\n"
@@ -1247,7 +1247,7 @@ def test_fit_rebuilds_the_simulated_scenario(round_trip_dir, data):
     simulate = ["simulate", "--scenario", kind, "--k", str(k), *antenna,
                 "--weights", ",".join(f"{p}/{sum(parts)}" for p in parts), "--r", r,
                 "--snr-db", "5:10:5", "--samples", "20", "--seed", str(data.draw(counts))]
-    with (mock.patch.object(wdmt.cli, "outage_probabilities", wraps=outage_probabilities) as sim,
+    with (mock.patch.object(wdmt.cli, "outage_table", wraps=outage_table) as sim,
           mock.patch.object(wdmt.cli, "curve_for_scenario", wraps=curve_for_scenario) as fit,
           contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())):
         for fmt in ("csv", "json"):
@@ -1255,5 +1255,5 @@ def test_fit_rebuilds_the_simulated_scenario(round_trip_dir, data):
             assert main([*simulate, "--format", fmt, "--out", table]) == EXIT_OK
             assert main(["fit", "--input", table, "--window", "5:10"]) in (EXIT_OK, EXIT_STAT_FAIL)
     given_scenarios = {call.args[0] for call in sim.call_args_list}
-    assert len(given_scenarios) == 1 and sim.call_count == 4
+    assert len(given_scenarios) == 1 and sim.call_count == 2  # one table per simulate
     assert [call.args[0] for call in fit.call_args_list] == [*given_scenarios] * 2
