@@ -28,10 +28,10 @@ Conventions
 * The finite-SNR capacity keeps the weights inside the logarithm,
   K * sum_i mu_i log(1 + mu_i rho gamma_i), so simulations test the
   asymptotic slope claims instead of assuming them.
-* Monte Carlo runs are split into shards with independently derived
-  deterministic substreams; shard counts combine by addition, so results
-  are a pure function of (scenario, r, rho, n_samples, seed, shards) and
-  never depend on scheduling.
+* Monte Carlo runs are split into shards, shard i drawing from the state
+  ``default_rng`` gives the seed's i-th ``SeedSequence`` child, computed for
+  a whole table in one pass without spawning; shard counts add, so results
+  are a pure function of (scenario, r, rho, n_samples, seed, shards).
 * ``outage_table`` runs the kernel once over several (rho, seed) points,
   its blocks spanning points, and reads the counts of several rates off
   each point's sample, one threshold r log rho each. Its one-point case is
@@ -42,11 +42,11 @@ Conventions
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 from .core import (
@@ -334,10 +334,72 @@ def confidence_interval(n_outages: int, n_samples: int) -> tuple[float, float]:
 
 
 def _root(seed) -> np.random.SeedSequence:
-    """``seed`` as a ``SeedSequence``; a caller's is copied, so spawning never advances it."""
+    """``seed`` as a ``SeedSequence``; a caller's is only read, never advanced."""
     if isinstance(seed, np.random.SeedSequence):
-        return copy.copy(seed)
+        return seed
     return np.random.SeedSequence(seed)
+
+
+# numpy's SeedSequence hash, M. E. O'Neill's seed_seq_fe, with the constants of
+# numpy/random/bit_generator.pyx, pinned by TestShardGenerators against numpy's
+# spawn; _HASH_B is INIT_B MULT_B^j mod 2^32 for generate_state's 8 words.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_HASH_B = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) & _MASK for j in range(9)], np.uint32)
+
+
+class _StateWords(ISeedSequence):
+    """Hands a ``PCG64`` its four precomputed state words; it cannot spawn."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _word_count(x) -> int:
+    """Length in uint32 words of numpy's coercion of entropy or a spawn key."""
+    if isinstance(x, str):
+        x = int(x, 16) if x.startswith("0x") else int(x)
+    if isinstance(x, (int, np.integer)):
+        return max(1, -(-int(x).bit_length() // 32))
+    if isinstance(x, np.ndarray) and x.dtype == np.uint32:
+        return x.size
+    return sum(map(_word_count, x))
+
+
+def _shard_generators(roots, shards: int):
+    """Iterate, for each ``SeedSequence`` of ``roots`` in turn, over one
+    generator per shard i < ``shards`` in the state of ``default_rng`` of
+    the i-th child of ``root.spawn(shards)``. One pass builds no child and
+    advances no root: key word(s) n_children_spawned + i are mixed into a
+    copy of the root's pool, then hashed by generate_state(4, uint64); a
+    generator is built when reached. Its seed is a ``_StateWords``, whose
+    ``spawn`` raises; no generator leaves ``_blocks``."""
+    if len(sizes := {root.pool_size for root in roots}) > 1:  # mixed pool sizes: root by root
+        return (rng for root in roots for rng in _shard_generators([root], shards))
+    (size,) = sizes
+    index = [root.n_children_spawned + i for root in roots for i in range(shards)]
+    pool = np.repeat(np.array([root.pool for root in roots], np.uint32).T, shards, axis=1)
+    # a pool of P words has taken P^2 + P max(0, L - P) hashmix steps from L entropy words
+    runs = [max(0, _word_count(r.entropy) - size) + _word_count(r.spawn_key) for r in roots]
+    const = np.array([_INIT_A * pow(_MULT_A, size * (size + n), 1 << 32) & _MASK
+                      for n in runs for _ in range(shards)], np.uint32)
+    steps = np.array([pow(_MULT_A, j, 1 << 32) for j in range(size + 1)], np.uint32)[:, None]
+    for w in range(-(-max(max(index).bit_length(), 1) // 32)):  # index >= 2^32 takes two words
+        high = [i >> 32 * w for i in index]
+        hashes = const * steps
+        mixed = (np.array([h & _MASK for h in high], np.uint32) ^ hashes[:-1]) * hashes[1:]
+        mixed ^= mixed >> 16
+        mixed = _MIX_L * pool - _MIX_R * mixed
+        mixed ^= mixed >> 16
+        pool = np.where([w == 0 or h > 0 for h in high], mixed, pool)
+        const = hashes[-1]
+    state = (pool[np.arange(8) % size] ^ _HASH_B[:-1, None]) * _HASH_B[1:, None]
+    state ^= state >> 16
+    states = np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
+    return (np.random.Generator(np.random.PCG64(_StateWords(s))) for s in states)
 
 
 def _blocks(roots, shards: int, n_samples: int):
@@ -345,27 +407,25 @@ def _blocks(roots, shards: int, n_samples: int):
 
     For each ``SeedSequence`` of ``roots`` in turn, shard i draws its
     quota, n_samples // shards plus one for the first n_samples % shards
-    shards, from ``default_rng`` of the i-th child of that root, in pieces
-    of at most ``_BLOCK`` samples. Consecutive pieces share a block while
-    their sum stays at most ``_BLOCK``, so the blocks tile the roots'
+    shards, from that root's i-th generator of ``_shard_generators``, in
+    pieces of at most ``_BLOCK`` samples. Consecutive pieces share a block
+    while their sum stays at most ``_BLOCK``, so the blocks tile the roots'
     samples in order and may span roots. Only a shard's last piece can be
-    shorter than ``_BLOCK``, so no block holds two pieces of one
-    generator, and each generator meets its pieces in order.
+    shorter than ``_BLOCK``, so no block holds two pieces of one generator,
+    and each generator meets its pieces in order.
     """
     quota, extra = divmod(n_samples, shards)
     block, size = [], 0
-    for root in roots:
-        for shard_index, child in enumerate(root.spawn(shards)):
-            rng = np.random.default_rng(child)
-            remaining = quota + (1 if shard_index < extra else 0)
-            while remaining > 0:
-                n = min(_BLOCK, remaining)
-                remaining -= n
-                if size + n > _BLOCK:
-                    yield block
-                    block, size = [], 0
-                block.append((rng, slice(size, size + n)))
-                size += n
+    for index, rng in enumerate(_shard_generators(list(roots), shards)):
+        remaining = quota + (1 if index % shards < extra else 0)
+        while remaining > 0:
+            n = min(_BLOCK, remaining)
+            remaining -= n
+            if size + n > _BLOCK:
+                yield block
+                block, size = [], 0
+            block.append((rng, slice(size, size + n)))
+            size += n
     yield block
 
 
@@ -383,7 +443,7 @@ def outage_table(
     Gains are drawn from the equivalent parallel model by
     ``_chunk_gains``, so no draw is ever rank deficient and
     ``n_discarded`` is always 0. Each point's budget is split across
-    min(shards, n_samples) deterministic substreams spawned from
+    min(shards, n_samples) deterministic substreams, the children of
     ``_root(seed)``, whose pieces ``_blocks`` packs, point after point,
     into blocks of at most ``_BLOCK`` samples, held by one ``_Workspace``
     per table. Each piece gets the same draws as in a block of its own; the

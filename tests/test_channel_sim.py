@@ -1,3 +1,4 @@
+import copy
 import math
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -36,6 +37,7 @@ from wdmt.channel_sim import (
     _matrix_gains,
     _qr_gains,
     _sample_rows,
+    _shard_generators,
 )
 from wdmt.core import _MAX_RHO
 
@@ -338,6 +340,18 @@ class TestOutageProbability:
         assert seed.n_children_spawned == 0
         assert a == outage_probability(s, r=1.0, rho=100.0, n_samples=20_000, seed=5, shards=2)
 
+    def test_spawned_seed_sequence_is_only_read(self):
+        # a root that has spawned children keeps its count and pool, so a
+        # second call gives the same estimate
+        s = gamma_scenario("bc-zf", 3, 2)
+        root = np.random.SeedSequence(5)
+        root.spawn(3)
+        pool = root.pool.copy()
+        (a,) = outage_table(s, (1.0,), [(100.0, root)], 20_000, shards=2)
+        validate_gain_distribution(s, 0, 1000, root)
+        assert root.n_children_spawned == 3 and np.array_equal(root.pool, pool)
+        assert a == outage_table(s, (1.0,), [(100.0, root)], 20_000, shards=2)[0]
+
     @pytest.mark.parametrize("kind", ["parallel-identical", "bc-zf"])
     def test_shards_beyond_samples_match_one_sample_per_shard(self, kind):
         s = gamma_scenario(kind, 3, 2)
@@ -532,6 +546,55 @@ class TestSamplerMatchesReference:
                 assert rng.random() == alone.random()
 
 
+def spawned_children(root, shards):
+    """``copy.copy(root).spawn(shards)``. numpy counts children in 32 bits
+    and never returns from a spawn whose count would pass 2^32 - 1, so such
+    children are built as its spawn builds them, key index and all."""
+    if root.n_children_spawned + shards < 2**32:
+        return copy.copy(root).spawn(shards)
+    return [np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
+                                   pool_size=root.pool_size)
+            for i in range(root.n_children_spawned, root.n_children_spawned + shards)]
+
+
+seed_sequences = st.builds(
+    np.random.SeedSequence,
+    st.one_of(
+        st.integers(0, 2**256 - 1),
+        st.tuples(st.integers(0, 2**64), st.just(0), st.integers(0, 100)),  # the CLI's points
+        st.lists(st.integers(0, 2**32 - 1), max_size=12).map(lambda v: np.array(v, np.uint32)),
+        st.lists(st.integers(0, 2**70).flatmap(lambda x: st.sampled_from([x, hex(x), str(x)])),
+                 max_size=5),  # numpy also reads hex and decimal strings in a sequence
+    ),
+    spawn_key=st.lists(st.one_of(st.integers(0, 9), st.integers(2**32, 2**96)), max_size=3),
+    pool_size=st.sampled_from([4, 5, 8]),
+    n_children_spawned=st.one_of(st.just(0), st.integers(1, 20), st.just(2**32 - 2)),
+)
+
+
+class TestShardGenerators:
+    """``_shard_generators`` computes the states of numpy's ``SeedSequence``
+    children without spawning; its hash constants are checked here."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(roots=st.lists(seed_sequences, min_size=1, max_size=4), shards=st.integers(1, 9))
+    @example(roots=[np.random.SeedSequence(11, n_children_spawned=2**32 - 2)], shards=4)
+    def test_states_equal_default_rng_of_spawned_children(self, roots, shards):
+        # the example's children 2^32 and 2^32 + 1 take two key words each
+        pools = [root.pool.copy() for root in roots]
+        counts = [root.n_children_spawned for root in roots]
+        states = [rng.bit_generator.state for rng in _shard_generators(roots, shards)]
+        assert states == [np.random.default_rng(child).bit_generator.state
+                          for root in roots for child in spawned_children(root, shards)]
+        assert [root.n_children_spawned for root in roots] == counts
+        assert all(np.array_equal(root.pool, pool) for root, pool in zip(roots, pools))
+
+    def test_generators_cannot_spawn(self):
+        (rng,) = _shard_generators([np.random.SeedSequence(3)], 1)
+        with pytest.raises(TypeError):
+            rng.spawn(1)
+
+
 class TestOutageKernel:
     """The blocked, in-place outage kernel against a rebuild of its count
     from ``reference_chunk_gains``, block by block, with the capacity
@@ -542,26 +605,30 @@ class TestOutageKernel:
     @pytest.mark.parametrize("kind", ["parallel-identical", "parallel-different", "bc-dpc", "bc-zf"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_count_matches_reference(self, kind, k):
+        # the reference draws from numpy's own spawn, of a plain seed and of a
+        # copy of a SeedSequence with a spawn key and children already spawned
         s = gamma_scenario(kind, k + 1, k)
-        r, rho, seed, shards = 0.75 * k, 10.0, 103, 3
+        r, rho, shards = 0.75 * k, 10.0, 3
         n_samples = shards * (_BLOCK + 777) + 2  # uneven shards, a short last block
         mu = np.asarray([s.weights.mu[i] for i in s.encode_order()])
         threshold = r * math.log(rho)
         tol = 4 * k * np.finfo(float).eps * threshold
         quota, extra = divmod(n_samples, shards)
-        below = near = 0
-        for index, child in enumerate(np.random.SeedSequence(seed).spawn(shards)):
-            rng = np.random.default_rng(child)
-            remaining = quota + (index < extra)
-            while remaining > 0:
-                n = min(_BLOCK, remaining)
-                remaining -= n
-                capacity = k * (np.log1p(mu * rho * reference_chunk_gains(s, rng, n)) @ mu)
-                close = np.abs(capacity - threshold) <= tol
-                below += int((capacity[~close] <= threshold).sum())
-                near += int(close.sum())
-        est = outage_probability(s, r, rho, n_samples, seed, shards)
-        assert 0 < below and below <= est.n_outages <= below + near
+        spawned = np.random.SeedSequence(103, spawn_key=(2, 2**40), n_children_spawned=5)
+        for seed, root in ((103, np.random.SeedSequence(103)), (spawned, copy.copy(spawned))):
+            below = near = 0
+            for index, child in enumerate(root.spawn(shards)):
+                rng = np.random.default_rng(child)
+                remaining = quota + (index < extra)
+                while remaining > 0:
+                    n = min(_BLOCK, remaining)
+                    remaining -= n
+                    capacity = k * (np.log1p(mu * rho * reference_chunk_gains(s, rng, n)) @ mu)
+                    close = np.abs(capacity - threshold) <= tol
+                    below += int((capacity[~close] <= threshold).sum())
+                    near += int(close.sum())
+            est = outage_probability(s, r, rho, n_samples, seed, shards)
+            assert 0 < below and below <= est.n_outages <= below + near, seed
 
     # Counts recorded before one block held pieces of several shards. The
     # (n_samples, shards) pairs put four shards in one block, pack pieces
@@ -804,11 +871,12 @@ class TestValidateGainDistribution:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; the package needs only scipy.special
+    # scipy.stats and scipy.optimize each add a large part of a second to
+    # every start of the CLI; the package and its CLI need only scipy.special
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import wdmt, wdmt.cli; "
-        "print('scipy.stats' in sys.modules)"
+        f"import sys; sys.path.insert(0, {str(src)!r}); import wdmt.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.special') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "['scipy.special']\n"
