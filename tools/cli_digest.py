@@ -12,7 +12,8 @@ and 3 and for bc-dpc, the cli-sweep grid of ``bench/workloads.py``: 21 SNR
 points of 5000 samples in 4 shards, 105000 samples in 7 blocks that the
 points straddle), ``fit``,
 ``validate`` and config-file runs for all four scenario kinds in CSV and
-JSON, plus a set of invalid inputs (argparse's own rejections among them)
+JSON, two tables whose rows reach every branch of the confidence interval
+(each with its ``fit``), a K = 4 curve with tied weights, plus a set of invalid inputs (argparse's own rejections among them)
 and of values that start with ``-``. It takes a few seconds. Run as a
 script, it works in a temporary directory and prints a header line with the
 Python, numpy and scipy versions, then the rows. ``tests/test_cli_digest.py``
@@ -51,6 +52,16 @@ PACKED = ["--r", "1", "--snr-db", "10:20:10", "--samples", "40001", "--shards", 
 # 84 pieces of 1250 samples, 13 to a block: 5 of the 6 block boundaries split an SNR point.
 SWEEP = ["--r", "0.5,1,1.5", "--snr-db", "0:40:2", "--samples", "5000", "--shards", "4"]
 SWEEP_KINDS = ("bc-zf", "bc-zf-k3", "bc-dpc")
+# Tables whose rows reach every branch of the confidence interval: 0 outages, 1-19 outages
+# (Clopper-Pearson), 20 or more (normal), and 5 of 5 samples in outage (ci_high = 1).
+CI_TABLES = {
+    "ci-branches": ["--scenario", "bc-zf", "--m", "3", "--weights", "0.6,0.4",
+                    "--r", "0.5,1.5", "--snr-db", "0:30:10", "--samples", "300", "--seed", "2"],
+    "all-outage": ["--scenario", "parallel-identical", "--nt", "1", "--k", "2",
+                   "--weights", "0.5,0.5", "--r", "2", "--snr-db", "40", "--samples", "5"],
+}
+# K = 4 with two tied weights
+TIED = ["--scenario", "bc-dpc", "--m", "4", "--weights", "0.35,0.25,0.25,0.15"]
 
 INVALID = {
     "weights-off-one": ["curve", "--scenario", "bc-zf", "--m", "3", "--weights", "0.3,0.3"],
@@ -175,6 +186,15 @@ def digest_all() -> list[str]:
             digests.append(run(f"config-{command}-{kind}",
                                [command, "--config", f"{command}-{kind}.cfg"],
                                None if command == "validate" else f"config-{command}-{kind}.out"))
+    for name, flags in CI_TABLES.items():
+        for fmt in ("csv", "json"):
+            table = f"sim-{name}.{fmt}"
+            digests.append(run(f"simulate-{name}-{fmt}",
+                               ["simulate", *flags, "--format", fmt], table))
+            digests.append(run(f"fit-{name}-{fmt}", ["fit", "--input", table, "--window", "0:40"]))
+    for fmt in ("csv", "json"):
+        digests.append(run(f"curve-tied-k4-{fmt}", ["curve", *TIED, "--format", fmt],
+                           f"curve-tied-k4.{fmt}"))
     Path("no-equals.cfg").write_text("scenario = bc-zf\nm 3\n")
     Path("unknown-key.cfg").write_text("scenario = bc-zf\nm = 3\nweights = 0.5,0.5\nsample = 9\n")
     Path("format-xml.cfg").write_text(
