@@ -24,16 +24,19 @@ minimum (``--samples 0`` reads ``argument --samples: n_samples must be an
 integer >= 1, got 0``). A kind's antenna flag is its ``core.ANTENNA_FIELD``
 without the ``_`` (``--nt`` sets ``n_t``); a missing one is named
 (``--scenario bc-zf needs --m``). ``fit`` reads and checks every row
-before any verdict: a row fault, a rate above K or an (r, rho_db) point of
-an earlier row included, exits 2 and ends with ``(FILE, row N)``.
+before any verdict: a row fault, a rate above K, an (r, rho_db) point of an
+earlier row, a ``p_hat`` other than n_outages / n_samples, a ``seed`` that
+is not a count >= 0 or a ``shards`` that is not a count >= 1 included, exits
+2 and ends with ``(FILE, row N)``.
 
 ``simulate`` draws one capacity sample per SNR point, from
 ``SeedSequence((seed, 0, i))`` for the i-th point, and reads every rate's
 outage count off it; one ``outage_table`` call draws the whole grid, its
-blocks spanning SNR points. Rows stay in r-major order. The rows of one
-SNR point share their draws: each keeps its binomial law, and counts never
-fall as r grows. ``fit`` fits each rate on its own, so the points of one
-fit stay independent. ``--r`` rejects a rate that repeats as a float, whose
+blocks spanning SNR points. Rows stay in r-major order; the lines of a CSV
+table come from one ``%`` template, whose fixed columns are formatted once.
+The rows of one SNR point share their draws: each keeps its binomial law,
+and counts never fall as r grows. ``fit`` fits each rate on its own, so the
+points of one fit stay independent. ``--r`` rejects a rate that repeats as a float, whose
 rows would be copies of each other.
 """
 
@@ -104,10 +107,13 @@ def _converter(parse):
     return convert
 
 
+_FLOAT = "%.17g"  # an output float: 17 significant digits read back exactly
+
+
 def _fmt(x) -> str:
-    """One output field as text: a float with 17 significant digits (lossless
-    round trip), anything else (strings, integer counts) as ``str``."""
-    return format(x, ".17g") if isinstance(x, float) else str(x)
+    """One output field as text: a float by ``_FLOAT``, anything else
+    (strings, integer counts) as ``str``."""
+    return _FLOAT % x if isinstance(x, float) else str(x)
 
 
 def _entries(text: str) -> list[str]:
@@ -292,9 +298,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
         "corners": [[r, d] for r, d in curve.corners],
         "dense": [[r, d] for r, d in dense],
     }
+    pair = f"{_FLOAT},{_FLOAT}"
     lines = ["section,r,d"]
-    lines += [f"corner,{_fmt(r)},{_fmt(d)}" for r, d in curve.corners]
-    lines += [f"dense,{_fmt(r)},{_fmt(d)}" for r, d in dense]
+    lines += [("corner," + pair) % corner for corner in curve.corners]
+    lines += [("dense," + pair) % point for point in dense]
     _write_output(args, payload, lines)
     summary = " ".join(f"({r:g},{d:g})" for r, d in curve.corners)
     stream = sys.stdout if args.out else sys.stderr
@@ -312,21 +319,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     points = [(_snr_linear(db), np.random.SeedSequence((args.seed, 0, i_db)))
               for i_db, db in enumerate(args.snr_db)]
     by_snr = outage_table(scenario, args.r, points, args.samples, args.shards)
-    m_col = _scenario_m_column(scenario)
     w_col = ";".join(_fmt(w) for w in scenario.weights.mu)
-    columns = CSV_COLUMNS.split(",")
-    rows = []
-    for i_r, r in enumerate(args.r):
-        for db, estimates in zip(args.snr_db, by_snr):
-            est = estimates[i_r]
-            values = (
-                scenario.kind, scenario.k, m_col, w_col, r, db, est.n_samples,
-                est.n_outages, est.p_hat, est.ci_low, est.ci_high, args.seed, args.shards,
-            )
-            rows.append(dict(zip(columns, values)))
-
-    lines = [CSV_COLUMNS] + [",".join(map(_fmt, row.values())) for row in rows]
-    _write_output(args, rows, lines)
+    fixed = (scenario.kind, scenario.k, _scenario_m_column(scenario), w_col)
+    rows = [  # the columns from r on, in r-major order
+        (r, db, est.n_samples, est.n_outages, est.p_hat, est.ci_low, est.ci_high,
+         args.seed, args.shards)
+        for i_r, r in enumerate(args.r)
+        for db, est in zip(args.snr_db, (estimates[i_r] for estimates in by_snr))
+    ]
+    if args.format == "json":
+        columns = CSV_COLUMNS.split(",")
+        _write_output(args, [dict(zip(columns, fixed + row)) for row in rows], None)
+    else:  # one template per table: the fixed columns' text, then the row's conversions
+        template = ",".join(map(_fmt, fixed)).replace("%", "%%") + (
+            f",{_FLOAT},{_FLOAT},%d,%d,{_FLOAT},{_FLOAT},{_FLOAT},%d,%d")
+        _write_output(args, None, [CSV_COLUMNS] + [template % row for row in rows])
     return EXIT_OK
 
 
@@ -394,6 +401,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 ci_low=float(row["ci_low"]),
                 ci_high=float(row["ci_high"]),
             )
+            if float(row["p_hat"]) != est.p_hat:  # simulate writes p_hat losslessly
+                raise CliError(f"p_hat {row['p_hat']} is not n_outages/n_samples = "
+                               f"{est.n_outages}/{est.n_samples}")
+            check_count("seed", int(row["seed"]), 0)
+            check_count("shards", int(row["shards"]), 1)
             if (earlier := numbers.setdefault((est.r, rho_db), number)) != number:
                 raise CliError(f"row repeats r={est.r:g}, rho_db={rho_db:g} of row {earlier}")
         except ValueError as exc:

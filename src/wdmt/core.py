@@ -12,6 +12,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 __all__ = [
     "WEIGHT_SUM_TOL",
@@ -166,6 +167,8 @@ def check_sequence(name: str, value, size: int | None = None) -> tuple:
 def check_count(name: str, value, minimum: int) -> int:
     """``value`` as an int if it is an integer (not a bool) >= ``minimum``, else
     ``OutOfRangeError``; 2.0, 2.5, ``True`` and ``"2"`` are not counts."""
+    if type(value) is int and value >= minimum:  # the common case, before the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise OutOfRangeError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
@@ -275,6 +278,9 @@ def ordering(weights: Weights, profile: AntennaProfile) -> tuple[int, ...]:
     return stable_desc_order(per_antenna)
 
 
+_RATE = itemgetter(0)  # the rate of a corner (r, d)
+
+
 @dataclass(frozen=True)
 class DmtCurve:
     """Piecewise-linear diversity-multiplexing tradeoff.
@@ -319,8 +325,7 @@ class DmtCurve:
         [0, max_rate].
         """
         r = check_real("r", r, 0.0, self.max_rate)
-        rates = [c[0] for c in self.corners]
-        i = bisect_right(rates, r) - 1
+        i = bisect_right(self.corners, r, key=_RATE) - 1
         r0, d0 = self.corners[i]
         if r == r0:
             return d0

@@ -48,7 +48,7 @@ from wdmt import (
     validate_gain_distribution,
     validate_weights,
 )
-from wdmt.core import check_weight_sum
+from wdmt.core import check_count, check_weight_sum
 
 W2 = validate_weights((0.6, 0.4))
 PROFILE = AntennaProfile((2, 1))
@@ -229,6 +229,26 @@ def floats_in(value):
     elif dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
             yield from floats_in(getattr(value, field.name))
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [1, 7, 2**70, np.int64(7), np.uint8(7), _Count(7)],
+                         ids=["one", "int", "big-int", "int64", "uint8", "int-subclass"])
+def test_check_count_returns_an_int(value):
+    result = check_count("n", value, 1)
+    assert type(result) is int and result == value
+
+
+@pytest.mark.parametrize("value", [0, -1, np.int64(0), True, False, 2.0, np.float64(2.0), "2",
+                                   None, Fraction(2)],
+                         ids=["zero", "negative", "int64-zero", "true", "false", "float",
+                              "float64", "text", "none", "fraction"])
+def test_check_count_rejects_what_is_not_a_count(value):
+    with pytest.raises(OutOfRangeError, match=r"^n must be an integer >= 1, got "):
+        check_count("n", value, 1)
 
 
 def test_compare_rel_error_is_inf_where_the_curve_reaches_zero():

@@ -34,6 +34,7 @@ from wdmt.channel_sim import (
     _blocks,
     _capacity,
     _chunk_gains,
+    _intervals,
     _matrix_gains,
     _qr_gains,
     _sample_rows,
@@ -780,6 +781,35 @@ class TestConfidenceInterval:
                 assert confidence_interval(n_outages, n_samples) == (
                     reference_confidence_interval(n_outages, n_samples)
                 ), (n_outages, n_samples)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n_samples=st.sampled_from([1, 2, 19, 20, 21, 5000, 10**7]), data=st.data())
+    def test_table_intervals_are_the_scalar_intervals(self, n_samples, data):
+        # 0, 19, 20 and n_samples outages reach every branch of the formula
+        edges = [c for c in (0, 19, 20, n_samples) if c <= n_samples]
+        drawn = data.draw(st.lists(st.integers(0, n_samples), max_size=40))
+        counts = data.draw(st.permutations(edges + drawn))
+        width = data.draw(st.sampled_from([w for w in (1, 2, 3) if len(counts) % w == 0]))
+        table = [counts[i:i + width] for i in range(0, len(counts), width)]
+        lows, highs = _intervals(table, n_samples)
+        assert lows.shape == highs.shape == (len(table), width)
+        for count, low, high in zip(counts, lows.ravel().tolist(), highs.ravel().tolist()):
+            scalar = confidence_interval(count, n_samples)
+            assert (low.hex(), high.hex()) == tuple(x.hex() for x in scalar), count
+            assert scalar == reference_confidence_interval(count, n_samples), count
+
+    def test_table_estimates_carry_the_scalar_intervals(self):
+        # the cli-sweep workload's table: 21 points of 5000 samples in 4 shards
+        s = Scenario("bc-zf", validate_weights((0.6, 0.4)), m=3)
+        points = [(10.0 ** (db / 10), np.random.SeedSequence((1, 0, i)))
+                  for i, db in enumerate(range(0, 42, 2))]
+        table = outage_table(s, (0.5, 1.0, 1.5), points, 5000, 4)
+        estimates = [est for row in table for est in row]
+        assert len(estimates) == 63
+        assert {est.n_outages < 20 for est in estimates} == {True, False}  # both formulas
+        for est in estimates:
+            scalar = confidence_interval(est.n_outages, est.n_samples)
+            assert (est.ci_low.hex(), est.ci_high.hex()) == tuple(x.hex() for x in scalar)
 
     @pytest.mark.parametrize("n_outages, n_samples", [(5, 0), (-3, 10), (12, 10), (2.5, 10)])
     def test_bad_counts_rejected(self, n_outages, n_samples):

@@ -280,6 +280,32 @@ class TestCurveCommand:
         ])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("weights", [
+        "1", "0.6,0.4", "0.5,0.5", "0.5,0.3,0.2", "0.4,0.3,0.3", "0.4,0.3,0.2,0.1",
+        "0.35,0.25,0.25,0.15",
+    ])
+    def test_dense_rows_are_the_curve_bit_for_bit(self, tmp_path, kind, weights):
+        k = weights.count(",") + 1
+        profile = (3, 1, 2, 1)[:k]
+        field, text, value = {
+            "parallel-identical": ("n_t", "2", 2),
+            "parallel-different": ("profile", ",".join(map(str, profile)),
+                                   AntennaProfile(profile)),
+            "bc-zf": ("m", str(k + 1), k + 1),
+            "bc-dpc": ("m", str(k), k),
+        }[kind]
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--scenario", kind, "--" + field.replace("_", ""), text,
+                     "--weights", weights, "--out", str(out)]) == EXIT_OK
+        curve = curve_for_scenario(Scenario(kind, parse_weights(weights), **{field: value}))
+        dense = [line.split(",")[1:] for line in out.read_text().splitlines()
+                 if line.startswith("dense,")]
+        steps = 100 * k
+        assert [float(r) for r, _ in dense] == [i * k / steps for i in range(steps + 1)]
+        for r, d in dense:
+            assert float(d).hex() == curve.evaluate(float(r)).hex(), r
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "curve.json"
         code = main([
@@ -779,6 +805,46 @@ class TestFitCommand:
             table.write_text("\n".join([CSV_COLUMNS, *(",".join(r.values()) for r in rows)]))
         assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {message} ({table}, row 2)\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column, value, message", [
+        ("p_hat", "0.999", "p_hat 0.999 is not n_outages/n_samples = {n_outages}/{n_samples}"),
+        ("p_hat", repr(math.nextafter(0.01, 1.0)),
+         "p_hat 0.010000000000000002 is not n_outages/n_samples = {n_outages}/{n_samples}"),
+        ("seed", "x", "invalid literal for int() with base 10: 'x'"),
+        ("seed", "-1", "seed must be an integer >= 0, got -1"),
+        ("shards", "0", "shards must be an integer >= 1, got 0"),
+        ("shards", "-4", "shards must be an integer >= 1, got -4"),
+    ], ids=["p-hat-off", "p-hat-one-ulp-off", "seed-not-a-number", "negative-seed",
+            "zero-shards", "negative-shards"])
+    def test_row_that_simulate_cannot_write_is_usage_error(self, tmp_path, capsys, fmt, column,
+                                                           value, message):
+        # row 2 holds 100 outages of 10^4 samples, p_hat 0.01
+        table = tmp_path / "sim.csv"
+        write_power_law_table(table, 1.0, (10, 20, 30), 10**4)
+        rows = read_rows(table)
+        assert (rows[1]["n_outages"], rows[1]["p_hat"]) == ("100", "0.01")
+        rows[1][column] = value
+        if fmt == "json":
+            table = tmp_path / "sim.json"
+            table.write_text(json.dumps(rows))
+        else:
+            table.write_text("\n".join([CSV_COLUMNS, *(",".join(r.values()) for r in rows)]))
+        assert main(["fit", "--input", str(table), "--window", "10:30"]) == EXIT_USAGE
+        message = message.format(**rows[1])
+        assert capsys.readouterr() == ("", f"error: {message} ({table}, row 2)\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_tables_pass_the_p_hat_check(self, tmp_path, capsys, fmt):
+        # p_hat is written by .17g in CSV and by repr in JSON: both read back exactly
+        sim = tmp_path / f"sim.{fmt}"
+        assert main([
+            "simulate", "--scenario", "bc-zf", "--m", "3", "--weights", "0.6,0.4",
+            "--r", "0.5,1,1.5", "--snr-db", "0:30:3", "--samples", "3000", "--seed", "5",
+            "--shards", "3", "--format", fmt, "--out", str(sim),
+        ]) == EXIT_OK
+        assert main(["fit", "--input", str(sim), "--window", "0:30"]) in (EXIT_OK, EXIT_STAT_FAIL)
+        assert capsys.readouterr().err == ""
 
     def test_undecodable_table_is_usage_error(self, tmp_path, capsys):
         # the codec's message named no file

@@ -13,8 +13,9 @@ points of 5000 samples in 4 shards, 105000 samples in 7 blocks that the
 points straddle), ``fit``,
 ``validate`` and config-file runs for all four scenario kinds in CSV and
 JSON, two tables whose rows reach every branch of the confidence interval
-(each with its ``fit``), a K = 4 curve with tied weights, plus a set of invalid inputs (argparse's own rejections among them)
-and of values that start with ``-``. It takes a few seconds. Run as a
+(each with its ``fit``) and a K = 4 curve with tied weights, plus a set of
+invalid inputs (argparse's own rejections among them, and tables that
+``simulate`` cannot write) and of values that start with ``-``. It takes a few seconds. Run as a
 script, it works in a temporary directory and prints a header line with the
 Python, numpy and scipy versions, then the rows. ``tests/test_cli_digest.py``
 compares the rows with the committed ``tests/data/cli_digest.txt``; a change
@@ -121,6 +122,9 @@ INVALID = {
     "fit-rate-above-k": ["fit", "--input", "rate-above-k.csv", "--window", "5:20"],
     "fit-bad-cell": ["fit", "--input", "bad-cell.csv", "--window", "5:20"],
     "fit-repeated-point": ["fit", "--input", "repeated-point.csv", "--window", "5:20"],
+    "fit-p-hat-mismatch": ["fit", "--input", "p-hat-mismatch.csv", "--window", "5:20"],
+    "fit-bad-seed": ["fit", "--input", "bad-seed.csv", "--window", "5:20"],
+    "fit-negative-shards": ["fit", "--input", "negative-shards.csv", "--window", "5:20"],
 }
 # Values that start with "-" and a digit; "snr-db" and "snr-db-equals" give one output.
 NEGATIVE = {
@@ -202,11 +206,14 @@ def digest_all() -> list[str]:
         "format = xml\n"
     )
     # sim-bc-zf-1.csv (K = 2) with r = 2.5 in its last row, or n_samples x in its second,
-    # or with its rows twice
+    # or p_hat 0.999, seed x or shards -4 in its third, or with its rows twice
     columns, *rows = Path("sim-bc-zf-1.csv").read_text().splitlines()
     Path("repeated-point.csv").write_text("\n".join([columns, *rows, *rows]) + "\n")
     for path, index, column, value in (("rate-above-k.csv", -1, "r", "2.5"),
-                                       ("bad-cell.csv", 1, "n_samples", "x")):
+                                       ("bad-cell.csv", 1, "n_samples", "x"),
+                                       ("p-hat-mismatch.csv", 2, "p_hat", "0.999"),
+                                       ("bad-seed.csv", 2, "seed", "x"),
+                                       ("negative-shards.csv", 2, "shards", "-4")):
         damaged = [row.split(",") for row in rows]
         damaged[index][columns.split(",").index(column)] = value
         Path(path).write_text("\n".join([columns, *map(",".join, damaged)]) + "\n")
