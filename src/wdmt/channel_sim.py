@@ -37,7 +37,9 @@ Conventions
   each point's sample, one threshold r log rho each. Its one-point case is
   ``outage_probabilities``, whose one-rate case is ``outage_probability``.
   Estimates at one (rho, seed) share their draws: each keeps its binomial
-  law, and counts never fall as r grows.
+  law, and counts never fall as r grows. One array formula, ``_intervals``,
+  gives all of a table's confidence intervals after its last block;
+  ``confidence_interval`` is its one-count case.
 """
 
 from __future__ import annotations
