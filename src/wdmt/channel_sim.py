@@ -37,9 +37,7 @@ Conventions
   each point's sample, one threshold r log rho each. Its one-point case is
   ``outage_probabilities``, whose one-rate case is ``outage_probability``.
   Estimates at one (rho, seed) share their draws: each keeps its binomial
-  law, and counts never fall as r grows. One array formula, ``_intervals``,
-  gives all of a table's confidence intervals after its last block;
-  ``confidence_interval`` is its one-count case.
+  law, and counts never fall as r grows.
 """
 
 from __future__ import annotations
@@ -314,37 +312,26 @@ def _check_counts(n_outages, n_samples) -> None:
         raise OutOfRangeError(f"{n_outages} outages exceed {n_samples} samples")
 
 
-def _intervals(counts, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """95% binomial CIs of the outage counts ``counts`` (an array-like of
-    integers, each of ``n_samples`` samples) as (low, high) float arrays of
-    its shape: the normal approximation on the count, and Clopper &
-    Pearson's exact interval (Biometrika 26(4), 1934) where fewer than 20
-    outages were observed, one ``special.betaincinv`` call for all the low
-    bounds and one for all the high ones. Counts are held as floats, which
-    hold every integer below 2^53 exactly. Its one-count case is
-    :func:`confidence_interval`."""
-    counts = np.asarray(counts, dtype=float)
-    p = counts / n_samples
-    half = _Z * np.sqrt(p * (1.0 - p) / n_samples)
-    low, high = np.maximum(p - half, 0.0), np.minimum(p + half, 1.0)
-    exact = counts < _MIN_NORMAL_EVENTS
-    low[exact], high[exact] = 0.0, 1.0  # kept at 0 outages and at n_samples outages
-    some, short = exact & (counts > 0), exact & (counts < n_samples)
-    alpha = 1.0 - _CI_LEVEL
-    c = counts[some]
-    low[some] = special.betaincinv(c, n_samples - c + 1, alpha / 2)
-    c = counts[short]
-    high[short] = special.betaincinv(c + 1, n_samples - c, 1 - alpha / 2)
-    return low, high
-
-
 def confidence_interval(n_outages: int, n_samples: int) -> tuple[float, float]:
-    """95% binomial CI for the outage probability: the checked one-count
-    case of ``_intervals``. ``n_samples`` must be an integer >= 1 and
-    ``n_outages`` an integer in [0, n_samples]."""
+    """95% binomial CI for the outage probability.
+
+    Normal approximation on the count; exact Clopper-Pearson whenever
+    fewer than 20 outages were observed. ``n_samples`` must be an integer
+    >= 1 and ``n_outages`` an integer in [0, n_samples].
+    """
     _check_counts(n_outages, n_samples)
-    low, high = _intervals([n_outages], n_samples)
-    return float(low[0]), float(high[0])
+    p = n_outages / n_samples
+    if n_outages >= _MIN_NORMAL_EVENTS:
+        half = _Z * math.sqrt(p * (1.0 - p) / n_samples)
+        return max(0.0, p - half), min(1.0, p + half)
+    alpha = 1.0 - _CI_LEVEL
+    low = 0.0
+    if n_outages > 0:
+        low = float(special.betaincinv(n_outages, n_samples - n_outages + 1, alpha / 2))
+    high = 1.0
+    if n_outages < n_samples:
+        high = float(special.betaincinv(n_outages + 1, n_samples - n_outages, 1 - alpha / 2))
+    return low, high
 
 
 def _root(seed) -> np.random.SeedSequence:
@@ -498,11 +485,10 @@ def outage_table(
                 hit = np.less_equal(capacity[cols], threshold, out=work.hit[cols])
                 outages[p][j] += int(np.count_nonzero(hit))
         start += n
-    lows, highs = (bounds.tolist() for bounds in _intervals(outages, n_samples))
     return tuple(
-        tuple(OutageEstimate(rho, r, n_samples, count, low, high)
-              for r, count, low, high in zip(rates, counts, point_lows, point_highs))
-        for rho, counts, point_lows, point_highs in zip(rhos, outages, lows, highs)
+        tuple(OutageEstimate(rho, r, n_samples, count, *confidence_interval(count, n_samples))
+              for r, count in zip(rates, counts))
+        for rho, counts in zip(rhos, outages)
     )
 
 

@@ -331,7 +331,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         columns = CSV_COLUMNS.split(",")
         _write_output(args, [dict(zip(columns, fixed + row)) for row in rows], None)
     else:  # one template per table: the fixed columns' text, then the row's conversions
-        template = ",".join(map(_fmt, fixed)).replace("%", "%%") + (
+        template = ",".join(map(_fmt, fixed)) + (
             f",{_FLOAT},{_FLOAT},%d,%d,{_FLOAT},{_FLOAT},{_FLOAT},%d,%d")
         _write_output(args, None, [CSV_COLUMNS] + [template % row for row in rows])
     return EXIT_OK

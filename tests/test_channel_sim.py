@@ -34,7 +34,6 @@ from wdmt.channel_sim import (
     _blocks,
     _capacity,
     _chunk_gains,
-    _intervals,
     _matrix_gains,
     _qr_gains,
     _sample_rows,
@@ -781,22 +780,6 @@ class TestConfidenceInterval:
                 assert confidence_interval(n_outages, n_samples) == (
                     reference_confidence_interval(n_outages, n_samples)
                 ), (n_outages, n_samples)
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(n_samples=st.sampled_from([1, 2, 19, 20, 21, 5000, 10**7]), data=st.data())
-    def test_table_intervals_are_the_scalar_intervals(self, n_samples, data):
-        # 0, 19, 20 and n_samples outages reach every branch of the formula
-        edges = [c for c in (0, 19, 20, n_samples) if c <= n_samples]
-        drawn = data.draw(st.lists(st.integers(0, n_samples), max_size=40))
-        counts = data.draw(st.permutations(edges + drawn))
-        width = data.draw(st.sampled_from([w for w in (1, 2, 3) if len(counts) % w == 0]))
-        table = [counts[i:i + width] for i in range(0, len(counts), width)]
-        lows, highs = _intervals(table, n_samples)
-        assert lows.shape == highs.shape == (len(table), width)
-        for count, low, high in zip(counts, lows.ravel().tolist(), highs.ravel().tolist()):
-            scalar = confidence_interval(count, n_samples)
-            assert (low.hex(), high.hex()) == tuple(x.hex() for x in scalar), count
-            assert scalar == reference_confidence_interval(count, n_samples), count
 
     def test_table_estimates_carry_the_scalar_intervals(self):
         # the cli-sweep workload's table: 21 points of 5000 samples in 4 shards
