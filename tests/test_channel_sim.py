@@ -658,6 +658,21 @@ class TestOutageKernel:
             ("bc-zf", 3, 40001, 5, 12340),
             ("bc-zf", 3, 3 * (_BLOCK + 777) + 2, 3, 15885),
             ("bc-zf", 3, 100, 100, 32),
+            # Tables whose every block is one shard piece: 2^16 samples in one
+            # shard, or a shard quota above _BLOCK / 2. bc-zf draws normals from
+            # K = 3 on; at K = 5 bc-dpc and bc-zf draw a shape-6 row by
+            # standard_gamma ahead of their Erlang rows.
+            ("parallel-identical", 1, 1 << 16, 1, 5298),
+            ("parallel-identical", 2, 1 << 16, 1, 10069),
+            ("parallel-different", 2, 1 << 16, 1, 2631),
+            ("bc-zf", 2, 1 << 16, 1, 11379),
+            ("bc-dpc", 2, 1 << 16, 1, 2631),
+            ("bc-zf", 3, 1 << 16, 1, 20029),
+            ("bc-zf", 4, 1 << 16, 1, 30444),
+            ("bc-zf", 4, 3 * (_BLOCK + 777) + 2, 3, 23867),
+            ("bc-zf", 5, 1 << 16, 1, 40956),
+            ("bc-dpc", 5, 1 << 16, 1, 159),
+            ("bc-dpc", 5, 3 * (_BLOCK + 777) + 2, 3, 131),
         ],
     )
     def test_counts_pinned(self, kind, k, n_samples, shards, expected):
