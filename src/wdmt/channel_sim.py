@@ -38,12 +38,25 @@ Conventions
   ``outage_probabilities``, whose one-rate case is ``outage_probability``.
   Estimates at one (rho, seed) share their draws: each keeps its binomial
   law, and counts never fall as r grows.
+* A table of more than one block whose every block is one shard piece
+  (each shard's quota above ``_BLOCK / 2``) is drawn ahead when the process
+  may run on two CPUs: one daemon worker thread makes block b + 1's
+  generator calls, in its generator's stream order and rows of one kind in
+  one call, into one of two staging buffers while the calling thread runs
+  block b's arithmetic from the other (``_draws``). The draws, and so the
+  estimates, are those of the in-line path bit for bit, and the worker is
+  idle between tables. Other tables draw in line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
+from itertools import chain, groupby
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -187,7 +200,9 @@ class _Workspace:
     of L^-1 overwrite in place. A block holds whole pieces of one or more
     shards, of one or more SNR points, side by side, each in its own
     columns; one workspace serves a whole table. Buffers are flat, so a
-    shorter block's leading slice reshapes into a contiguous array."""
+    shorter block's leading slice reshapes into a contiguous array. A table
+    drawn ahead (``_draws``) also has two staging buffers of ``_calls``
+    rows of one block, which the worker thread fills in turn."""
 
     def __init__(self, scenario: Scenario, size: int):
         k = scenario.k
@@ -220,13 +235,32 @@ def _gamma_row(segments, row: np.ndarray, shape: int, scratch) -> np.ndarray:
     return np.negative(np.log(row, out=row), out=row)
 
 
+def _shapes(scenario: Scenario):
+    """The shapes of the Gamma rows of ``_chunk_gains``, in order."""
+    if scenario.kind == "bc-zf":  # the Bartlett diagonal
+        return range(scenario.m, scenario.m - scenario.k, -1)
+    return scenario.gain_shapes()
+
+
+def _calls(scenario: Scenario) -> list:
+    """The generator calls of ``_chunk_gains`` on a piece of n samples, in
+    stream order: one (method, *args) per row of n draws."""
+    calls = [call for a in _shapes(scenario) for call in (
+        [("random",)] * a if a <= _ERLANG_MAX_SHAPE else [("standard_gamma", float(a))])]
+    if scenario.kind == "bc-zf":
+        k = scenario.k
+        calls += [("random",)] if k == 2 else [("standard_normal",)] * (k * (k - 1))
+    return calls
+
+
 def _chunk_gains(scenario: Scenario, segments, work: _Workspace) -> np.ndarray:
     """Draw one block of effective-gain vectors from the equivalent parallel
     model into ``work`` and return them as a (k, n) view, rows in
     ``scenario.encode_order()``. ``segments`` lists (generator, slice)
-    pairs whose slices tile the block's n columns in order; each generator
-    fills its own columns with exactly the draws, in the same order, that a
-    block of its columns alone would take from it.
+    pairs whose slices tile the block's n columns in order; each generator,
+    or the ``_Staged`` draws that stand in for it, fills its own columns
+    with exactly the draws, in the same order, that a block of its columns
+    alone would take from it.
 
     Parallel and DPC gains are independent Gamma(shape_i, 1), drawn one row
     at a time by ``_gamma_row``. ZF gains are gamma_i = 1 / [G^-1]_ii for
@@ -245,10 +279,9 @@ def _chunk_gains(scenario: Scenario, segments, work: _Workspace) -> np.ndarray:
     """
     k = scenario.k
     zf = scenario.kind == "bc-zf"
-    shapes = range(scenario.m, scenario.m - k, -1) if zf else scenario.gain_shapes()
     n = segments[-1][1].stop
     draws, term = work.draws[: k * n].reshape(k, n), work.term[:n]
-    for row, shape in zip(draws, shapes):
+    for row, shape in zip(draws, _shapes(scenario)):
         _gamma_row(segments, row, shape, term)
     if not zf:
         return draws
@@ -430,6 +463,102 @@ def _blocks(roots, shards: int, n_samples: int):
     yield block
 
 
+class _Staged:
+    """Stands in for the generator of a one-piece block whose draws the
+    worker made into ``buffer`` in the order of ``_calls``, and hands them
+    out in that order."""
+
+    def __init__(self, buffer: np.ndarray):
+        self.buffer, self.used = buffer, 0
+
+    def standard_normal(self, size) -> np.ndarray:
+        self.used += math.prod(size)
+        return self.buffer[self.used - math.prod(size) : self.used].reshape(size)
+
+    def random(self, out: np.ndarray) -> None:
+        out[...] = self.standard_normal(out.shape)
+
+    def standard_gamma(self, shape: float, out: np.ndarray) -> None:
+        self.random(out)
+
+
+class _Worker:
+    """The daemon thread that draws tables ahead, started at first use.
+    ``lock`` is held by the table it serves; a forked child, which has no
+    thread, starts again from a new ``_Worker``."""
+
+    def __init__(self):
+        self.lock, self.jobs = threading.Lock(), None
+
+    def run(self, outcomes, job, *args) -> None:
+        """Queue ``job(*args)``; its result, or its error, goes to ``outcomes``."""
+        if self.jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=self._serve, args=(jobs,), daemon=True).start()
+            self.jobs = jobs
+        self.jobs.put((outcomes, job, args))
+
+    @staticmethod
+    def _serve(jobs) -> None:
+        while True:
+            outcomes, job, args = jobs.get()
+            try:
+                outcomes.put(job(*args))
+            except BaseException as error:  # the caller raises it
+                outcomes.put(error)
+
+
+_worker = _Worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_worker.__init__)
+
+
+def _several_cpus() -> bool:
+    """Whether this process may run on two CPUs; on one, drawing ahead is slower."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _draws(scenario: Scenario, blocks, ahead: bool):
+    """Yield ``blocks``, or, if ``ahead`` says that each is one shard piece
+    and the worker is free, each as [(``_Staged``, slice)]: the worker makes
+    block b + 1's calls, rows of one kind in one call, into one of two
+    staging buffers while the caller computes block b from the other. The
+    worker's error is raised here; the generator returns, or is closed,
+    only once the worker has no job of its table left."""
+    if not (ahead and _worker.lock.acquire(blocking=False)):
+        yield from blocks
+        return
+    calls, outcomes, sent, got = _calls(scenario), queue.SimpleQueue(), 0, 0
+    staging = np.empty((2, len(calls) * _BLOCK))
+
+    def stage(block, buffer):
+        [(rng, part)] = block
+        at = 0
+        for (method, *args), rows in groupby(calls):
+            size = part.stop * len(list(rows))
+            getattr(rng, method)(*args, out=buffer[at : at + size])
+            at += size
+        return [(_Staged(buffer), part)]
+
+    try:
+        for block in chain(blocks, [None]):
+            if block is not None:
+                _worker.run(outcomes, stage, block, staging[sent % 2])
+                sent += 1
+            while sent - got > (block is not None):  # one block ahead; none after the last
+                staged = outcomes.get()
+                got += 1
+                if isinstance(staged, BaseException):
+                    raise staged
+                yield staged
+    finally:
+        for _ in range(sent - got):
+            outcomes.get()
+        _worker.lock.release()
+
+
 def outage_table(
     scenario: Scenario,
     rates,
@@ -472,19 +601,24 @@ def outage_table(
     work = _Workspace(scenario, min(_BLOCK, len(points) * n_samples))
     outages = [[0] * len(rates) for _ in points]
     start = 0  # the block's first sample in the table, points laid end to end
-    for block in _blocks((_root(seed) for _, seed in points), shards, n_samples):
-        n = block[-1][1].stop
-        spans = [
-            (p, slice(max(p * n_samples - start, 0), min((p + 1) * n_samples - start, n)))
-            for p in range(start // n_samples, (start + n - 1) // n_samples + 1)
-        ]
-        gains = _chunk_gains(scenario, block, work)
-        capacity = _capacity(mu, [(rhos[p], cols) for p, cols in spans], gains, work.acc[:n])
-        for p, cols in spans:
-            for j, threshold in enumerate(thresholds[p]):
-                hit = np.less_equal(capacity[cols], threshold, out=work.hit[cols])
-                outages[p][j] += int(np.count_nonzero(hit))
-        start += n
+    # a shard quota above half a block puts each piece in a block of its own
+    ahead = (n_samples // shards > _BLOCK // 2 and len(points) * n_samples > _BLOCK
+             and _several_cpus())
+    blocks = _blocks((_root(seed) for _, seed in points), shards, n_samples)
+    with contextlib.closing(_draws(scenario, blocks, ahead)) as blocks:
+        for block in blocks:
+            n = block[-1][1].stop
+            spans = [
+                (p, slice(max(p * n_samples - start, 0), min((p + 1) * n_samples - start, n)))
+                for p in range(start // n_samples, (start + n - 1) // n_samples + 1)
+            ]
+            gains = _chunk_gains(scenario, block, work)
+            capacity = _capacity(mu, [(rhos[p], cols) for p, cols in spans], gains, work.acc[:n])
+            for p, cols in spans:
+                for j, threshold in enumerate(thresholds[p]):
+                    hit = np.less_equal(capacity[cols], threshold, out=work.hit[cols])
+                    outages[p][j] += int(np.count_nonzero(hit))
+            start += n
     return tuple(
         tuple(OutageEstimate(rho, r, n_samples, count, *confidence_interval(count, n_samples))
               for r, count in zip(rates, counts))

@@ -1,7 +1,9 @@
 import copy
 import math
+import multiprocessing
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -26,6 +28,7 @@ from wdmt import (
     validate_gain_distribution,
     validate_weights,
 )
+from wdmt import channel_sim
 from wdmt.channel_sim import (
     _BLOCK,
     _ERLANG_MAX_SHAPE,
@@ -770,6 +773,168 @@ class TestOutageKernel:
             warnings.simplefilter("error", RuntimeWarning)
             gains = chunk_gains(s, self.ZeroUniforms(), 100)
         assert np.isfinite(gains).all() and (gains == 0.0).all()
+
+
+def count_in_child(scenario, writer):
+    """Send one one-piece table's count down ``writer`` from a forked child."""
+    writer.send(outage_probability(scenario, 1.5, 10.0, 1 << 16, 109).n_outages)
+    writer.close()
+
+
+class TestDrawAhead:
+    """Tables whose every block is one shard piece: the worker thread makes
+    block b + 1's generator calls while the caller computes block b. The
+    ``jobs`` fixture records each block the worker draws, with its thread
+    and whether it has ended, and lets the worker run on a one-CPU machine."""
+
+    SCENARIO = gamma_scenario("bc-zf", 3, 2)
+    COUNT = 11379  # TestOutageKernel's recorded count of this call
+
+    def count(self):
+        return outage_probability(self.SCENARIO, 1.5, 10.0, 1 << 16, 109).n_outages
+
+    @pytest.fixture
+    def jobs(self, monkeypatch):
+        record = []
+        run = channel_sim._worker.run
+
+        def tracked(outcomes, job, *args):
+            entry = {"ended": threading.Event()}
+            record.append(entry)
+
+            def tracked_job(*args):
+                entry["thread"] = threading.get_ident()
+                try:
+                    return job(*args)
+                finally:
+                    entry["ended"].set()
+
+            run(outcomes, tracked_job, *args)
+
+        monkeypatch.setattr(channel_sim, "_several_cpus", lambda: True)
+        monkeypatch.setattr(channel_sim._worker, "run", tracked)
+        return record
+
+    def test_worker_draws_one_piece_tables(self, jobs):
+        assert self.count() == self.COUNT
+        assert len(jobs) == (1 << 16) // _BLOCK and self.idle(jobs)
+        assert threading.get_ident() not in {job["thread"] for job in jobs}
+
+    @staticmethod
+    def idle(jobs):
+        """Whether every job has ended and no table holds the worker."""
+        return all(job["ended"].is_set() for job in jobs) and not channel_sim._worker.lock.locked()
+
+    def test_multi_piece_tables_and_one_cpu_draw_in_line(self, jobs, monkeypatch):
+        # cli-sweep's shape: 4 shards of 1250 samples, four pieces a block
+        outage_table(self.SCENARIO, (1.0,), [(10.0, 1), (100.0, 2)], 5000, 4)
+        monkeypatch.setattr(channel_sim, "_several_cpus", lambda: False)
+        assert self.count() == self.COUNT
+        assert jobs == []
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_drawn_ahead_equals_in_line(self, jobs, kind, k):
+        # m = k + 6 makes every Gamma row a standard_gamma row, two of them
+        # merged into one call when k >= 2; short blocks end each point
+        rates = (0.25 * k, 0.75 * k)
+        points = [(10.0, 1), (100.0, np.random.SeedSequence(2, spawn_key=(3,)))]
+        for m in (k + 1, k + 6):
+            s = gamma_scenario(kind, m, k)
+            ahead = outage_table(s, rates, points, _BLOCK + 777, 1)
+            with channel_sim._worker.lock:  # a busy worker: the table draws in line
+                assert outage_table(s, rates, points, _BLOCK + 777, 1) == ahead, m
+        assert len(jobs) == 8 and self.idle(jobs)  # 2 tables of 4 blocks
+
+    def test_staging_error_is_raised_after_the_job_ends(self, jobs, monkeypatch):
+        class Broken:
+            def __getattr__(self, name):
+                raise LookupError("no generator")
+
+        blocks = channel_sim._blocks
+
+        def second_broken(*args):
+            for i, block in enumerate(blocks(*args)):
+                yield [(Broken(), block[0][1])] if i == 1 else block
+
+        monkeypatch.setattr(channel_sim, "_blocks", second_broken)
+        with pytest.raises(LookupError, match="no generator"):
+            self.count()
+        assert self.idle(jobs)
+        drawn = len(jobs)
+        monkeypatch.setattr(channel_sim, "_blocks", blocks)
+        assert self.count() == self.COUNT and len(jobs) == drawn + 4
+
+    def test_caller_error_is_raised_after_the_job_ends(self, jobs, monkeypatch):
+        capacity, calls = channel_sim._capacity, []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ArithmeticError("capacity failed")
+            return capacity(*args)
+
+        monkeypatch.setattr(channel_sim, "_capacity", second_fails)
+        with pytest.raises(ArithmeticError, match="capacity failed"):
+            self.count()
+        assert self.idle(jobs)
+        drawn = len(jobs)
+        monkeypatch.setattr(channel_sim, "_capacity", capacity)
+        assert self.count() == self.COUNT and len(jobs) == drawn + 4
+
+    def test_concurrent_tables_get_sequential_counts(self, jobs):
+        # more threads than CPUs, switching often; one holds the worker, the
+        # others draw in line while it is busy
+        calls = [(gamma_scenario(kind, 3, 2), seed)
+                 for seed, kind in enumerate(SCENARIO_KINDS * 2)]
+        expected = [outage_probability(s, 1.5, 10.0, 1 << 16, seed) for s, seed in calls]
+        got = [None] * len(calls)
+
+        def run(i):
+            got[i] = outage_probability(calls[i][0], 1.5, 10.0, 1 << 16, calls[i][1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected and self.idle(jobs)
+
+    def test_forked_child_gets_the_parents_count(self, jobs):
+        assert self.count() == self.COUNT and channel_sim._worker.jobs is not None
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=count_in_child, args=(self.SCENARIO, writer))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(60), "the child's table did not finish"
+            assert reader.recv() == self.COUNT
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+
+    def test_peak_memory_of_a_one_piece_table_is_two_stagings(self, jobs):
+        # the workspace (0.53 MB) plus two staging buffers of six rows of
+        # 2^14 draws (0.79 MB each); staging the whole 2^18-sample table
+        # would take 12.6 MB
+        tracemalloc.start()
+        try:
+            outage_probability(self.SCENARIO, 1.0, 100.0, 1 << 18, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(jobs) == 16
+        assert peak < 2.5 * (1 << 20)
 
 
 class TestConfidenceInterval:
