@@ -38,25 +38,23 @@ Conventions
   ``outage_probabilities``, whose one-rate case is ``outage_probability``.
   Estimates at one (rho, seed) share their draws: each keeps its binomial
   law, and counts never fall as r grows.
-* A table of more than one block whose every block is one shard piece
-  (each shard's quota above ``_BLOCK / 2``) is drawn ahead when the process
-  may run on two CPUs: one daemon worker thread makes block b + 1's
-  generator calls, in its generator's stream order and rows of one kind in
-  one call, into one of two staging buffers while the calling thread runs
-  block b's arithmetic from the other (``_draws``). The draws, and so the
-  estimates, are those of the in-line path bit for bit, and the worker is
-  idle between tables. Other tables draw in line.
+* On two CPUs, a table of more than two blocks, each one shard piece, is
+  split (``_split``): the caller counts its first blocks and a persistent
+  forked worker process (``_WorkerProcess``) the rest from their generators'
+  state words, and the counts add, bit for bit those of the in-line path.
+  Other tables, and those that find the worker busy, run in line. The
+  worker runs the module as it was when forked.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import math
 import os
-import queue
+import signal
 import threading
 from dataclasses import dataclass
-from itertools import chain, groupby
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -88,6 +86,11 @@ _BLOCK = 1 << 14
 # standard_gamma's does not (table in BENCH_10.json). Must stay <= 19, so that
 # the product, at least 2^(-53 a), cannot underflow.
 _ERLANG_MAX_SHAPE = 5
+# Fewest samples of a table split with the worker process. In-line over split
+# time (median per-call ratio, alternating calls, mc-deep's four kinds, one
+# shard): 0.94-0.98 at 16385 samples, 0.98-1.17 at 32768 (two blocks, 86-153
+# of 183 pairs won), 1.19-1.24 at 49152 (three blocks, 104-121 of 122 won).
+_SPLIT_SAMPLES = 2 * _BLOCK + 1
 # Ratio |R_ii|^2 / ||h_i||^2 at or below which row i counts as linearly
 # dependent on rows 0..i-1 (a measure-zero event for CN(0,1) rows).
 _RANK_EPS = 1e-24
@@ -199,10 +202,9 @@ class _Workspace:
     bc-zf at K >= 3, the Bartlett normals, which the off-diagonal entries
     of L^-1 overwrite in place. A block holds whole pieces of one or more
     shards, of one or more SNR points, side by side, each in its own
-    columns; one workspace serves a whole table. Buffers are flat, so a
-    shorter block's leading slice reshapes into a contiguous array. A table
-    drawn ahead (``_draws``) also has two staging buffers of ``_calls``
-    rows of one block, which the worker thread fills in turn."""
+    columns; one workspace serves a whole table, or each share of a split
+    one. Buffers are flat, so a shorter block's leading slice reshapes into
+    a contiguous array."""
 
     def __init__(self, scenario: Scenario, size: int):
         k = scenario.k
@@ -242,25 +244,13 @@ def _shapes(scenario: Scenario):
     return scenario.gain_shapes()
 
 
-def _calls(scenario: Scenario) -> list:
-    """The generator calls of ``_chunk_gains`` on a piece of n samples, in
-    stream order: one (method, *args) per row of n draws."""
-    calls = [call for a in _shapes(scenario) for call in (
-        [("random",)] * a if a <= _ERLANG_MAX_SHAPE else [("standard_gamma", float(a))])]
-    if scenario.kind == "bc-zf":
-        k = scenario.k
-        calls += [("random",)] if k == 2 else [("standard_normal",)] * (k * (k - 1))
-    return calls
-
-
 def _chunk_gains(scenario: Scenario, segments, work: _Workspace) -> np.ndarray:
     """Draw one block of effective-gain vectors from the equivalent parallel
     model into ``work`` and return them as a (k, n) view, rows in
     ``scenario.encode_order()``. ``segments`` lists (generator, slice)
-    pairs whose slices tile the block's n columns in order; each generator,
-    or the ``_Staged`` draws that stand in for it, fills its own columns
-    with exactly the draws, in the same order, that a block of its columns
-    alone would take from it.
+    pairs whose slices tile the block's n columns in order; each generator
+    fills its own columns with exactly the draws, in the same order, that a
+    block of its columns alone would take from it.
 
     Parallel and DPC gains are independent Gamma(shape_i, 1), drawn one row
     at a time by ``_gamma_row``. ZF gains are gamma_i = 1 / [G^-1]_ii for
@@ -403,16 +393,15 @@ def _word_count(x) -> int:
     return sum(map(_word_count, x))
 
 
-def _shard_generators(roots, shards: int):
-    """Iterate, for each ``SeedSequence`` of ``roots`` in turn, over one
-    generator per shard i < ``shards`` in the state of ``default_rng`` of
-    the i-th child of ``root.spawn(shards)``. One pass builds no child and
+def _shard_states(roots, shards: int) -> np.ndarray:
+    """The (len(roots) * shards, 4) uint64 state words, for each
+    ``SeedSequence`` of ``roots`` in turn, of shard i < ``shards``: the
+    words from which ``default_rng`` of the i-th child of
+    ``root.spawn(shards)`` seeds its ``PCG64``. One pass builds no child and
     advances no root: key word(s) n_children_spawned + i are mixed into a
-    copy of the root's pool, then hashed by generate_state(4, uint64); a
-    generator is built when reached. Its seed is a ``_StateWords``, whose
-    ``spawn`` raises; no generator leaves ``_blocks``."""
+    copy of the root's pool, then hashed by generate_state(4, uint64)."""
     if len(sizes := {root.pool_size for root in roots}) > 1:  # mixed pool sizes: root by root
-        return (rng for root in roots for rng in _shard_generators([root], shards))
+        return np.concatenate([_shard_states([root], shards) for root in roots])
     (size,) = sizes
     index = [root.n_children_spawned + i for root in roots for i in range(shards)]
     pool = np.repeat(np.array([root.pool for root in roots], np.uint32).T, shards, axis=1)
@@ -432,26 +421,22 @@ def _shard_generators(roots, shards: int):
         const = hashes[-1]
     state = (pool[np.arange(8) % size] ^ _HASH_B[:-1, None]) * _HASH_B[1:, None]
     state ^= state >> 16
-    states = np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
-    return (np.random.Generator(np.random.PCG64(_StateWords(s))) for s in states)
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
 
 
-def _blocks(roots, shards: int, n_samples: int):
-    """Yield the kernel's blocks as lists of (generator, slice) segments.
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """A generator of four state words, whose ``spawn`` raises."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
-    For each ``SeedSequence`` of ``roots`` in turn, shard i draws its
-    quota, n_samples // shards plus one for the first n_samples % shards
-    shards, from that root's i-th generator of ``_shard_generators``, in
-    pieces of at most ``_BLOCK`` samples. Consecutive pieces share a block
-    while their sum stays at most ``_BLOCK``, so the blocks tile the roots'
-    samples in order and may span roots. Only a shard's last piece can be
-    shorter than ``_BLOCK``, so no block holds two pieces of one generator,
-    and each generator meets its pieces in order.
-    """
-    quota, extra = divmod(n_samples, shards)
+
+def _blocks(draws):
+    """Yield the kernel's blocks, lists of (generator, slice) segments, of the
+    (generator, samples) pairs of ``draws``: pieces of at most ``_BLOCK``
+    samples share a block while their sum stays at most ``_BLOCK``. Only a
+    generator's last piece can be shorter, so no block holds two pieces of
+    one generator, and each meets its pieces in order."""
     block, size = [], 0
-    for index, rng in enumerate(_shard_generators(list(roots), shards)):
-        remaining = quota + (1 if index % shards < extra else 0)
+    for rng, remaining in draws:
         while remaining > 0:
             n = min(_BLOCK, remaining)
             remaining -= n
@@ -463,100 +448,129 @@ def _blocks(roots, shards: int, n_samples: int):
     yield block
 
 
-class _Staged:
-    """Stands in for the generator of a one-piece block whose draws the
-    worker made into ``buffer`` in the order of ``_calls``, and hands them
-    out in that order."""
-
-    def __init__(self, buffer: np.ndarray):
-        self.buffer, self.used = buffer, 0
-
-    def standard_normal(self, size) -> np.ndarray:
-        self.used += math.prod(size)
-        return self.buffer[self.used - math.prod(size) : self.used].reshape(size)
-
-    def random(self, out: np.ndarray) -> None:
-        out[...] = self.standard_normal(out.shape)
-
-    def standard_gamma(self, shape: float, out: np.ndarray) -> None:
-        self.random(out)
-
-
-class _Worker:
-    """The daemon thread that draws tables ahead, started at first use.
-    ``lock`` is held by the table it serves; a forked child, which has no
-    thread, starts again from a new ``_Worker``."""
+class _WorkerProcess:
+    """The forked process that counts a split table's second share, started
+    at first use, forgotten by a forked child, reaped at exit. ``lock`` is
+    held by the table it serves."""
 
     def __init__(self):
-        self.lock, self.jobs = threading.Lock(), None
+        """Also a forked child's reset, which closes its copy of the parent's pipe."""
+        if getattr(self, "pipe", None) is not None:
+            self.pipe.close()
+        self.lock, self.pid, self.pipe = threading.Lock(), None, None
 
-    def run(self, outcomes, job, *args) -> None:
-        """Queue ``job(*args)``; its result, or its error, goes to ``outcomes``."""
-        if self.jobs is None:
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=self._serve, args=(jobs,), daemon=True).start()
-            self.jobs = jobs
-        self.jobs.put((outcomes, job, args))
+    def stop(self) -> None:
+        """Close the pipe, kill the worker and reap it."""
+        pid, self.pid = self.pid, None
+        if pid is not None:
+            self.pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
-    @staticmethod
-    def _serve(jobs) -> None:
-        while True:
-            outcomes, job, args = jobs.get()
+    def share(self, job, own):
+        """The sums of ``_count(*job)`` in the worker and ``_count(*own)`` here,
+        or the first error, once both shares have ended. A worker whose reply
+        was not read is out of step and is replaced at next use."""
+        if self.pid is None:
+            from multiprocessing import Pipe
+
+            self.pipe, theirs = Pipe()
+            self.pid = os.fork()
+            if self.pid == 0:  # the worker; the fork reset closed its copy of our end
+                _serve(theirs)
+            theirs.close()
+        reply = None
+        try:
+            self.pipe.send(job)
             try:
-                outcomes.put(job(*args))
-            except BaseException as error:  # the caller raises it
-                outcomes.put(error)
+                mine = _count(*own)
+            finally:
+                reply = self.pipe.recv()
+        finally:
+            if reply is None:
+                self.stop()
+        if isinstance(reply, BaseException):
+            raise reply
+        return [[a + b for a, b in zip(*counts)] for counts in zip(mine, reply)]
 
 
-_worker = _Worker()
+def _serve(pipe) -> None:
+    """The worker, never to return: answer each job from ``pipe`` with its
+    ``_count``, or its error, and exit once the parent's end closes. SIGINT
+    is the parent's."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        while True:
+            job = pipe.recv()  # EOFError once the parent's end closes
+            try:
+                reply = _count(*job)
+            except Exception as error:  # the caller raises it
+                reply = error
+            pipe.send(reply)
+    finally:
+        os._exit(0)
+
+
+_worker = _WorkerProcess()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_worker.__init__)
+atexit.register(_worker.stop)
 
 
 def _several_cpus() -> bool:
-    """Whether this process may run on two CPUs; on one, drawing ahead is slower."""
+    """Whether this process may run on two CPUs, where a split table is faster."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+    return hasattr(os, "fork") and (os.cpu_count() or 1) > 1  # no fork, no worker
 
 
-def _draws(scenario: Scenario, blocks, ahead: bool):
-    """Yield ``blocks``, or, if ``ahead`` says that each is one shard piece
-    and the worker is free, each as [(``_Staged``, slice)]: the worker makes
-    block b + 1's calls, rows of one kind in one call, into one of two
-    staging buffers while the caller computes block b from the other. The
-    worker's error is raised here; the generator returns, or is closed,
-    only once the worker has no job of its table left."""
-    if not (ahead and _worker.lock.acquire(blocking=False)):
-        yield from blocks
-        return
-    calls, outcomes, sent, got = _calls(scenario), queue.SimpleQueue(), 0, 0
-    staging = np.empty((2, len(calls) * _BLOCK))
+def _split(scenario: Scenario, quotas):
+    """(g, head, skip): of a table that draws ``quotas`` samples from its
+    generators in turn, the caller counts the generators before g and
+    ``head`` samples of generator g, up to the block boundary nearest half
+    the samples, and the worker the rest, generator g advanced past ``skip``
+    outputs: a cut inside a generator needs rows of uniforms, one output a
+    draw. None for a table under ``_SPLIT_SAMPLES`` samples, of multi-piece
+    blocks (a quota of at most ``_BLOCK / 2``) or with no cut."""
+    if min(quotas) <= _BLOCK // 2 or sum(quotas) < _SPLIT_SAMPLES:
+        return None
+    zf, k = scenario.kind == "bc-zf", scenario.k
+    rows = [*_shapes(scenario), *([1] if zf and k == 2 else [])]  # Erlang rows, bc-zf's E
+    uniform = max(rows) <= _ERLANG_MAX_SHAPE and not (zf and k > 2)  # no gamma or normal row
+    cuts, total = [], 0  # (samples before the cut, g, head)
+    for g, quota in enumerate(quotas):
+        cuts += [(total + head, g, head) for head in (range(0, quota, _BLOCK) if uniform else [0])]
+        total += quota
+    # on a tie the caller takes the larger share, as the worker starts later
+    best = min(cuts[1:], key=lambda cut: (abs(2 * cut[0] - total), -cut[0]), default=None)
+    return None if best is None else (*best[1:], best[2] * sum(rows))
 
-    def stage(block, buffer):
-        [(rng, part)] = block
-        at = 0
-        for (method, *args), rows in groupby(calls):
-            size = part.stop * len(list(rows))
-            getattr(rng, method)(*args, out=buffer[at : at + size])
-            at += size
-        return [(_Staged(buffer), part)]
 
-    try:
-        for block in chain(blocks, [None]):
-            if block is not None:
-                _worker.run(outcomes, stage, block, staging[sent % 2])
-                sent += 1
-            while sent - got > (block is not None):  # one block ahead; none after the last
-                staged = outcomes.get()
-                got += 1
-                if isinstance(staged, BaseException):
-                    raise staged
-                yield staged
-    finally:
-        for _ in range(sent - got):
-            outcomes.get()
-        _worker.lock.release()
+def _count(scenario, rhos, thresholds, n_samples, start, states, skip, quotas):
+    """Outage counts, per point one per threshold, of the blocks that draw
+    ``quotas`` samples from generators of the words ``states``, the first
+    advanced past ``skip`` outputs, from sample ``start`` of the table (its
+    points laid end to end), in one ``_Workspace``."""
+    rngs = [_generator(words) for words in states[: len(quotas)]]
+    rngs[0].bit_generator.advance(skip)
+    mu = np.asarray(scenario.encoded_weights())
+    work = _Workspace(scenario, min(_BLOCK, len(rhos) * n_samples))
+    outages = [[0] * len(row) for row in thresholds]
+    for block in _blocks(zip(rngs, quotas)):
+        n = block[-1][1].stop
+        spans = [
+            (p, slice(max(p * n_samples - start, 0), min((p + 1) * n_samples - start, n)))
+            for p in range(start // n_samples, (start + n - 1) // n_samples + 1)
+        ]
+        gains = _chunk_gains(scenario, block, work)
+        capacity = _capacity(mu, [(rhos[p], cols) for p, cols in spans], gains, work.acc[:n])
+        for p, cols in spans:
+            for j, threshold in enumerate(thresholds[p]):
+                hit = np.less_equal(capacity[cols], threshold, out=work.hit[cols])
+                outages[p][j] += int(np.count_nonzero(hit))
+        start += n
+    return outages
 
 
 def outage_table(
@@ -576,13 +590,13 @@ def outage_table(
     min(shards, n_samples) deterministic substreams, the children of
     ``_root(seed)``, whose pieces ``_blocks`` packs, point after point,
     into blocks of at most ``_BLOCK`` samples, held by one ``_Workspace``
-    per table. Each piece gets the same draws as in a block of its own; the
-    capacity runs once per block, each point's columns at its own rho, then
-    one comparison and count per rate over each point's columns. Counts are
-    summed, so each estimate is a pure function of (scenario, r, rho,
-    n_samples, seed, shards). The estimates of one point share their
-    draws: each has its own binomial law, but they are not independent,
-    and a count never falls as r grows. Every rate must lie in [0, K], and
+    per table or per share of a split table. Each piece gets the same draws
+    as in a block of its own; the capacity runs once per block, each point's
+    columns at its own rho, then one comparison and count per rate over each
+    point's columns. Counts are summed, so each estimate is a pure function
+    of (scenario, r, rho, n_samples, seed, shards). The estimates of one
+    point share their draws: each has its own binomial law, but they are not
+    independent, and a count never falls as r grows. Every rate must lie in [0, K], and
     every rho in (0, 1e300], so that the capacity stays finite.
     """
     rates = check_sequence("rates", rates)
@@ -596,29 +610,21 @@ def outage_table(
     n_samples = check_count("n_samples", n_samples, 1)
     shards = min(check_count("shards", shards, 1), n_samples)
 
-    thresholds = [[r * math.log(rho) for r in rates] for rho in rhos]
-    mu = np.asarray(scenario.encoded_weights())
-    work = _Workspace(scenario, min(_BLOCK, len(points) * n_samples))
-    outages = [[0] * len(rates) for _ in points]
-    start = 0  # the block's first sample in the table, points laid end to end
-    # a shard quota above half a block puts each piece in a block of its own
-    ahead = (n_samples // shards > _BLOCK // 2 and len(points) * n_samples > _BLOCK
-             and _several_cpus())
-    blocks = _blocks((_root(seed) for _, seed in points), shards, n_samples)
-    with contextlib.closing(_draws(scenario, blocks, ahead)) as blocks:
-        for block in blocks:
-            n = block[-1][1].stop
-            spans = [
-                (p, slice(max(p * n_samples - start, 0), min((p + 1) * n_samples - start, n)))
-                for p in range(start // n_samples, (start + n - 1) // n_samples + 1)
-            ]
-            gains = _chunk_gains(scenario, block, work)
-            capacity = _capacity(mu, [(rhos[p], cols) for p, cols in spans], gains, work.acc[:n])
-            for p, cols in spans:
-                for j, threshold in enumerate(thresholds[p]):
-                    hit = np.less_equal(capacity[cols], threshold, out=work.hit[cols])
-                    outages[p][j] += int(np.count_nonzero(hit))
-            start += n
+    table = (scenario, rhos, [[r * math.log(rho) for r in rates] for rho in rhos], n_samples)
+    states = _shard_states([_root(seed) for _, seed in points], shards)
+    quota, extra = divmod(n_samples, shards)  # the first n_samples % shards shards draw one more
+    quotas = [quota + (i < extra) for i in range(shards)] * len(points)
+    cut = _split(scenario, quotas)
+    if cut is None or not _several_cpus() or not _worker.lock.acquire(blocking=False):
+        outages = _count(*table, 0, states, 0, quotas)  # in line
+    else:
+        g, head, skip = cut
+        mine = [*quotas[:g], head]
+        job = (*table, sum(mine), states[g:], skip, [quotas[g] - head, *quotas[g + 1 :]])
+        try:
+            outages = _worker.share(job, (*table, 0, states, 0, mine))
+        finally:
+            _worker.lock.release()
     return tuple(
         tuple(OutageEstimate(rho, r, n_samples, count, *confidence_interval(count, n_samples))
               for r, count in zip(rates, counts))
@@ -677,7 +683,8 @@ def validate_gain_distribution(
     check_count("n_samples", n_samples, 2)
     shape = scenario.gain_shapes()[index]
     parts = []
-    for [(rng, piece)] in _blocks([_root(seed)], 1, n_samples):  # one piece per block
+    rng = _generator(_shard_states([_root(seed)], 1)[0])
+    for [(rng, piece)] in _blocks([(rng, n_samples)]):  # one piece per block
         gains, ok = _matrix_gains(scenario, rng, piece.stop - piece.start)
         parts.append(gains[ok, index])
     sample = np.concatenate(parts)

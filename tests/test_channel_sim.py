@@ -1,9 +1,10 @@
 import copy
 import math
-import multiprocessing
+import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -37,10 +38,11 @@ from wdmt.channel_sim import (
     _blocks,
     _capacity,
     _chunk_gains,
+    _generator,
     _matrix_gains,
     _qr_gains,
     _sample_rows,
-    _shard_generators,
+    _shard_states,
 )
 from wdmt.core import _MAX_RHO
 
@@ -118,6 +120,11 @@ def reference_chunk_gains(scenario, rng, n):
         inv[i, :i] = -np.einsum("jn,jcn->cn", l_row, inv[:i, :i]) * inv_diag[i]
         inv[i, i] = inv_diag[i]
     return 1.0 / (inv.real**2 + inv.imag**2).sum(axis=0).T
+
+
+def shard_generators(roots, shards):
+    """The generators of ``_shard_states``, as a table's kernel builds them."""
+    return [_generator(words) for words in _shard_states(roots, shards)]
 
 
 def reference_confidence_interval(n_outages, n_samples):
@@ -576,7 +583,7 @@ seed_sequences = st.builds(
 
 
 class TestShardGenerators:
-    """``_shard_generators`` computes the states of numpy's ``SeedSequence``
+    """``_shard_states`` computes the states of numpy's ``SeedSequence``
     children without spawning; its hash constants are checked here."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -586,14 +593,14 @@ class TestShardGenerators:
         # the example's children 2^32 and 2^32 + 1 take two key words each
         pools = [root.pool.copy() for root in roots]
         counts = [root.n_children_spawned for root in roots]
-        states = [rng.bit_generator.state for rng in _shard_generators(roots, shards)]
+        states = [rng.bit_generator.state for rng in shard_generators(roots, shards)]
         assert states == [np.random.default_rng(child).bit_generator.state
                           for root in roots for child in spawned_children(root, shards)]
         assert [root.n_children_spawned for root in roots] == counts
         assert all(np.array_equal(root.pool, pool) for root, pool in zip(roots, pools))
 
     def test_generators_cannot_spawn(self):
-        (rng,) = _shard_generators([np.random.SeedSequence(3)], 1)
+        (rng,) = shard_generators([np.random.SeedSequence(3)], 1)
         with pytest.raises(TypeError):
             rng.spawn(1)
 
@@ -716,7 +723,8 @@ class TestOutageKernel:
     def test_grid_points_straddle_blocks(self):
         # the grid above at (5000, 4): a block ends inside a point's pieces
         roots = [np.random.SeedSequence(i) for i in range(21)]
-        ends = np.cumsum([block[-1][1].stop for block in _blocks(roots, 4, 5000)])
+        blocks = _blocks(zip(shard_generators(roots, 4), [1250] * 84))
+        ends = np.cumsum([block[-1][1].stop for block in blocks])
         assert len(ends) == 7 and any(end % 5000 for end in ends[:-1])
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -775,17 +783,38 @@ class TestOutageKernel:
         assert np.isfinite(gains).all() and (gains == 0.0).all()
 
 
-def count_in_child(scenario, writer):
-    """Send one one-piece table's count down ``writer`` from a forked child."""
-    writer.send(outage_probability(scenario, 1.5, 10.0, 1 << 16, 109).n_outages)
-    writer.close()
+def alive(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-class TestDrawAhead:
-    """Tables whose every block is one shard piece: the worker thread makes
-    block b + 1's generator calls while the caller computes block b. The
-    ``jobs`` fixture records each block the worker draws, with its thread
-    and whether it has ended, and lets the worker run on a one-CPU machine."""
+def run_python(code, **kwargs):
+    """Start ``code`` in a fresh interpreter that imports this checkout's
+    package and lets a table split on one CPU."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    prelude = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+               "from wdmt import channel_sim; channel_sim._several_cpus = lambda: True; ")
+    return subprocess.Popen([sys.executable, "-c", prelude + code], text=True, **kwargs)
+
+
+# one 2^18-sample, one-shard bc-zf table (M = 3, K = 2) in a fresh
+# interpreter, then the worker's pid on stdout
+ONE_TABLE = ("from wdmt import Scenario, validate_weights; "
+             "s = Scenario(kind='bc-zf', weights=validate_weights((0.55, 0.45)), m=3); "
+             "channel_sim.outage_probability(s, 1.5, 10.0, 1 << 18, 1); "
+             "print(channel_sim._worker.pid, flush=True); ")
+
+
+class TestSplitTables:
+    """Tables of more than two blocks whose every block is one shard piece:
+    the caller counts the first blocks and the worker process the rest. The
+    ``fresh_worker`` fixture stops the worker, so that the next split table
+    forks one from the module as the test has patched it, stops it again at
+    the end, and lets tables split on a one-CPU machine."""
 
     SCENARIO = gamma_scenario("bc-zf", 3, 2)
     COUNT = 11379  # TestOutageKernel's recorded count of this call
@@ -794,97 +823,124 @@ class TestDrawAhead:
         return outage_probability(self.SCENARIO, 1.5, 10.0, 1 << 16, 109).n_outages
 
     @pytest.fixture
-    def jobs(self, monkeypatch):
-        record = []
-        run = channel_sim._worker.run
-
-        def tracked(outcomes, job, *args):
-            entry = {"ended": threading.Event()}
-            record.append(entry)
-
-            def tracked_job(*args):
-                entry["thread"] = threading.get_ident()
-                try:
-                    return job(*args)
-                finally:
-                    entry["ended"].set()
-
-            run(outcomes, tracked_job, *args)
-
+    def fresh_worker(self, monkeypatch):
+        channel_sim._worker.stop()
         monkeypatch.setattr(channel_sim, "_several_cpus", lambda: True)
-        monkeypatch.setattr(channel_sim._worker, "run", tracked)
-        return record
+        yield
+        channel_sim._worker.stop()
 
-    def test_worker_draws_one_piece_tables(self, jobs):
+    @pytest.fixture
+    def shares(self, fresh_worker, monkeypatch, tmp_path):
+        """Patch ``_count`` to log, from whichever process runs it, a line
+        "pid start samples" at the start and "pid end" at the end of each
+        share; return a function that reads the log."""
+        log, count = tmp_path / "shares.log", channel_sim._count
+
+        def write(line):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {line}\n")
+
+        def logged(*args):
+            start, quotas = args[4], args[7]
+            write(f"{start} {sum(quotas)}")
+            counts = count(*args)
+            write("end")
+            return counts
+
+        monkeypatch.setattr(channel_sim, "_count", logged)
+        return lambda: [line.split() for line in log.read_text().splitlines()]
+
+    def test_caller_and_worker_each_count_half(self, shares):
         assert self.count() == self.COUNT
-        assert len(jobs) == (1 << 16) // _BLOCK and self.idle(jobs)
-        assert threading.get_ident() not in {job["thread"] for job in jobs}
+        worker = str(channel_sim._worker.pid)
+        here = str(os.getpid())
+        assert sorted(shares()) == sorted([[here, "0", "32768"], [here, "end"],
+                                           [worker, "32768", "32768"], [worker, "end"]])
 
-    @staticmethod
-    def idle(jobs):
-        """Whether every job has ended and no table holds the worker."""
-        return all(job["ended"].is_set() for job in jobs) and not channel_sim._worker.lock.locked()
-
-    def test_multi_piece_tables_and_one_cpu_draw_in_line(self, jobs, monkeypatch):
-        # cli-sweep's shape: 4 shards of 1250 samples, four pieces a block
+    def test_multi_piece_small_and_one_cpu_tables_run_in_line(self, shares, monkeypatch):
+        # cli-sweep's shape: 4 shards of 1250 samples, four pieces a block;
+        # then two blocks; then the one-CPU rule
         outage_table(self.SCENARIO, (1.0,), [(10.0, 1), (100.0, 2)], 5000, 4)
+        outage_probability(self.SCENARIO, 1.5, 10.0, 2 * _BLOCK, 109)
         monkeypatch.setattr(channel_sim, "_several_cpus", lambda: False)
         assert self.count() == self.COUNT
-        assert jobs == []
+        here = str(os.getpid())
+        assert shares() == [[here, "0", "10000"], [here, "end"],
+                            [here, "0", str(2 * _BLOCK)], [here, "end"],
+                            [here, "0", str(1 << 16)], [here, "end"]]
+        assert channel_sim._worker.pid is None
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_drawn_ahead_equals_in_line(self, jobs, kind, k):
-        # m = k + 6 makes every Gamma row a standard_gamma row, two of them
-        # merged into one call when k >= 2; short blocks end each point
+    def test_split_equals_in_line(self, fresh_worker, monkeypatch, kind, k):
+        # a standard_gamma row (every Gamma row at m = k + 6) or bc-zf's
+        # normals (k >= 3) put every cut between generators. Tables: two
+        # points of two blocks each, the second short; 3 uneven shards of two
+        # pieces; two blocks, which stay in line; three blocks, which split
+        # inside their one generator or stay in line
+        cuts, split = [], channel_sim._split
+        monkeypatch.setattr(channel_sim, "_split", lambda *a: cuts.append(split(*a)) or cuts[-1])
         rates = (0.25 * k, 0.75 * k)
-        points = [(10.0, 1), (100.0, np.random.SeedSequence(2, spawn_key=(3,)))]
+        two_points = [(10.0, 1), (100.0, np.random.SeedSequence(2, spawn_key=(3,)))]
+        expected = []
         for m in (k + 1, k + 6):
             s = gamma_scenario(kind, m, k)
-            ahead = outage_table(s, rates, points, _BLOCK + 777, 1)
-            with channel_sim._worker.lock:  # a busy worker: the table draws in line
-                assert outage_table(s, rates, points, _BLOCK + 777, 1) == ahead, m
-        assert len(jobs) == 8 and self.idle(jobs)  # 2 tables of 4 blocks
+            uniform = max(s.gain_shapes()) <= _ERLANG_MAX_SHAPE and not (kind == "bc-zf" and k > 2)
+            # one uniform per unit of each Gamma shape (bc-zf: its Bartlett
+            # diagonal m, m - 1, ..., and E at k = 2) for each skipped sample
+            rows = sum(range(m, m - k, -1)) + (k == 2) if kind == "bc-zf" else sum(s.gain_shapes())
+            skip = _BLOCK * rows
+            expected += [(1, 0, 0), (1, _BLOCK, skip) if uniform else (1, 0, 0), None,
+                         (0, _BLOCK, skip) if uniform else None]
+            for points, n_samples, shards in ((two_points, _BLOCK + 777, 1),
+                                              ([(10.0, 5)], 3 * (_BLOCK + 777) + 2, 3),
+                                              ([(30.0, 7)], 2 * _BLOCK, 1),
+                                              ([(30.0, 7)], 2 * _BLOCK + 1, 1)):
+                split_table = outage_table(s, rates, points, n_samples, shards)
+                with channel_sim._worker.lock:  # a busy worker: the table runs in line
+                    in_line = outage_table(s, rates, points, n_samples, shards)
+                assert split_table == in_line, (m, n_samples, shards)
+        assert cuts[::2] == expected
+        assert not channel_sim._worker.lock.locked()
 
-    def test_staging_error_is_raised_after_the_job_ends(self, jobs, monkeypatch):
-        class Broken:
-            def __getattr__(self, name):
-                raise LookupError("no generator")
+    def test_worker_error_is_raised_after_both_shares_end(self, shares, monkeypatch):
+        # the worker's first block fails; its next job succeeds
+        gains, here, failed = channel_sim._chunk_gains, os.getpid(), []
 
-        blocks = channel_sim._blocks
+        def worker_fails_once(*args):
+            if os.getpid() != here and not failed:
+                failed.append(True)
+                raise LookupError("no gains")
+            return gains(*args)
 
-        def second_broken(*args):
-            for i, block in enumerate(blocks(*args)):
-                yield [(Broken(), block[0][1])] if i == 1 else block
-
-        monkeypatch.setattr(channel_sim, "_blocks", second_broken)
-        with pytest.raises(LookupError, match="no generator"):
+        monkeypatch.setattr(channel_sim, "_chunk_gains", worker_fails_once)
+        with pytest.raises(LookupError, match="no gains"):
             self.count()
-        assert self.idle(jobs)
-        drawn = len(jobs)
-        monkeypatch.setattr(channel_sim, "_blocks", blocks)
-        assert self.count() == self.COUNT and len(jobs) == drawn + 4
+        assert [str(here), "end"] in shares() and not channel_sim._worker.lock.locked()
+        pid = channel_sim._worker.pid
+        assert self.count() == self.COUNT and channel_sim._worker.pid == pid
 
-    def test_caller_error_is_raised_after_the_job_ends(self, jobs, monkeypatch):
-        capacity, calls = channel_sim._capacity, []
+    def test_caller_error_is_raised_after_both_shares_end(self, shares, monkeypatch):
+        capacity, here, calls = channel_sim._capacity, os.getpid(), []
 
-        def second_fails(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                raise ArithmeticError("capacity failed")
+        def caller_fails_second(*args):
+            if os.getpid() == here:
+                calls.append(args)
+                if len(calls) == 2:
+                    raise ArithmeticError("capacity failed")
             return capacity(*args)
 
-        monkeypatch.setattr(channel_sim, "_capacity", second_fails)
+        monkeypatch.setattr(channel_sim, "_capacity", caller_fails_second)
         with pytest.raises(ArithmeticError, match="capacity failed"):
             self.count()
-        assert self.idle(jobs)
-        drawn = len(jobs)
-        monkeypatch.setattr(channel_sim, "_capacity", capacity)
-        assert self.count() == self.COUNT and len(jobs) == drawn + 4
+        assert [str(channel_sim._worker.pid), "end"] in shares()
+        assert not channel_sim._worker.lock.locked()
+        pid = channel_sim._worker.pid
+        assert self.count() == self.COUNT and channel_sim._worker.pid == pid
 
-    def test_concurrent_tables_get_sequential_counts(self, jobs):
+    def test_concurrent_tables_get_sequential_counts(self, fresh_worker):
         # more threads than CPUs, switching often; one holds the worker, the
-        # others draw in line while it is busy
+        # others run in line while it is busy
         calls = [(gamma_scenario(kind, 3, 2), seed)
                  for seed, kind in enumerate(SCENARIO_KINDS * 2)]
         expected = [outage_probability(s, 1.5, 10.0, 1 << 16, seed) for s, seed in calls]
@@ -904,37 +960,84 @@ class TestDrawAhead:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert got == expected and self.idle(jobs)
+        assert got == expected and not channel_sim._worker.lock.locked()
 
-    def test_forked_child_gets_the_parents_count(self, jobs):
-        assert self.count() == self.COUNT and channel_sim._worker.jobs is not None
-        context = multiprocessing.get_context("fork")
-        reader, writer = context.Pipe(duplex=False)
-        child = context.Process(target=count_in_child, args=(self.SCENARIO, writer))
-        child.start()
-        writer.close()
+    def test_forked_child_gets_the_parents_count(self, fresh_worker):
+        assert self.count() == self.COUNT
+        parent_worker = channel_sim._worker.pid
+        reader, writer = os.pipe()
+        child = os.fork()
+        if child == 0:  # never returns to the test runner
+            try:
+                os.close(reader)
+                count = self.count()
+                child_worker = channel_sim._worker.pid
+                channel_sim._worker.stop()
+                os.write(writer, f"{count} {child_worker}".encode())
+            finally:
+                os._exit(0)
+        os.close(writer)
         try:
-            assert reader.poll(60), "the child's table did not finish"
-            assert reader.recv() == self.COUNT
+            with open(reader, "rb") as pipe:
+                count, child_worker = pipe.read().split()
         finally:
-            child.join(timeout=10)
-            if child.is_alive():
-                child.kill()
-                child.join()
-        assert child.exitcode == 0
+            _, status = os.waitpid(child, 0)
+        assert status == 0 and int(count) == self.COUNT
+        assert int(child_worker) not in (parent_worker, None) and not alive(int(child_worker))
+        assert self.count() == self.COUNT and channel_sim._worker.pid == parent_worker
 
-    def test_peak_memory_of_a_one_piece_table_is_two_stagings(self, jobs):
-        # the workspace (0.53 MB) plus two staging buffers of six rows of
-        # 2^14 draws (0.79 MB each); staging the whole 2^18-sample table
-        # would take 12.6 MB
+    def test_peak_memory_of_the_caller_is_one_workspace(self, fresh_worker):
+        # the caller's workspace (0.53 MB) and its messages; the thread that
+        # drew ahead needed two staging buffers more (2076 KiB here)
         tracemalloc.start()
         try:
             outage_probability(self.SCENARIO, 1.0, 100.0, 1 << 18, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(jobs) == 16
+        assert channel_sim._worker.pid is not None
         assert peak < 2.5 * (1 << 20)
+
+    def test_worker_share_is_the_in_line_count_in_one_workspace(self):
+        # the worker's job function, run here: the second half of a 2^18-sample
+        # table, its generator advanced past the caller's six uniform rows
+        n, seed = 1 << 18, 5
+        rhos, thresholds = [100.0], [[math.log(100.0)]]
+        states = channel_sim._shard_states([np.random.SeedSequence(seed)], 1)
+        tracemalloc.start()
+        try:
+            (second,) = channel_sim._count(self.SCENARIO, rhos, thresholds, n, n // 2,
+                                           states, 6 * (n // 2), [n // 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (first,) = channel_sim._count(self.SCENARIO, rhos, thresholds, n, 0, states, 0, [n // 2])
+        with channel_sim._worker.lock:
+            in_line = outage_probability(self.SCENARIO, 1.0, 100.0, n, seed)
+        assert first[0] + second[0] == in_line.n_outages
+        assert peak < 1 << 20
+
+    def test_worker_ends_when_its_parent_is_killed(self):
+        parent = run_python(ONE_TABLE + "import time; time.sleep(60)", stdout=subprocess.PIPE)
+        try:
+            worker = int(parent.stdout.readline())
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        deadline = time.monotonic() + 5
+        while alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not alive(worker)
+
+    def test_no_process_outlives_a_run(self):
+        run = run_python(ONE_TABLE, stdout=subprocess.PIPE)
+        try:
+            out, _ = run.communicate(timeout=60)
+        finally:
+            run.kill()
+        worker = int(out)
+        assert run.returncode == 0 and not Path(f"/proc/{worker}").exists()
 
 
 class TestConfidenceInterval:
@@ -1022,7 +1125,8 @@ class TestValidateGainDistribution:
         for index in range(2):
             rep = validate_gain_distribution(s, index, n, seed=17)
             parts = []
-            for [(rng, piece)] in _blocks([np.random.SeedSequence(17)], 1, n):
+            (rng,) = shard_generators([np.random.SeedSequence(17)], 1)
+            for [(rng, piece)] in _blocks([(rng, n)]):
                 gains, ok = _matrix_gains(s, rng, piece.stop - piece.start)
                 parts.append(gains[ok, index])
             sample = np.concatenate(parts)
