@@ -13,7 +13,11 @@ points of 5000 samples in 4 shards, 105000 samples in 7 blocks that the
 points straddle), ``fit``,
 ``validate`` and config-file runs for all four scenario kinds in CSV and
 JSON, two tables whose rows reach every branch of the confidence interval
-(each with its ``fit``) and a K = 4 curve with tied weights, plus a set of
+(each with its ``fit``), four tables at the default budget of 100000
+samples whose blocks are each one shard piece (a bc-zf point that the
+worker split cuts inside its generator, two bc-zf-k3 points that it cuts
+between them, one bc-zf-k3 point that it leaves in line, and a bc-dpc point
+in 3 shards) and a K = 4 curve with tied weights, plus a set of
 invalid inputs (argparse's own rejections among them, and tables that
 ``simulate`` cannot write) and of values that start with ``-``. It takes a few seconds. Run as a
 script, it works in a temporary directory and prints a header line with the
@@ -60,6 +64,15 @@ CI_TABLES = {
                     "--r", "0.5,1.5", "--snr-db", "0:30:10", "--samples", "300", "--seed", "2"],
     "all-outage": ["--scenario", "parallel-identical", "--nt", "1", "--k", "2",
                    "--weights", "0.5,0.5", "--r", "2", "--snr-db", "40", "--samples", "5"],
+}
+# Tables at the default budget of 100000 samples, each block one shard piece, that reach the
+# worker split: the cut falls inside bc-zf's generator, which the worker advances, or between
+# two bc-zf-k3 points; one bc-zf-k3 point has no cut and runs in line; bc-dpc splits 3 shards.
+DEFAULT_BUDGET = {
+    "bc-zf-cut-in-generator": ("bc-zf", ["--r", "0.5,1", "--snr-db", "20"]),
+    "bc-zf-k3-cut-between-points": ("bc-zf-k3", ["--r", "1,2", "--snr-db", "10:20:10"]),
+    "bc-zf-k3-in-line": ("bc-zf-k3", ["--r", "1,2", "--snr-db", "20"]),
+    "bc-dpc-three-shards": ("bc-dpc", ["--r", "0.5,1", "--snr-db", "20", "--shards", "3"]),
 }
 # K = 4 with two tied weights
 TIED = ["--scenario", "bc-dpc", "--m", "4", "--weights", "0.35,0.25,0.25,0.15"]
@@ -163,11 +176,16 @@ def config_file(path: str, argv: list[str]) -> None:
     Path(path).write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in pairs))
 
 
+def scenario_flags(kind: str) -> list[str]:
+    """The ``--scenario`` flag and the flags of ``kind``, a key of ``KINDS``."""
+    return ["--scenario", kind.removesuffix("-k3"), *KINDS[kind]]
+
+
 def digest_all() -> list[str]:
     """The digest rows of the whole matrix, run in the current directory."""
     digests = []
-    for kind, flags in KINDS.items():
-        scenario = ["--scenario", kind.removesuffix("-k3"), *flags]
+    for kind in KINDS:
+        scenario = scenario_flags(kind)
         digests.append(run(f"curve-{kind}-stderr", ["curve", *scenario]))
         for fmt in ("csv", "json"):
             digests.append(run(f"curve-{kind}-{fmt}", ["curve", *scenario, "--format", fmt],
@@ -196,6 +214,8 @@ def digest_all() -> list[str]:
             digests.append(run(f"simulate-{name}-{fmt}",
                                ["simulate", *flags, "--format", fmt], table))
             digests.append(run(f"fit-{name}-{fmt}", ["fit", "--input", table, "--window", "0:40"]))
+    for name, (kind, flags) in DEFAULT_BUDGET.items():
+        digests.append(run(f"simulate-{name}", ["simulate", *scenario_flags(kind), *flags]))
     for fmt in ("csv", "json"):
         digests.append(run(f"curve-tied-k4-{fmt}", ["curve", *TIED, "--format", fmt],
                            f"curve-tied-k4.{fmt}"))
