@@ -34,8 +34,8 @@ Conventions
   are a pure function of (scenario, r, rho, n_samples, seed, shards).
 * ``outage_table`` runs the kernel once over several (rho, seed) points,
   its blocks spanning points, and reads the counts of several rates off
-  each point's sample, one threshold r log rho each. Its one-point case is
-  ``outage_probabilities``, whose one-rate case is ``outage_probability``.
+  each point's sample, one threshold r log rho each. Its one-point,
+  one-rate case is ``outage_probability``.
   Estimates at one (rho, seed) share their draws: each keeps its binomial
   law, and counts never fall as r grows.
 * On two CPUs, a table of more than two blocks, each one shard piece, is
@@ -68,7 +68,6 @@ __all__ = [
     "OutageEstimate",
     "GainDistributionReport",
     "outage_probability",
-    "outage_probabilities",
     "outage_table",
     "validate_gain_distribution",
     "confidence_interval",
@@ -358,10 +357,16 @@ def confidence_interval(n_outages: int, n_samples: int) -> tuple[float, float]:
 
 
 def _root(seed) -> np.random.SeedSequence:
-    """``seed`` as a ``SeedSequence``; a caller's is only read, never advanced."""
+    """``seed`` as a ``SeedSequence``, checked before any draw: a caller's is
+    only read, never advanced; an integer >= 0, or a list, tuple, range or
+    array of them, is its entropy; anything else is an ``OutOfRangeError``."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    if isinstance(seed, np.ndarray):
+        seed = seed.tolist()
+    if isinstance(seed, (list, tuple, range)):
+        return np.random.SeedSequence([check_count("seed", word, 0) for word in seed])
+    return np.random.SeedSequence(check_count("seed", seed, 0))
 
 
 # numpy's SeedSequence hash, M. E. O'Neill's seed_seq_fe, with the constants of
@@ -597,7 +602,8 @@ def outage_table(
     of (scenario, r, rho, n_samples, seed, shards). The estimates of one
     point share their draws: each has its own binomial law, but they are not
     independent, and a count never falls as r grows. Every rate must lie in [0, K], and
-    every rho in (0, 1e300], so that the capacity stays finite.
+    every rho in (0, 1e300], so that the capacity stays finite; every seed
+    is a ``SeedSequence``, an integer >= 0 or a sequence of them.
     """
     rates = check_sequence("rates", rates)
     if not rates:
@@ -632,22 +638,6 @@ def outage_table(
     )
 
 
-def outage_probabilities(
-    scenario: Scenario,
-    rates,
-    rho: float,
-    n_samples: int,
-    seed,
-    shards: int = 1,
-) -> tuple[OutageEstimate, ...]:
-    """Monte Carlo estimates of P{weighted sum capacity <= r log rho}, one
-    per rate r of ``rates``, in order, all read off one capacity sample:
-    the one-point case of :func:`outage_table`, with its checks, draws and
-    counts."""
-    (estimates,) = outage_table(scenario, rates, [(rho, seed)], n_samples, shards)
-    return estimates
-
-
 def outage_probability(
     scenario: Scenario,
     r: float,
@@ -657,9 +647,9 @@ def outage_probability(
     shards: int = 1,
 ) -> OutageEstimate:
     """Monte Carlo estimate of P{weighted sum capacity <= r log rho}: the
-    one-rate case of :func:`outage_probabilities`, with its checks, draws
+    one-point, one-rate case of :func:`outage_table`, with its checks, draws
     and count."""
-    (estimate,) = outage_probabilities(scenario, (r,), rho, n_samples, seed, shards)
+    ((estimate,),) = outage_table(scenario, (r,), [(rho, seed)], n_samples, shards)
     return estimate
 
 

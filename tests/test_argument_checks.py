@@ -7,8 +7,9 @@ the bounds its caller passes), ``check_count`` (an integer >= a minimum),
 ``check_weight_sum``. The property feeds each numeric argument NaN,
 infinities, negative, out-of-range, non-integral and bool values, and each
 real-valued one also non-numbers, an int past the float range and a
-two-element array, and expects a ``DmtError`` and nothing else; valid
-values, drawn from bounded ranges, must pass.
+two-element array, and each seed None, text, floats, bools and negative
+integers, alone or in a sequence, and expects a ``DmtError`` and nothing
+else; valid values, drawn from bounded ranges, must pass.
 """
 
 import ast
@@ -42,7 +43,6 @@ from wdmt import (
     fit_slope,
     lp_greedy,
     lp_grid,
-    outage_probabilities,
     outage_probability,
     outage_table,
     validate_gain_distribution,
@@ -89,6 +89,10 @@ def slope_fit(**field):
 
 
 BAD_POSITIVES = st.one_of(NON_FINITE, st.floats(max_value=0.0))
+# a seed is a SeedSequence, an integer >= 0 or a sequence of them: None drew from OS entropy
+BAD_SEEDS = st.one_of(st.none(), st.integers(max_value=-1), st.floats(), st.text(), st.booleans(),
+                      st.tuples(st.integers(0, 99), st.integers(max_value=-1)))
+GOOD_SEEDS = st.one_of(st.integers(min_value=0), st.lists(st.integers(min_value=0), max_size=3))
 # outage_probability accepts rho up to 1e300, so that the capacity stays finite.
 GOOD_RHO = st.floats(min_value=1e-300, max_value=1e300)
 
@@ -145,8 +149,8 @@ SLOTS = {
     "outage_probability(shards)": (
         lambda v: outage_probability(ZF, 1.0, 10.0, 16, 0, shards=v),
         bad_counts(1), st.integers(1, 32)),
-    "outage_probabilities(rates)": (  # a bad entry, a non-sequence, an empty sequence
-        lambda v: outage_probabilities(ZF, v, 10.0, 16, 0),
+    "outage_table(rates)": (  # a bad entry, a non-sequence, an empty sequence
+        lambda v: outage_table(ZF, v, [(10.0, 0)], 16),
         st.one_of(st.tuples(st.floats(0.0, 2.0), bad_rates(2.0)), NON_FINITE, NOT_NUMBERS,
                   st.just([])),
         st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4)),
@@ -156,6 +160,8 @@ SLOTS = {
                   st.tuples(st.sampled_from([(10.0,), 10.0, (10.0, 0, 1)])), NON_FINITE,
                   NOT_NUMBERS, st.just([])),
         st.lists(st.tuples(GOOD_RHO, st.integers(0, 99)), min_size=1, max_size=4)),
+    "outage_table(seed)": (
+        lambda v: outage_table(ZF, (1.0,), [(10.0, v)], 16), BAD_SEEDS, GOOD_SEEDS),
     "confidence_interval(n_outages)": (
         lambda v: confidence_interval(v, 100),
         st.one_of(bad_counts(0), st.integers(min_value=101)), st.integers(0, 100)),
@@ -167,6 +173,8 @@ SLOTS = {
         st.one_of(bad_counts(0), st.integers(min_value=2)), st.integers(0, 1)),
     "validate_gain_distribution(n_samples)": (
         lambda v: validate_gain_distribution(ZF, 0, v, 0), bad_counts(2), st.integers(2, 64)),
+    "validate_gain_distribution(seed)": (
+        lambda v: validate_gain_distribution(ZF, 0, 8, v), BAD_SEEDS, GOOD_SEEDS),
     "OutageEstimate(rho)": (lambda v: estimate(rho=v), BAD_POSITIVES, GOOD_RHO),
     "OutageEstimate(r)": (
         lambda v: estimate(r=v), st.one_of(NON_FINITE, NEGATIVE), st.floats(0.0, 1e300)),
@@ -263,11 +271,24 @@ def test_compare_rel_error_is_inf_where_the_curve_reaches_zero():
     (1.0, "rates must be a sequence, got 1.0"),
     ((), "rates must hold at least one rate"),
 ], ids=["bad-entry", "non-sequence", "empty"])
-def test_outage_probabilities_checks_its_rates_first(rates, message):
-    # before rho, n_samples and shards, which are invalid here too
+def test_outage_table_checks_its_rates_first(rates, message):
+    # before rho, seed, n_samples and shards, which are invalid here too
     with pytest.raises(OutOfRangeError) as info:
-        outage_probabilities(ZF, rates, math.nan, 0, 0, shards=0)
+        outage_table(ZF, rates, [(math.nan, -1)], 0, shards=0)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seed, entry", [
+    (None, "None"), (-1, "-1"), (1.5, "1.5"), ("abc", "'abc'"), (True, "True"), ((3, -2), "-2"),
+], ids=["none", "negative", "float", "text", "bool", "negative-entry"])
+def test_a_seed_that_is_not_a_count_raises_out_of_range(seed, entry):
+    # None drew from fresh OS entropy, -1 raised numpy's ValueError and 1.5
+    # and "abc" a TypeError
+    for call in (lambda: outage_probability(ZF, 1.0, 10.0, 100, seed),
+                 lambda: validate_gain_distribution(ZF, 0, 100, seed)):
+        with pytest.raises(OutOfRangeError) as info:
+            call()
+        assert str(info.value) == f"seed must be an integer >= 0, got {entry}"
 
 
 def test_non_number_window_raises_dmt_error():

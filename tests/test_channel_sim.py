@@ -23,7 +23,6 @@ from wdmt import (
     Scenario,
     TooManyUsersError,
     confidence_interval,
-    outage_probabilities,
     outage_probability,
     outage_table,
     validate_gain_distribution,
@@ -41,6 +40,7 @@ from wdmt.channel_sim import (
     _generator,
     _matrix_gains,
     _qr_gains,
+    _root,
     _sample_rows,
     _shard_states,
 )
@@ -599,6 +599,18 @@ class TestShardGenerators:
         assert [root.n_children_spawned for root in roots] == counts
         assert all(np.array_equal(root.pool, pool) for root, pool in zip(roots, pools))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(entropy=st.one_of(
+        st.integers(0, 2**256 - 1),
+        st.lists(st.integers(0, 2**70), max_size=5),
+        st.lists(st.integers(0, 2**32 - 1), max_size=5).map(tuple),
+        st.lists(st.integers(0, 2**64 - 1), max_size=5).map(lambda v: np.array(v, np.uint64)),
+    ))
+    def test_a_checked_seed_keeps_numpys_streams(self, entropy):
+        # _root rejects what is not a count; what it takes seeds as numpy's SeedSequence does
+        assert np.array_equal(_shard_states([_root(entropy)], 3),
+                              _shard_states([np.random.SeedSequence(entropy)], 3))
+
     def test_generators_cannot_spawn(self):
         (rng,) = shard_generators([np.random.SeedSequence(3)], 1)
         with pytest.raises(TypeError):
@@ -699,7 +711,7 @@ class TestOutageKernel:
         s = gamma_scenario(kind, k + 1, k)
         rates = (0.0, 0.5 * k, float(k), 0.25, 0.5 * k)
         rho, n_samples, seed = 30.0, _BLOCK + 777, 113  # two blocks at one shard
-        estimates = outage_probabilities(s, rates, rho, n_samples, seed, shards)
+        (estimates,) = outage_table(s, rates, [(rho, seed)], n_samples, shards)
         assert estimates == tuple(
             outage_probability(s, r, rho, n_samples, seed, shards) for r in rates
         )
@@ -716,8 +728,7 @@ class TestOutageKernel:
         for n_samples, shards in ((7, 3), (5000, 4), (_BLOCK + 777, 1), (40001, 5)):
             for points in (grid[-1:], [(3.0, 8), grid[7]], grid):
                 assert outage_table(s, rates, points, n_samples, shards) == tuple(
-                    outage_probabilities(s, rates, rho, n_samples, seed, shards)
-                    for rho, seed in points
+                    outage_table(s, rates, [point], n_samples, shards)[0] for point in points
                 ), (n_samples, shards, len(points))
 
     def test_grid_points_straddle_blocks(self):
@@ -735,8 +746,8 @@ class TestOutageKernel:
         # above 0 dB the threshold r log rho grows with r, and every rate reads one sample
         s = gamma_scenario(kind, k + 1, k)
         rates = sorted(k * f for f in fractions)
-        counts = [e.n_outages for e in outage_probabilities(s, rates, 10.0 ** (db / 10.0),
-                                                            500, seed, shards=2)]
+        (estimates,) = outage_table(s, rates, [(10.0 ** (db / 10.0), seed)], 500, shards=2)
+        counts = [e.n_outages for e in estimates]
         assert counts == sorted(counts)
 
     def test_peak_memory_is_one_workspace(self):

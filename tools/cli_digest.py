@@ -21,7 +21,7 @@ in 3 shards) and a K = 4 curve with tied weights, plus a set of
 invalid inputs (argparse's own rejections among them, and tables that
 ``simulate`` cannot write) and of values that start with ``-``. It takes a few seconds. Run as a
 script, it works in a temporary directory and prints a header line with the
-Python, numpy and scipy versions, then the rows. ``tests/test_cli_digest.py``
+Python, numpy and scipy versions, then the rows. ``tests/test_digests.py``
 compares the rows with the committed ``tests/data/cli_digest.txt``; a change
 that is meant to move CLI output regenerates that file from the repository
 root::

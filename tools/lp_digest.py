@@ -15,7 +15,7 @@ so a row moves when any float of any case moves. A row is::
     kind-K sha256(every case of that kind and K)
 
 It takes well under a second. Run as a script, it prints ``cli_digest``'s
-header line, then the rows. ``tests/test_lp_digest.py`` compares the rows
+header line, then the rows. ``tests/test_digests.py`` compares the rows
 with the committed ``tests/data/lp_digest.txt``; a change that is meant to
 move LP output regenerates that file from the repository root::
 
