@@ -38,21 +38,26 @@ Conventions
   one-rate case is ``outage_probability``.
   Estimates at one (rho, seed) share their draws: each keeps its binomial
   law, and counts never fall as r grows.
-* On two CPUs, a table of more than two blocks, each one shard piece, is
-  split (``_split``): the caller counts its first blocks and a persistent
-  forked worker process (``_WorkerProcess``) the rest from their generators'
-  state words, and the counts add, bit for bit those of the in-line path.
-  Other tables, and those that find the worker busy, run in line. The
-  worker runs the module as it was when forked.
+* On two CPUs, a table of more than two blocks is counted in units
+  (``_units``), usually one block each, by the caller and a persistent
+  forked worker process (``_WorkerProcess``): the caller claims units from
+  the front and the worker from the back, one at a time under one lock,
+  until the two meet. A unit is drawn from its generators' state words,
+  and the counts add, bit for bit those of the in-line path. Tables of one
+  unit, and those that find the worker busy, run in line; a worker that
+  died leaves its units to the caller. The worker runs the module as it
+  was when forked.
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
+import functools
 import math
 import os
 import signal
+import struct
 import threading
 from dataclasses import dataclass
 
@@ -85,10 +90,13 @@ _BLOCK = 1 << 14
 # standard_gamma's does not (table in BENCH_10.json). Must stay <= 19, so that
 # the product, at least 2^(-53 a), cannot underflow.
 _ERLANG_MAX_SHAPE = 5
-# Fewest samples of a table split with the worker process. In-line over split
-# time (median per-call ratio, alternating calls, mc-deep's four kinds, one
-# shard): 0.94-0.98 at 16385 samples, 0.98-1.17 at 32768 (two blocks, 86-153
-# of 183 pairs won), 1.19-1.24 at 49152 (three blocks, 104-121 of 122 won).
+# Fewest samples of a table counted with the worker process. In-line over
+# split time (median per-call ratio, alternating calls, mc-deep's four kinds,
+# one shard), measured when the caller took the first half of the blocks:
+# 0.94-0.98 at 16385 samples, 0.98-1.17 at 32768 (two blocks, 86-153 of 183
+# pairs won), 1.19-1.24 at 49152 (three blocks, 104-121 of 122 won). With
+# claimed units, three blocks of two pieces each but the last (40001 samples
+# in 5 shards) read 1.02-1.09 (66-92 of 120 won).
 _SPLIT_SAMPLES = 2 * _BLOCK + 1
 # Ratio |R_ii|^2 / ||h_i||^2 at or below which row i counts as linearly
 # dependent on rows 0..i-1 (a measure-zero event for CN(0,1) rows).
@@ -201,9 +209,9 @@ class _Workspace:
     bc-zf at K >= 3, the Bartlett normals, which the off-diagonal entries
     of L^-1 overwrite in place. A block holds whole pieces of one or more
     shards, of one or more SNR points, side by side, each in its own
-    columns; one workspace serves a whole table, or each share of a split
-    one. Buffers are flat, so a shorter block's leading slice reshapes into
-    a contiguous array."""
+    columns; one workspace serves a whole table, or each side's units of a
+    split one. Buffers are flat, so a shorter block's leading slice
+    reshapes into a contiguous array."""
 
     def __init__(self, scenario: Scenario, size: int):
         k = scenario.k
@@ -346,6 +354,14 @@ def confidence_interval(n_outages: int, n_samples: int) -> tuple[float, float]:
     if n_outages >= _MIN_NORMAL_EVENTS:
         half = _Z * math.sqrt(p * (1.0 - p) / n_samples)
         return max(0.0, p - half), min(1.0, p + half)
+    return _clopper_pearson(n_outages, n_samples)
+
+
+@functools.lru_cache(maxsize=1024)
+def _clopper_pearson(n_outages: int, n_samples: int) -> tuple[float, float]:
+    """The exact Clopper-Pearson bounds of ``confidence_interval``, computed
+    once per count pair: a table's points at one sample size share the few
+    counts under ``_MIN_NORMAL_EVENTS``."""
     alpha = 1.0 - _CI_LEVEL
     low = 0.0
     if n_outages > 0:
@@ -454,62 +470,103 @@ def _blocks(draws):
 
 
 class _WorkerProcess:
-    """The forked process that counts a split table's second share, started
-    at first use, forgotten by a forked child, reaped at exit. ``lock`` is
-    held by the table it serves."""
+    """The forked process that counts units of split tables from the back,
+    started at first use, forgotten by a forked child, reaped at exit.
+    ``lock`` is held by the table it serves; ``claims`` is the file of the
+    two sides' unit counters (``_claims``)."""
 
     def __init__(self):
-        """Also a forked child's reset, which closes its copy of the parent's pipe."""
-        if getattr(self, "pipe", None) is not None:
-            self.pipe.close()
-        self.lock, self.pid, self.pipe = threading.Lock(), None, None
+        """Also a forked child's reset, which closes its copies of the parent's
+        pipe and claims file."""
+        for shared in (getattr(self, "pipe", None), getattr(self, "claims", None)):
+            if shared is not None:
+                shared.close()
+        self.lock, self.pid, self.pipe, self.claims = threading.Lock(), None, None, None
 
     def stop(self) -> None:
-        """Close the pipe, kill the worker and reap it."""
+        """Close the pipe and the claims file, kill the worker and reap it."""
         pid, self.pid = self.pid, None
         if pid is not None:
             self.pipe.close()
+            self.claims.close()
             with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
-    def share(self, job, own):
-        """The sums of ``_count(*job)`` in the worker and ``_count(*own)`` here,
-        or the first error, once both shares have ended. A worker whose reply
-        was not read is out of step and is replaced at next use."""
+    def share(self, table, states, units):
+        """The counts of ``_count(*table, states, units, ...)`` over all units,
+        the caller's claimed from the front and the worker's from the back,
+        or the first error, once both sides have ended. If the worker has
+        died, the caller counts the units it claimed too. A dead worker, or
+        one whose reply was not read, is reaped and replaced at next use."""
         if self.pid is None:
             from multiprocessing import Pipe
+            from tempfile import TemporaryFile
 
             self.pipe, theirs = Pipe()
+            claims = TemporaryFile()
             self.pid = os.fork()
             if self.pid == 0:  # the worker; the fork reset closed its copy of our end
-                _serve(theirs)
+                _serve(theirs, claims)
             theirs.close()
-        reply = None
+            self.claims = claims
+        os.pwrite(self.claims.fileno(), bytes(16), 0)
+        n, sent, reply = len(units), False, None
         try:
-            self.pipe.send(job)
+            with contextlib.suppress(OSError):  # the worker died: the caller claims every unit
+                self.pipe.send((table, states, units))
+                sent = True
             try:
-                mine = _count(*own)
+                mine = _count(*table, states, units, _claims(self.claims, n, back=False))
             finally:
-                reply = self.pipe.recv()
+                if sent:
+                    with contextlib.suppress(EOFError, OSError):  # the worker died
+                        reply = self.pipe.recv()
         finally:
-            if reply is None:
+            if reply is None:  # the worker died, or its reply was not read
+                taken = struct.unpack("2q", os.pread(self.claims.fileno(), 16, 0))[1]
                 self.stop()
+        if reply is None:  # count the dead worker's units here
+            reply = _count(*table, states, units, range(n - taken, n))
         if isinstance(reply, BaseException):
             raise reply
         return [[a + b for a, b in zip(*counts)] for counts in zip(mine, reply)]
 
 
-def _serve(pipe) -> None:
-    """The worker, never to return: answer each job from ``pipe`` with its
-    ``_count``, or its error, and exit once the parent's end closes. SIGINT
-    is the parent's."""
+def _claims(claims, n: int, back: bool):
+    """Yield the indices of the units of a table of ``n`` units that one
+    side claims, one at a time, from the front or from the ``back``, until
+    the two sides meet. The first 16 bytes of the file ``claims`` count the
+    units claimed at the front and at the back; each claim reads and writes
+    them under a ``lockf`` lock, which the kernel releases if its holder
+    dies."""
+    import fcntl
+
+    fd = claims.fileno()
+    while True:
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            ends = list(struct.unpack("2q", os.pread(fd, 16, 0)))
+            if sum(ends) >= n:
+                return
+            ends[back] += 1
+            os.pwrite(fd, struct.pack("2q", *ends), 0)
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+        yield n - ends[1] if back else ends[0] - 1
+
+
+def _serve(pipe, claims) -> None:
+    """The worker, never to return: for each table from ``pipe``, count the
+    units it claims from the back of the file ``claims`` and answer with
+    their counts, or the error, and exit once the parent's end closes.
+    SIGINT is the parent's."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         while True:
-            job = pipe.recv()  # EOFError once the parent's end closes
+            table, states, units = pipe.recv()  # EOFError once the parent's end closes
             try:
-                reply = _count(*job)
+                reply = _count(*table, states, units, _claims(claims, len(units), back=True))
             except Exception as error:  # the caller raises it
                 reply = error
             pipe.send(reply)
@@ -530,51 +587,64 @@ def _several_cpus() -> bool:
     return hasattr(os, "fork") and (os.cpu_count() or 1) > 1  # no fork, no worker
 
 
-def _split(scenario: Scenario, quotas):
-    """(g, head, skip): of a table that draws ``quotas`` samples from its
-    generators in turn, the caller counts the generators before g and
-    ``head`` samples of generator g, up to the block boundary nearest half
-    the samples, and the worker the rest, generator g advanced past ``skip``
-    outputs: a cut inside a generator needs rows of uniforms, one output a
-    draw. None for a table under ``_SPLIT_SAMPLES`` samples, of multi-piece
-    blocks (a quota of at most ``_BLOCK / 2``) or with no cut."""
-    if min(quotas) <= _BLOCK // 2 or sum(quotas) < _SPLIT_SAMPLES:
-        return None
+def _units(scenario: Scenario, quotas):
+    """The units of a table that draws ``quotas`` samples from its generators
+    in turn: (start, pieces) pairs, in order, each unit counted on its own
+    from sample ``start`` of the table, its ``pieces`` (g, skip, samples)
+    drawn from generator g advanced past ``skip`` outputs. When every draw
+    is a uniform, one output, a unit is one block of the in-line path, a
+    later piece skipping the draws of its generator's earlier blocks. A
+    ``standard_gamma`` or normal row takes a varying number of outputs, so
+    there the later blocks of a generator join its first block's unit."""
     zf, k = scenario.kind == "bc-zf", scenario.k
     rows = [*_shapes(scenario), *([1] if zf and k == 2 else [])]  # Erlang rows, bc-zf's E
     uniform = max(rows) <= _ERLANG_MAX_SHAPE and not (zf and k > 2)  # no gamma or normal row
-    cuts, total = [], 0  # (samples before the cut, g, head)
-    for g, quota in enumerate(quotas):
-        cuts += [(total + head, g, head) for head in (range(0, quota, _BLOCK) if uniform else [0])]
-        total += quota
-    # on a tie the caller takes the larger share, as the worker starts later
-    best = min(cuts[1:], key=lambda cut: (abs(2 * cut[0] - total), -cut[0]), default=None)
-    return None if best is None else (*best[1:], best[2] * sum(rows))
+    outputs, units, drawn, start = sum(rows), [], [0] * len(quotas), 0
+    for block in _blocks(enumerate(quotas)):
+        pieces = []
+        for g, part in block:
+            pieces.append((g, drawn[g] * outputs, part.stop - part.start))
+            drawn[g] += part.stop - part.start
+        g, skip, samples = pieces[0]
+        if skip and not uniform:  # only a block's first piece can be a later one
+            last = units[-1][1]
+            last[-1] = (g, 0, last[-1][2] + samples)
+            last += pieces[1:]
+        else:
+            units.append((start, pieces))
+        start += block[-1][1].stop
+    return units
 
 
-def _count(scenario, rhos, thresholds, n_samples, start, states, skip, quotas):
-    """Outage counts, per point one per threshold, of the blocks that draw
-    ``quotas`` samples from generators of the words ``states``, the first
-    advanced past ``skip`` outputs, from sample ``start`` of the table (its
-    points laid end to end), in one ``_Workspace``."""
-    rngs = [_generator(words) for words in states[: len(quotas)]]
-    rngs[0].bit_generator.advance(skip)
+def _count(scenario, rhos, thresholds, n_samples, states, units, claims):
+    """Outage counts, per point one per threshold, of the ``units`` of a
+    table (``_units``) whose indices ``claims`` yields, in one
+    ``_Workspace``; generator g has the state words ``states[g]``, and the
+    table's points lie end to end."""
     mu = np.asarray(scenario.encoded_weights())
     work = _Workspace(scenario, min(_BLOCK, len(rhos) * n_samples))
     outages = [[0] * len(row) for row in thresholds]
-    for block in _blocks(zip(rngs, quotas)):
-        n = block[-1][1].stop
-        spans = [
-            (p, slice(max(p * n_samples - start, 0), min((p + 1) * n_samples - start, n)))
-            for p in range(start // n_samples, (start + n - 1) // n_samples + 1)
-        ]
-        gains = _chunk_gains(scenario, block, work)
-        capacity = _capacity(mu, [(rhos[p], cols) for p, cols in spans], gains, work.acc[:n])
-        for p, cols in spans:
-            for j, threshold in enumerate(thresholds[p]):
-                hit = np.less_equal(capacity[cols], threshold, out=work.hit[cols])
-                outages[p][j] += int(np.count_nonzero(hit))
-        start += n
+    for i in claims:
+        start, pieces = units[i]
+        draws = []
+        for g, skip, samples in pieces:
+            rng = _generator(states[g])
+            if skip:
+                rng.bit_generator.advance(skip)
+            draws.append((rng, samples))
+        for block in _blocks(draws):
+            n = block[-1][1].stop
+            spans = [
+                (p, slice(max(p * n_samples - start, 0), min((p + 1) * n_samples - start, n)))
+                for p in range(start // n_samples, (start + n - 1) // n_samples + 1)
+            ]
+            gains = _chunk_gains(scenario, block, work)
+            capacity = _capacity(mu, [(rhos[p], cols) for p, cols in spans], gains, work.acc[:n])
+            for p, cols in spans:
+                for j, threshold in enumerate(thresholds[p]):
+                    hit = np.less_equal(capacity[cols], threshold, out=work.hit[cols])
+                    outages[p][j] += int(np.count_nonzero(hit))
+            start += n
     return outages
 
 
@@ -595,7 +665,7 @@ def outage_table(
     min(shards, n_samples) deterministic substreams, the children of
     ``_root(seed)``, whose pieces ``_blocks`` packs, point after point,
     into blocks of at most ``_BLOCK`` samples, held by one ``_Workspace``
-    per table or per share of a split table. Each piece gets the same draws
+    per table or per side of a split table. Each piece gets the same draws
     as in a block of its own; the capacity runs once per block, each point's
     columns at its own rho, then one comparison and count per rate over each
     point's columns. Counts are summed, so each estimate is a pure function
@@ -620,15 +690,13 @@ def outage_table(
     states = _shard_states([_root(seed) for _, seed in points], shards)
     quota, extra = divmod(n_samples, shards)  # the first n_samples % shards shards draw one more
     quotas = [quota + (i < extra) for i in range(shards)] * len(points)
-    cut = _split(scenario, quotas)
-    if cut is None or not _several_cpus() or not _worker.lock.acquire(blocking=False):
-        outages = _count(*table, 0, states, 0, quotas)  # in line
+    units = _units(scenario, quotas)
+    if (len(units) < 2 or sum(quotas) < _SPLIT_SAMPLES or not _several_cpus()
+            or not _worker.lock.acquire(blocking=False)):
+        outages = _count(*table, states, units, range(len(units)))  # in line
     else:
-        g, head, skip = cut
-        mine = [*quotas[:g], head]
-        job = (*table, sum(mine), states[g:], skip, [quotas[g] - head, *quotas[g + 1 :]])
         try:
-            outages = _worker.share(job, (*table, 0, states, 0, mine))
+            outages = _worker.share(table, states, units)
         finally:
             _worker.lock.release()
     return tuple(

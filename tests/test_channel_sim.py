@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -821,17 +822,25 @@ ONE_TABLE = ("from wdmt import Scenario, validate_weights; "
 
 
 class TestSplitTables:
-    """Tables of more than two blocks whose every block is one shard piece:
-    the caller counts the first blocks and the worker process the rest. The
-    ``fresh_worker`` fixture stops the worker, so that the next split table
-    forks one from the module as the test has patched it, stops it again at
-    the end, and lets tables split on a one-CPU machine."""
+    """Tables of more than two blocks and at least two units: the caller
+    claims units from the front and the worker process from the back until
+    the two meet. The ``fresh_worker`` fixture stops the worker, so that the
+    next split table forks one from the module as the test has patched it,
+    stops it again at the end, and lets tables split on a one-CPU machine."""
 
     SCENARIO = gamma_scenario("bc-zf", 3, 2)
     COUNT = 11379  # TestOutageKernel's recorded count of this call
+    # cli-sweep's table: 21 points of 5000 samples in 4 shards, 84 pieces of
+    # 1250 samples, 13 to a block and 6 in the last of its 7 blocks
+    GRID = [(10.0 ** (db / 10.0), (7, 0, i)) for i, db in enumerate(range(0, 41, 2))]
 
     def count(self):
         return outage_probability(self.SCENARIO, 1.5, 10.0, 1 << 16, 109).n_outages
+
+    @staticmethod
+    def in_line(*table):
+        with channel_sim._worker.lock:  # a busy worker: the table runs in line
+            return outage_table(*table)
 
     @pytest.fixture
     def fresh_worker(self, monkeypatch):
@@ -843,8 +852,8 @@ class TestSplitTables:
     @pytest.fixture
     def shares(self, fresh_worker, monkeypatch, tmp_path):
         """Patch ``_count`` to log, from whichever process runs it, a line
-        "pid start samples" at the start and "pid end" at the end of each
-        share; return a function that reads the log."""
+        "pid index start samples" for each unit it claims and "pid end" at
+        the end; return a function that reads the log and empties it."""
         log, count = tmp_path / "shares.log", channel_sim._count
 
         def write(line):
@@ -852,66 +861,118 @@ class TestSplitTables:
                 f.write(f"{os.getpid()} {line}\n")
 
         def logged(*args):
-            start, quotas = args[4], args[7]
-            write(f"{start} {sum(quotas)}")
-            counts = count(*args)
+            *table, states, units, claims = args
+
+            def logged_claims():
+                for i in claims:
+                    start, pieces = units[i]
+                    write(f"{i} {start} {sum(samples for _, _, samples in pieces)}")
+                    yield i
+
+            counts = count(*table, states, units, logged_claims())
             write("end")
             return counts
 
+        def read():
+            lines = [line.split() for line in log.read_text().splitlines()]
+            log.unlink()
+            return lines
+
         monkeypatch.setattr(channel_sim, "_count", logged)
-        return lambda: [line.split() for line in log.read_text().splitlines()]
+        return read
 
-    def test_caller_and_worker_each_count_half(self, shares):
-        assert self.count() == self.COUNT
-        worker = str(channel_sim._worker.pid)
-        here = str(os.getpid())
-        assert sorted(shares()) == sorted([[here, "0", "32768"], [here, "end"],
-                                           [worker, "32768", "32768"], [worker, "end"]])
+    @staticmethod
+    def claimed(lines, pid):
+        """The (index, start, samples) of each unit that process ``pid`` claimed, in order."""
+        return [tuple(map(int, line[1:])) for line in lines
+                if line[0] == str(pid) and len(line) == 4]
 
-    def test_multi_piece_small_and_one_cpu_tables_run_in_line(self, shares, monkeypatch):
-        # cli-sweep's shape: 4 shards of 1250 samples, four pieces a block;
-        # then two blocks; then the one-CPU rule
-        outage_table(self.SCENARIO, (1.0,), [(10.0, 1), (100.0, 2)], 5000, 4)
+    def test_every_unit_is_counted_once(self, shares):
+        # one shard of 16 one-piece blocks, then cli-sweep's multi-piece table
+        here = os.getpid()
+        for table, n_units in (((self.SCENARIO, (1.0,), [(100.0, 5)], 1 << 18, 1), 16),
+                               ((self.SCENARIO, (0.5, 1.0, 1.5), self.GRID, 5000, 4), 7)):
+            expected = self.in_line(*table)
+            assert [line[1] for line in shares()] == [*map(str, range(n_units)), "end"]
+            assert outage_table(*table) == expected
+            lines, worker = shares(), channel_sim._worker.pid
+            mine, theirs = self.claimed(lines, here), self.claimed(lines, worker)
+            assert [i for i, _, _ in mine] == list(range(len(mine)))
+            assert [i for i, _, _ in theirs] == list(range(n_units - 1, len(mine) - 1, -1))
+            assert [str(here), "end"] in lines and [str(worker), "end"] in lines
+            units = sorted(mine + theirs)
+            ends = [start + samples for _, start, samples in units]
+            assert [start for _, start, _ in units] == [0, *ends[:-1]]
+            assert ends[-1] == table[3] * len(table[2])
+
+    def test_slow_worker_leaves_most_units_to_the_caller(self, shares, monkeypatch, tmp_path):
+        # after a first table, the worker sleeps in its first unit of the
+        # second, the last; the caller counts the other 15
+        gains, here, slow = channel_sim._chunk_gains, os.getpid(), tmp_path / "slow"
+
+        def worker_sleeps_once(*args):
+            if os.getpid() != here and slow.exists():
+                slow.unlink()
+                time.sleep(0.5)
+            return gains(*args)
+
+        monkeypatch.setattr(channel_sim, "_chunk_gains", worker_sleeps_once)
+        table = (self.SCENARIO, (0.5, 1.0), [(100.0, 5)], 1 << 18, 1)
+        expected = self.in_line(*table)
+        assert outage_table(*table) == expected
+        shares()
+        slow.touch()
+        assert outage_table(*table) == expected
+        lines = shares()
+        mine, theirs = self.claimed(lines, here), self.claimed(lines, channel_sim._worker.pid)
+        assert [i for i, _, _ in theirs] in ([], [15])
+        assert [i for i, _, _ in mine] == list(range(16 - len(theirs)))
+
+    def test_small_one_unit_and_one_cpu_tables_run_in_line(self, shares, monkeypatch):
+        # two blocks; one unit (bc-zf's normals at K = 3, one shard of three
+        # blocks); then the one-CPU rule
         outage_probability(self.SCENARIO, 1.5, 10.0, 2 * _BLOCK, 109)
+        outage_probability(gamma_scenario("bc-zf", 4, 3), 2.0, 10.0, 3 * _BLOCK, 109)
         monkeypatch.setattr(channel_sim, "_several_cpus", lambda: False)
         assert self.count() == self.COUNT
         here = str(os.getpid())
-        assert shares() == [[here, "0", "10000"], [here, "end"],
-                            [here, "0", str(2 * _BLOCK)], [here, "end"],
-                            [here, "0", str(1 << 16)], [here, "end"]]
+        assert shares() == [[here, "0", "0", str(_BLOCK)], [here, "1", str(_BLOCK), str(_BLOCK)],
+                            [here, "end"],
+                            [here, "0", "0", str(3 * _BLOCK)], [here, "end"],
+                            *([here, str(i), str(i * _BLOCK), str(_BLOCK)] for i in range(4)),
+                            [here, "end"]]
         assert channel_sim._worker.pid is None
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_split_equals_in_line(self, fresh_worker, monkeypatch, kind, k):
-        # a standard_gamma row (every Gamma row at m = k + 6) or bc-zf's
-        # normals (k >= 3) put every cut between generators. Tables: two
-        # points of two blocks each, the second short; 3 uneven shards of two
-        # pieces; two blocks, which stay in line; three blocks, which split
-        # inside their one generator or stay in line
-        cuts, split = [], channel_sim._split
-        monkeypatch.setattr(channel_sim, "_split", lambda *a: cuts.append(split(*a)) or cuts[-1])
+        # A standard_gamma row (every Gamma row at m = k + 6) or bc-zf's
+        # normals (k >= 3) join a generator's blocks into one unit. Tables:
+        # two points of two blocks each, the second short; 3 uneven shards of
+        # two pieces; two blocks, which stay in line; three blocks in one
+        # generator, which stay in line as one unit; cli-sweep's table; 4
+        # shards of 8193 samples, one piece a block, and 6 of 8192, two a block
+        units, unit_list = [], channel_sim._units
+        monkeypatch.setattr(channel_sim, "_units",
+                            lambda *a: units.append(len(unit_list(*a))) or unit_list(*a))
         rates = (0.25 * k, 0.75 * k)
         two_points = [(10.0, 1), (100.0, np.random.SeedSequence(2, spawn_key=(3,)))]
         expected = []
         for m in (k + 1, k + 6):
             s = gamma_scenario(kind, m, k)
             uniform = max(s.gain_shapes()) <= _ERLANG_MAX_SHAPE and not (kind == "bc-zf" and k > 2)
-            # one uniform per unit of each Gamma shape (bc-zf: its Bartlett
-            # diagonal m, m - 1, ..., and E at k = 2) for each skipped sample
-            rows = sum(range(m, m - k, -1)) + (k == 2) if kind == "bc-zf" else sum(s.gain_shapes())
-            skip = _BLOCK * rows
-            expected += [(1, 0, 0), (1, _BLOCK, skip) if uniform else (1, 0, 0), None,
-                         (0, _BLOCK, skip) if uniform else None]
+            expected += [4, 6, 2, 3] if uniform else [2, 3, 1, 1]
+            expected += [7, 4, 3]
             for points, n_samples, shards in ((two_points, _BLOCK + 777, 1),
                                               ([(10.0, 5)], 3 * (_BLOCK + 777) + 2, 3),
                                               ([(30.0, 7)], 2 * _BLOCK, 1),
-                                              ([(30.0, 7)], 2 * _BLOCK + 1, 1)):
-                split_table = outage_table(s, rates, points, n_samples, shards)
-                with channel_sim._worker.lock:  # a busy worker: the table runs in line
-                    in_line = outage_table(s, rates, points, n_samples, shards)
-                assert split_table == in_line, (m, n_samples, shards)
-        assert cuts[::2] == expected
+                                              ([(30.0, 7)], 2 * _BLOCK + 1, 1),
+                                              (self.GRID, 5000, 4),
+                                              ([(30.0, 9)], 4 * 8193, 4),
+                                              ([(30.0, 9)], 6 * 8192, 6)):
+                table = (s, rates, points, n_samples, shards)
+                assert outage_table(*table) == self.in_line(*table), (m, n_samples, shards)
+        assert units[::2] == expected
         assert not channel_sim._worker.lock.locked()
 
     def test_worker_error_is_raised_after_both_shares_end(self, shares, monkeypatch):
@@ -1010,23 +1071,63 @@ class TestSplitTables:
         assert peak < 2.5 * (1 << 20)
 
     def test_worker_share_is_the_in_line_count_in_one_workspace(self):
-        # the worker's job function, run here: the second half of a 2^18-sample
-        # table, its generator advanced past the caller's six uniform rows
+        # the worker's job function, run here: the back half of the 16 units
+        # of a 2^18-sample table, each generator advanced past its earlier
+        # blocks' six uniform rows
         n, seed = 1 << 18, 5
         rhos, thresholds = [100.0], [[math.log(100.0)]]
         states = channel_sim._shard_states([np.random.SeedSequence(seed)], 1)
+        units = channel_sim._units(self.SCENARIO, [n])
+        assert [pieces for _, pieces in units] == [[(0, 6 * i * _BLOCK, _BLOCK)]
+                                                   for i in range(16)]
+        table = (self.SCENARIO, rhos, thresholds, n, states, units)
         tracemalloc.start()
         try:
-            (second,) = channel_sim._count(self.SCENARIO, rhos, thresholds, n, n // 2,
-                                           states, 6 * (n // 2), [n // 2])
+            (second,) = channel_sim._count(*table, range(15, 7, -1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (first,) = channel_sim._count(self.SCENARIO, rhos, thresholds, n, 0, states, 0, [n // 2])
+        (first,) = channel_sim._count(*table, range(8))
         with channel_sim._worker.lock:
             in_line = outage_probability(self.SCENARIO, 1.0, 100.0, n, seed)
         assert first[0] + second[0] == in_line.n_outages
         assert peak < 1 << 20
+
+    def test_a_killed_worker_leaves_the_next_table_to_the_caller(self, fresh_worker):
+        assert self.count() == self.COUNT
+        worker = channel_sim._worker.pid
+        os.kill(worker, signal.SIGKILL)
+        deadline = time.monotonic() + 5
+        while alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert self.count() == self.COUNT  # the send fails: the caller counts every unit
+        assert channel_sim._worker.pid is None and not Path(f"/proc/{worker}").exists()
+        assert self.count() == self.COUNT and channel_sim._worker.pid not in (None, worker)
+
+    def test_a_worker_that_dies_in_a_unit_leaves_its_units_to_the_caller(
+            self, fresh_worker, monkeypatch, tmp_path):
+        # a worker that exits in its first unit of the second table: its reply
+        # reaches end of file, and the caller counts the unit it had claimed.
+        # The caller waits in its first unit, so that the worker claims one.
+        gains, here, die = channel_sim._chunk_gains, os.getpid(), tmp_path / "die"
+
+        def worker_exits(*args):
+            if die.exists():
+                if os.getpid() != here:
+                    os._exit(3)
+                if not (tmp_path / "waited").exists():
+                    (tmp_path / "waited").touch()
+                    time.sleep(0.5)
+            return gains(*args)
+
+        monkeypatch.setattr(channel_sim, "_chunk_gains", worker_exits)
+        table = (self.SCENARIO, (0.5, 1.0), [(100.0, 5)], 1 << 18, 1)
+        expected = self.in_line(*table)
+        assert outage_table(*table) == expected
+        worker = channel_sim._worker.pid
+        die.touch()
+        assert outage_table(*table) == expected
+        assert channel_sim._worker.pid is None and not Path(f"/proc/{worker}").exists()
 
     def test_worker_ends_when_its_parent_is_killed(self):
         parent = run_python(ONE_TABLE + "import time; time.sleep(60)", stdout=subprocess.PIPE)
@@ -1074,6 +1175,20 @@ class TestConfidenceInterval:
                 assert confidence_interval(n_outages, n_samples) == (
                     reference_confidence_interval(n_outages, n_samples)
                 ), (n_outages, n_samples)
+
+    def test_exact_bounds_equal_the_direct_expression_when_cached(self):
+        # each count pair's bounds are computed once; a repeat reads the cache
+        alpha = 1.0 - 0.95
+        for n_samples in (1, 2, 19, 20, 5000, 10**7):
+            for n_outages in range(min(n_samples, 19) + 1):
+                low = high = None
+                if n_outages > 0:
+                    low = special.betaincinv(n_outages, n_samples - n_outages + 1, alpha / 2)
+                if n_outages < n_samples:
+                    high = special.betaincinv(n_outages + 1, n_samples - n_outages, 1 - alpha / 2)
+                direct = (0.0 if low is None else float(low), 1.0 if high is None else float(high))
+                for _ in range(2):
+                    assert confidence_interval(n_outages, n_samples) == direct, n_outages
 
     def test_table_estimates_carry_the_scalar_intervals(self):
         # the cli-sweep workload's table: 21 points of 5000 samples in 4 shards

@@ -15,9 +15,10 @@ points straddle), ``fit``,
 JSON, two tables whose rows reach every branch of the confidence interval
 (each with its ``fit``), four tables at the default budget of 100000
 samples whose blocks are each one shard piece (a bc-zf point that the
-worker split cuts inside its generator, two bc-zf-k3 points that it cuts
-between them, one bc-zf-k3 point that it leaves in line, and a bc-dpc point
-in 3 shards) and a K = 4 curve with tied weights, plus a set of
+sampler's worker process shares in one-block units, two bc-zf-k3 points
+whose units are their whole generators, one bc-zf-k3 point, one unit, that
+runs in line, and a bc-dpc point in 3 shards; the row names keep the cuts of
+the fixed half split these rows were added for) and a K = 4 curve with tied weights, plus a set of
 invalid inputs (argparse's own rejections among them, and tables that
 ``simulate`` cannot write) and of values that start with ``-``. It takes a few seconds. Run as a
 script, it works in a temporary directory and prints a header line with the
