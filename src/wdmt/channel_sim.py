@@ -40,13 +40,13 @@ Conventions
   law, and counts never fall as r grows.
 * On two CPUs, a table of more than two blocks is counted in units
   (``_units``), usually one block each, by the caller and a persistent
-  forked worker process (``_WorkerProcess``): the caller claims units from
-  the front and the worker from the back, one at a time under one lock,
-  until the two meet. A unit is drawn from its generators' state words,
-  and the counts add, bit for bit those of the in-line path. Tables of one
-  unit, and those that find the worker busy, run in line; a worker that
-  died leaves its units to the caller. The worker runs the module as it
-  was when forked.
+  forked worker process (``_WorkerProcess``): both claim units from the
+  front, one at a time under one lock, until none is left. A unit is drawn
+  from its generators' state words, and the counts add, bit for bit those
+  of the in-line path. Tables of one unit, and those that find the worker
+  busy, run in line. Any fault stops the worker: the caller's own error is
+  raised at once, and a dead worker's table is counted in line. The worker
+  runs the module as it was when forked.
 """
 
 from __future__ import annotations
@@ -470,10 +470,10 @@ def _blocks(draws):
 
 
 class _WorkerProcess:
-    """The forked process that counts units of split tables from the back,
-    started at first use, forgotten by a forked child, reaped at exit.
-    ``lock`` is held by the table it serves; ``claims`` is the file of the
-    two sides' unit counters (``_claims``)."""
+    """The forked process that counts units of split tables, started at first
+    use, forgotten by a forked child, reaped at exit. ``lock`` is held by
+    the table it serves; ``claims`` is the file of the unit counter
+    (``_claims``)."""
 
     def __init__(self):
         """Also a forked child's reset, which closes its copies of the parent's
@@ -495,10 +495,10 @@ class _WorkerProcess:
 
     def share(self, table, states, units):
         """The counts of ``_count(*table, states, units, ...)`` over all units,
-        the caller's claimed from the front and the worker's from the back,
-        or the first error, once both sides have ended. If the worker has
-        died, the caller counts the units it claimed too. A dead worker, or
-        one whose reply was not read, is reaped and replaced at next use."""
+        which the caller and the worker claim from the front. Any fault stops
+        the worker, to be forked anew at next use: the caller's own error is
+        raised at once, and when the pipe fails (the worker died) the caller
+        counts the whole table in line."""
         if self.pid is None:
             from multiprocessing import Pipe
             from tempfile import TemporaryFile
@@ -506,70 +506,59 @@ class _WorkerProcess:
             self.pipe, theirs = Pipe()
             claims = TemporaryFile()
             self.pid = os.fork()
-            if self.pid == 0:  # the worker; the fork reset closed its copy of our end
+            if self.pid == 0:  # the worker keeps stdio, its pipe end and the claims file
+                low, high = sorted((theirs.fileno(), claims.fileno()))
+                os.closerange(3, low)
+                os.closerange(low + 1, high)
+                os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
                 _serve(theirs, claims)
             theirs.close()
             self.claims = claims
-        os.pwrite(self.claims.fileno(), bytes(16), 0)
-        n, sent, reply = len(units), False, None
+        os.pwrite(self.claims.fileno(), bytes(8), 0)
         try:
-            with contextlib.suppress(OSError):  # the worker died: the caller claims every unit
-                self.pipe.send((table, states, units))
-                sent = True
-            try:
-                mine = _count(*table, states, units, _claims(self.claims, n, back=False))
-            finally:
-                if sent:
-                    with contextlib.suppress(EOFError, OSError):  # the worker died
-                        reply = self.pipe.recv()
-        finally:
-            if reply is None:  # the worker died, or its reply was not read
-                taken = struct.unpack("2q", os.pread(self.claims.fileno(), 16, 0))[1]
-                self.stop()
-        if reply is None:  # count the dead worker's units here
-            reply = _count(*table, states, units, range(n - taken, n))
-        if isinstance(reply, BaseException):
-            raise reply
+            self.pipe.send((table, states, units))
+            mine = _count(*table, states, units, _claims(self.claims, len(units)))
+            reply = self.pipe.recv()
+        except BaseException as fault:
+            self.stop()
+            if not isinstance(fault, (EOFError, OSError)):
+                raise
+            return _count(*table, states, units, range(len(units)))  # the worker died
         return [[a + b for a, b in zip(*counts)] for counts in zip(mine, reply)]
 
 
-def _claims(claims, n: int, back: bool):
+def _claims(claims, n: int):
     """Yield the indices of the units of a table of ``n`` units that one
-    side claims, one at a time, from the front or from the ``back``, until
-    the two sides meet. The first 16 bytes of the file ``claims`` count the
-    units claimed at the front and at the back; each claim reads and writes
-    them under a ``lockf`` lock, which the kernel releases if its holder
-    dies."""
+    side claims, one at a time, until the indices reach ``n``. The first 8
+    bytes of the file ``claims`` hold the next index; each claim reads and
+    advances it under a ``lockf`` lock, which the kernel releases if its
+    holder dies."""
     import fcntl
 
     fd = claims.fileno()
     while True:
         fcntl.lockf(fd, fcntl.LOCK_EX)
         try:
-            ends = list(struct.unpack("2q", os.pread(fd, 16, 0)))
-            if sum(ends) >= n:
-                return
-            ends[back] += 1
-            os.pwrite(fd, struct.pack("2q", *ends), 0)
+            (i,) = struct.unpack("q", os.pread(fd, 8, 0))
+            os.pwrite(fd, struct.pack("q", i + 1), 0)
         finally:
             fcntl.lockf(fd, fcntl.LOCK_UN)
-        yield n - ends[1] if back else ends[0] - 1
+        if i >= n:
+            return
+        yield i
 
 
 def _serve(pipe, claims) -> None:
     """The worker, never to return: for each table from ``pipe``, count the
-    units it claims from the back of the file ``claims`` and answer with
-    their counts, or the error, and exit once the parent's end closes.
-    SIGINT is the parent's."""
+    units it claims from the file ``claims`` and answer with their counts.
+    It exits once the parent's end closes, or on any error, which the
+    parent meets again when it counts the table in line. SIGINT is the
+    parent's."""
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         while True:
             table, states, units = pipe.recv()  # EOFError once the parent's end closes
-            try:
-                reply = _count(*table, states, units, _claims(claims, len(units), back=True))
-            except Exception as error:  # the caller raises it
-                reply = error
-            pipe.send(reply)
+            pipe.send(_count(*table, states, units, _claims(claims, len(units))))
     finally:
         os._exit(0)
 

@@ -2,7 +2,8 @@
 canned ``bench/run.py`` results: medians, quartiles as ``numpy.percentile``
 gives them, the ratio and difference of the medians, the parent's
 interquartile range, the pairs the change won, ties counting for neither
-side, and the ``gain`` and ``within_bound`` verdicts; and its refusal to
+side, and the ``gain`` and ``within_bound`` verdicts, with no gain when a
+larger share of the change's operations failed; and its refusal to
 compare two trees whose benchmarks differ."""
 
 import importlib.util
@@ -83,6 +84,18 @@ def test_gain_needs_nine_of_ten_pairs_and_a_median_past_the_parent_iqr(change, g
                                list(range(10)))["metrics"]["throughput"]
     assert tp["parent_iqr"] == 1.75
     assert tp["gain"] is gain and tp["within_bound"] is True
+
+
+def test_no_gain_when_a_larger_share_of_the_changes_operations_failed():
+    better = [r + 5.0 for r in PARENT_RUNS]
+    pairs = ten_pairs(PARENT_RUNS, better)
+    pairs[3]["change"] = line(better[3], 0.3, failed=1)
+    tp = bench_pairs.summarize(pairs, END_TO_END, list(range(10)))["metrics"]["throughput"]
+    assert tp["change_better_pairs"] == 10 and tp["median_difference"] > tp["parent_iqr"]
+    assert tp["gain"] is False and tp["within_bound"] is True
+    pairs[5]["parent"] = line(PARENT_RUNS[5], 0.3, failed=1)  # an equal share fails on each side
+    tp = bench_pairs.summarize(pairs, END_TO_END, list(range(10)))["metrics"]["throughput"]
+    assert tp["gain"] is True
 
 
 @pytest.mark.parametrize("scale, within", [(0.81, True), (0.8, True), (0.79, False)])

@@ -1,9 +1,12 @@
 import copy
+import itertools
 import math
 import os
+import select
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -823,10 +826,11 @@ ONE_TABLE = ("from wdmt import Scenario, validate_weights; "
 
 class TestSplitTables:
     """Tables of more than two blocks and at least two units: the caller
-    claims units from the front and the worker process from the back until
-    the two meet. The ``fresh_worker`` fixture stops the worker, so that the
-    next split table forks one from the module as the test has patched it,
-    stops it again at the end, and lets tables split on a one-CPU machine."""
+    and the worker process claim units from the front until none is left,
+    and any fault stops the worker. The ``fresh_worker`` fixture stops the
+    worker, so that the next split table forks one from the module as the
+    test has patched it, stops it again at the end, and lets tables split
+    on a one-CPU machine."""
 
     SCENARIO = gamma_scenario("bc-zf", 3, 2)
     COUNT = 11379  # TestOutageKernel's recorded count of this call
@@ -897,8 +901,9 @@ class TestSplitTables:
             assert outage_table(*table) == expected
             lines, worker = shares(), channel_sim._worker.pid
             mine, theirs = self.claimed(lines, here), self.claimed(lines, worker)
-            assert [i for i, _, _ in mine] == list(range(len(mine)))
-            assert [i for i, _, _ in theirs] == list(range(n_units - 1, len(mine) - 1, -1))
+            for side in (mine, theirs):
+                assert [i for i, _, _ in side] == sorted({i for i, _, _ in side})
+            assert sorted(i for i, _, _ in mine + theirs) == list(range(n_units))
             assert [str(here), "end"] in lines and [str(worker), "end"] in lines
             units = sorted(mine + theirs)
             ends = [start + samples for _, start, samples in units]
@@ -907,7 +912,7 @@ class TestSplitTables:
 
     def test_slow_worker_leaves_most_units_to_the_caller(self, shares, monkeypatch, tmp_path):
         # after a first table, the worker sleeps in its first unit of the
-        # second, the last; the caller counts the other 15
+        # second, whichever it claimed; the caller counts the other 15
         gains, here, slow = channel_sim._chunk_gains, os.getpid(), tmp_path / "slow"
 
         def worker_sleeps_once(*args):
@@ -925,8 +930,8 @@ class TestSplitTables:
         assert outage_table(*table) == expected
         lines = shares()
         mine, theirs = self.claimed(lines, here), self.claimed(lines, channel_sim._worker.pid)
-        assert [i for i, _, _ in theirs] in ([], [15])
-        assert [i for i, _, _ in mine] == list(range(16 - len(theirs)))
+        assert len(theirs) <= 1
+        assert sorted(i for i, _, _ in mine + theirs) == list(range(16))
 
     def test_small_one_unit_and_one_cpu_tables_run_in_line(self, shares, monkeypatch):
         # two blocks; one unit (bc-zf's normals at K = 3, one shard of three
@@ -975,24 +980,40 @@ class TestSplitTables:
         assert units[::2] == expected
         assert not channel_sim._worker.lock.locked()
 
-    def test_worker_error_is_raised_after_both_shares_end(self, shares, monkeypatch):
-        # the worker's first block fails; its next job succeeds
-        gains, here, failed = channel_sim._chunk_gains, os.getpid(), []
+    def test_a_worker_fault_leaves_the_table_to_the_caller(
+            self, fresh_worker, monkeypatch, tmp_path):
+        # the worker's first block fails, and only there: the caller counts
+        # the table in line, and the next split table forks a new worker
+        gains, here, fail = channel_sim._chunk_gains, os.getpid(), tmp_path / "fail"
 
         def worker_fails_once(*args):
-            if os.getpid() != here and not failed:
-                failed.append(True)
+            if os.getpid() != here and fail.exists():
+                fail.unlink()
                 raise LookupError("no gains")
             return gains(*args)
 
         monkeypatch.setattr(channel_sim, "_chunk_gains", worker_fails_once)
+        assert self.count() == self.COUNT
+        worker = channel_sim._worker.pid
+        fail.touch()
+        assert self.count() == self.COUNT
+        assert channel_sim._worker.pid is None and not Path(f"/proc/{worker}").exists()
+        assert not fail.exists() and not channel_sim._worker.lock.locked()
+        assert self.count() == self.COUNT and channel_sim._worker.pid not in (None, worker)
+
+    def test_a_fault_on_both_sides_reaches_the_caller(self, fresh_worker, monkeypatch):
+        def no_gains(*args):
+            raise LookupError("no gains")
+
+        assert self.count() == self.COUNT
+        worker = channel_sim._worker.pid
+        monkeypatch.setattr(channel_sim, "_chunk_gains", no_gains)
         with pytest.raises(LookupError, match="no gains"):
             self.count()
-        assert [str(here), "end"] in shares() and not channel_sim._worker.lock.locked()
-        pid = channel_sim._worker.pid
-        assert self.count() == self.COUNT and channel_sim._worker.pid == pid
+        assert channel_sim._worker.pid is None and not Path(f"/proc/{worker}").exists()
+        assert not channel_sim._worker.lock.locked()
 
-    def test_caller_error_is_raised_after_both_shares_end(self, shares, monkeypatch):
+    def test_caller_error_is_raised_and_the_worker_reaped(self, fresh_worker, monkeypatch):
         capacity, here, calls = channel_sim._capacity, os.getpid(), []
 
         def caller_fails_second(*args):
@@ -1002,13 +1023,37 @@ class TestSplitTables:
                     raise ArithmeticError("capacity failed")
             return capacity(*args)
 
+        assert self.count() == self.COUNT
+        worker = channel_sim._worker.pid
         monkeypatch.setattr(channel_sim, "_capacity", caller_fails_second)
         with pytest.raises(ArithmeticError, match="capacity failed"):
             self.count()
-        assert [str(channel_sim._worker.pid), "end"] in shares()
+        assert channel_sim._worker.pid is None and not Path(f"/proc/{worker}").exists()
         assert not channel_sim._worker.lock.locked()
-        pid = channel_sim._worker.pid
-        assert self.count() == self.COUNT and channel_sim._worker.pid == pid
+        assert self.count() == self.COUNT and channel_sim._worker.pid not in (None, worker)
+
+    def test_an_interrupt_reaches_the_caller_at_once(self, fresh_worker, monkeypatch):
+        # the worker takes 0.3 s a unit, so counting the rest of the 16-unit
+        # table alone would take it seconds
+        gains, here, calls = channel_sim._chunk_gains, os.getpid(), []
+
+        def slow_worker_interrupted_caller(*args):
+            if os.getpid() != here:
+                time.sleep(0.3)
+            elif len(calls) == 1:
+                raise KeyboardInterrupt
+            else:
+                calls.append(channel_sim._worker.pid)
+            return gains(*args)
+
+        monkeypatch.setattr(channel_sim, "_chunk_gains", slow_worker_interrupted_caller)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            outage_probability(self.SCENARIO, 1.0, 100.0, 1 << 18, 5)
+        assert time.monotonic() - start < 1.0
+        (worker,) = calls
+        assert channel_sim._worker.pid is None and not Path(f"/proc/{worker}").exists()
+        assert not channel_sim._worker.lock.locked()
 
     def test_concurrent_tables_get_sequential_counts(self, fresh_worker):
         # more threads than CPUs, switching often; one holds the worker, the
@@ -1107,8 +1152,8 @@ class TestSplitTables:
     def test_a_worker_that_dies_in_a_unit_leaves_its_units_to_the_caller(
             self, fresh_worker, monkeypatch, tmp_path):
         # a worker that exits in its first unit of the second table: its reply
-        # reaches end of file, and the caller counts the unit it had claimed.
-        # The caller waits in its first unit, so that the worker claims one.
+        # reaches end of file, and the caller counts the table in line. The
+        # caller waits in its first unit, so that the worker claims one.
         gains, here, die = channel_sim._chunk_gains, os.getpid(), tmp_path / "die"
 
         def worker_exits(*args):
@@ -1128,6 +1173,59 @@ class TestSplitTables:
         die.touch()
         assert outage_table(*table) == expected
         assert channel_sim._worker.pid is None and not Path(f"/proc/{worker}").exists()
+
+    def test_a_worker_that_dies_holding_the_claim_lock_leaves_the_table_to_the_caller(
+            self, fresh_worker, monkeypatch):
+        # the worker exits inside its first claim, between lockf's lock and
+        # unlock; the kernel releases the lock, so the caller claims on
+        pwrite, here, workers = os.pwrite, os.getpid(), set()
+
+        def worker_exits(*args):
+            if os.getpid() != here:
+                os._exit(3)
+            workers.add(channel_sim._worker.pid)
+            return pwrite(*args)
+
+        table = (self.SCENARIO, (0.5, 1.0), [(100.0, 5)], 1 << 18, 1)
+        expected = self.in_line(*table)
+        monkeypatch.setattr(os, "pwrite", worker_exits)
+        assert outage_table(*table) == expected
+        (worker,) = workers
+        assert channel_sim._worker.pid is None and not Path(f"/proc/{worker}").exists()
+
+    def test_worker_keeps_no_descriptor_of_the_caller(self, fresh_worker):
+        # a pipe opened before the worker is forked reaches end of file once
+        # the caller closes its write end
+        reader, writer = os.pipe()
+        try:
+            assert self.count() == self.COUNT
+            worker = channel_sim._worker.pid
+            os.close(writer)
+            writer = None
+            assert select.select([reader], [], [], 2)[0] == [reader]
+            assert os.read(reader, 1) == b""
+            assert len(os.listdir(f"/proc/{worker}/fd")) == 5  # stdio, its pipe, the claims
+        finally:
+            os.close(reader)
+            if writer is not None:
+                os.close(writer)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 50), st.lists(st.booleans(), max_size=120))
+    def test_two_sides_claim_each_unit_once_in_ascending_order(self, n, turns):
+        # two iterators over one zeroed claims file, advanced in the order
+        # ``turns`` gives, then each to its end
+        with tempfile.TemporaryFile() as claims:
+            os.pwrite(claims.fileno(), bytes(8), 0)
+            sides = [channel_sim._claims(claims, n), channel_sim._claims(claims, n)]
+            got = [[], []]
+            for side in turns:
+                got[side] += itertools.islice(sides[side], 1)
+            for side in (0, 1):
+                got[side] += sides[side]
+        for indices in got:
+            assert indices == sorted(set(indices))
+        assert sorted(got[0] + got[1]) == list(range(n))
 
     def test_worker_ends_when_its_parent_is_killed(self):
         parent = run_python(ONE_TABLE + "import time; time.sleep(60)", stdout=subprocess.PIPE)

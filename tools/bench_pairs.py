@@ -18,11 +18,12 @@ per metric each side's runs, median and quartiles (linear interpolation, as
 ``numpy.percentile``), the ratio of the medians (change over parent), the
 change's median minus the parent's, the parent's interquartile range, in
 how many pairs the change was better (ties count for neither side) and two
-verdicts. ``gain``: the change was better in at least 9 of 10 pairs and its
+verdicts. ``gain``: the change was better in at least 9 of 10 pairs, its
 median is better than the parent's by more than the parent's interquartile
-range. ``within_bound``: the change's median is no worse than the parent's
-by more than the metric's relative ``bound``. Other keys of an existing file
-are kept, so one file can collect several workloads.
+range, and no larger share of its operations failed. ``within_bound``: the
+change's median is no worse than the parent's by more than the metric's
+relative ``bound``. Other keys of an existing file are kept, so one file
+can collect several workloads.
 
 A gain is measured on an unchanged benchmark: the script exits 2, naming
 the files, when ``BENCHMARK.json`` or a file under its ``paths`` differs
@@ -84,6 +85,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict], seeds: list[int]) -> di
         "correct": {s: all(p[s]["correct"] for p in pairs) for s in sides},
         "metrics": {},
     }
+    parent_failed, change_failed = (out["failed_ops"][s] / out["attempted_ops"][s] for s in sides)
     for spec in end_to_end:
         name = spec["name"]
         runs = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in sides}
@@ -101,7 +103,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict], seeds: list[int]) -> di
             "change_better_pairs": better_pairs,
             "parent_iqr": round(q3 - q1, 4),
             "median_difference": round(difference, 4),
-            "gain": 10 * better_pairs >= 9 * len(pairs) and sign * difference > q3 - q1,
+            "gain": (10 * better_pairs >= 9 * len(pairs) and sign * difference > q3 - q1
+                     and change_failed <= parent_failed),
             "within_bound": sign * difference >= -spec["bound"] * p_median,
         }
     return out
